@@ -45,10 +45,8 @@ __all__ = [
     "sample_bound",
     "mc_error_bound",
     "tail_point_mass",
-    "tail_bounded_support",
     "tail_spherical_gaussian",
     "moments_point_mass",
-    "moments_bounded_support",
     "moments_spherical_gaussian",
 ]
 
@@ -254,13 +252,6 @@ def tail_point_mass(radius: float = 0.0) -> Callable[[float], float]:
     return lambda xi: 1.0 if xi < radius else 0.0
 
 
-def tail_bounded_support(radius: float) -> Callable[[float], float]:
-    """Any distribution supported in the centered ball of the given radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return lambda xi: 1.0 if xi < radius else 0.0
-
-
 def tail_spherical_gaussian(d: int, omega: float = 1.0) -> Callable[[float], float]:
     """X ~ N(0, omega^2 I_d): P[|X| > xi] is a regularized upper gamma function."""
     if d < 1:
@@ -272,12 +263,6 @@ def tail_spherical_gaussian(d: int, omega: float = 1.0) -> Callable[[float], flo
 
 def moments_point_mass(radius: float = 0.0) -> Callable[[int], float]:
     return lambda k: 1.0 if k == 0 else radius ** (2 * k)
-
-
-def moments_bounded_support(radius: float) -> Callable[[int], float]:
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return lambda k: radius ** (2 * k)
 
 
 def moments_spherical_gaussian(d: int, omega: float = 1.0) -> Callable[[int], float]:

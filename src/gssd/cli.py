@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .experiments import (
     RUNNERS,
@@ -94,31 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag destination -> ExperimentConfig field, where the names differ
+_FIELDS = {"dim": "dimensions", "sizes": "sample_sizes", "runs": "num_runs", "div": "divergences",
+           "projections": "num_projections", "p": "order"}
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        command=args.command,
-        dimensions=args.dim,
-        sample_sizes=args.sizes,
-        sigmas=args.sigmas,
-        num_runs=args.runs,
-        divergences=args.div,
-        num_projections=args.projections,
-        order=args.p,
-        epsilon=args.epsilon,
-        bandwidth=args.bandwidth,
-        sinkhorn_tol=args.sinkhorn_tol,
-        sinkhorn_max_iter=args.sinkhorn_max_iter,
-        seed=args.seed,
-        out=args.out,
-        workers=args.workers,
-        l_ref=getattr(args, "l_ref", 10_000),
-        l_grid=getattr(args, "l_grid", (50, 100, 200, 500, 1000)),
-        s_grid=getattr(args, "s_grid", (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)),
-        pair=getattr(args, "pair", "same"),
-        emit_bound=getattr(args, "emit_bound", False),
-        vartheta=getattr(args, "vartheta", 2.0),
-        c_p=getattr(args, "c_p", 1.0),
-    )
+    """The config of the parsed flags; fields without a flag in this command keep their defaults."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    kw = {_FIELDS.get(k, k): v for k, v in vars(args).items()}
+    return ExperimentConfig(**{k: v for k, v in kw.items() if k in names})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,11 +6,17 @@ stream ("noisex", l) / ("noisey", l), and evaluates the base divergence's
 order-p value on the pair.  The estimate is the arithmetic mean over the L
 per-projection values.
 
+One slice pipeline serves every base divergence and mode: ``_slice_tile``
+draws the keyed streams of up to ``_TILE`` projections at once and returns
+directions, both projections and the *standard* noise, each row bit-identical
+to ``sample_direction``, ``project`` and ``smooth_double`` on the same
+streams.  Base divergences consume whole rows.
+
 Because every projection is keyed by its index, the result is a pure function
-of (seed, data, config): independent of evaluation order, worker count, and of
-whether the vectorized equal-size path or the generic per-projection path ran.
-Streams do not depend on sigma either, so sweeping sigma reuses identical
-directions and identical standard noise (common random numbers).
+of (seed, data, config): independent of evaluation order, worker count and of
+the number of projections that follow it.  Streams do not depend on sigma, so
+``sweep_sigma`` draws each tile once and forms P + s * Z for every sigma s
+(common random numbers); ``estimate`` is a sweep over a single sigma.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergences import DivergenceSpec, power_value, smoothed_wasserstein_oracle
-from .rng import RngRoot, derive_stream
-from .slicing import SampleSet, project, sample_direction, smooth_double
+from .divergences import DivergenceSpec, power_value, smoothed_wasserstein_oracle, wasserstein_pp_rows
+from .rng import RngRoot, keyed_normals
+from .slicing import SampleSet, sample_direction
 
 __all__ = ["GssdConfig", "GssdEstimate", "TwoSigmaReport", "estimate", "sweep_sigma", "two_sigma_check"]
 
@@ -91,43 +97,45 @@ class GssdEstimate:
         }
 
 
-def _projection_value(X: SampleSet, Y: SampleSet, cfg: GssdConfig, l: int) -> tuple[float, bool]:
-    """Order-p value for projection l; generic path for any divergence/mode."""
-    root = cfg.seed
-    u = sample_direction(X.d, derive_stream(root, "proj", l))
-    px = project(X, u)
-    py = project(Y, u)
-    if cfg.mode == "mixture_oracle":
-        val = smoothed_wasserstein_oracle(px, py, cfg.sigma, cfg.order, cfg.oracle_grid)
-        return val, True
-    tx = smooth_double(px, cfg.sigma, derive_stream(root, "noisex", l), direction=u)
-    ty = smooth_double(py, cfg.sigma, derive_stream(root, "noisey", l), direction=u)
-    return power_value(tx.values, ty.values, cfg.divergence)
+_TILE = 64  # projections whose streams are drawn together; tiles start at its multiples
 
 
-def _wasserstein_block(X: SampleSet, Y: SampleSet, cfg: GssdConfig, ls: range) -> np.ndarray:
-    """Vectorized equal-size Wasserstein path for a contiguous block of indices.
-
-    Draw-for-draw identical to the generic path: directions and noise come from
-    the same per-index streams; only the sort and the power-mean are batched.
-    Rows are kept contiguous so the reduction tree per projection matches
-    np.mean on a 1-D slice.
-    """
-    root = cfg.seed
-    n, d = X.n, X.d
-    L = len(ls)
-    TX = np.empty((L, n))
-    TY = np.empty((L, n))
+def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool):
+    """Directions, projections of X and Y, and their standard noise (None unless
+    ``noise``) for the projections in ``ls``, one row per projection."""
+    d, n, m = X.d, X.n, Y.n
+    streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
+    G = keyed_normals(root, streams, ls)
+    U = np.empty((len(ls), d))
+    px = np.empty((len(ls), n))
+    py = np.empty((len(ls), m))
     for k, l in enumerate(ls):
-        u = sample_direction(d, derive_stream(root, "proj", l))
-        TX[k] = project(X, u)
-        TY[k] = project(Y, u)
-        if cfg.sigma > 0:
-            TX[k] += cfg.sigma * derive_stream(root, "noisex", l).normals(n)
-            TY[k] += cfg.sigma * derive_stream(root, "noisey", l).normals(n)
-    TX.sort(axis=1)
-    TY.sort(axis=1)
-    return np.mean(np.abs(TX - TY) ** cfg.order, axis=1)
+        # sample_direction and project row by row: a norm and a matrix-vector
+        # product per direction keep each row bit-identical to those functions
+        z = G[k, :d]
+        norm = float(np.linalg.norm(z))
+        if norm > 1e-150:
+            np.divide(z, norm, out=U[k])
+        else:  # a zero draw: sample_direction redraws from the stream
+            U[k] = sample_direction(d, root.stream("proj", l)).coords
+        np.matmul(X.data, U[k], out=px[k])
+        np.matmul(Y.data, U[k], out=py[k])
+    zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
+    return U, px, py, zx, zy
+
+
+def _tile_values(px, py, zx, zy, cfg: GssdConfig) -> tuple[np.ndarray, int]:
+    """Order-p values of a tile's projections at ``cfg.sigma``, and how many did not converge."""
+    spec = cfg.divergence
+    if cfg.mode == "mixture_oracle":
+        vals = [smoothed_wasserstein_oracle(x, y, cfg.sigma, spec.p, cfg.oracle_grid) for x, y in zip(px, py)]
+        return np.array(vals), 0
+    tx = px if cfg.sigma == 0 else px + cfg.sigma * zx
+    ty = py if cfg.sigma == 0 else py + cfg.sigma * zy
+    if spec.kind == "wasserstein":
+        return wasserstein_pp_rows(tx, ty, spec.p), 0
+    pairs = [power_value(x, y, spec) for x, y in zip(tx, ty)]
+    return np.array([v for v, _ in pairs]), sum(not ok for _, ok in pairs)
 
 
 def _chunks(L: int, parts: int) -> list[range]:
@@ -136,74 +144,71 @@ def _chunks(L: int, parts: int) -> list[range]:
     return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def estimate(X: SampleSet, Y: SampleSet, cfg: GssdConfig, workers: int = 1) -> GssdEstimate:
-    """Estimate the order-p smoothed sliced divergence between X and Y.
+def _sweep(X: SampleSet, Y: SampleSet, cfgs: list[GssdConfig], workers: int) -> list[GssdEstimate]:
+    """One estimate per config; the configs differ only in sigma and share every draw.
 
-    Deterministic given ``cfg.seed``: per-projection values land in an array
-    indexed by projection, and the reduction over that array is a single fixed
-    pairwise sum, so 1 worker and N workers produce bit-identical results.
+    Per-projection values land in an array indexed by projection, and each
+    reduction over it is a single fixed pairwise sum, so 1 worker and N
+    workers produce bit-identical results.
     """
     if X.d != Y.d:
         raise ValueError(f"dimension mismatch: X has d={X.d}, Y has d={Y.d}")
-    L = cfg.num_projections
-    vals = np.empty(L)
-    unconverged = 0
+    first = cfgs[0]
+    L = first.num_projections
+    vals = np.empty((len(cfgs), L))
+    noise = first.mode == "double_empirical" and any(c.sigma > 0 for c in cfgs)
 
-    fast = (
-        cfg.mode == "double_empirical"
-        and cfg.divergence.kind == "wasserstein"
-        and X.n == Y.n
-    )
-
-    def run_block(ls: range) -> int:
-        bad = 0
-        if fast:
-            vals[ls.start : ls.stop] = _wasserstein_block(X, Y, cfg, ls)
-        else:
-            for l in ls:
-                v, ok = _projection_value(X, Y, cfg, l)
-                vals[l] = v
-                if not ok:
-                    bad += 1
+    def run_block(ls: range) -> np.ndarray:
+        bad = np.zeros(len(cfgs), dtype=np.int64)
+        edges = [ls.start, *range((ls.start // _TILE + 1) * _TILE, ls.stop, _TILE), ls.stop]
+        for a, b in zip(edges, edges[1:]):
+            _, *tile = _slice_tile(X, Y, first.seed, range(a, b), noise)
+            for k, cfg in enumerate(cfgs):
+                vals[k, a:b], n_bad = _tile_values(*tile, cfg)
+                bad[k] += n_bad
         return bad
 
-    blocks = _chunks(L, workers if workers > 1 else 1)
-    if workers > 1 and len(blocks) > 1:
+    blocks = _chunks(L, workers)
+    if len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             unconverged = sum(pool.map(run_block, blocks))
     else:
-        for ls in blocks:
-            unconverged += run_block(ls)
+        unconverged = run_block(blocks[0])
 
-    mean_pow = float(np.mean(vals))
-    sample_std = float(np.std(vals, ddof=1)) if L > 1 else 0.0
-    std_error = sample_std / np.sqrt(L)
-    root = max(mean_pow, 0.0) ** (1.0 / cfg.order)
-    return GssdEstimate(
-        mean_pow=mean_pow,
-        root=float(root),
-        per_projection=vals,
-        sample_std=sample_std,
-        std_error=float(std_error),
-        config=cfg,
-        unconverged=unconverged,
-    )
+    out = []
+    for cfg, v, bad in zip(cfgs, vals, unconverged):
+        mean_pow = float(np.mean(v))
+        sample_std = float(np.std(v, ddof=1)) if L > 1 else 0.0
+        root = float(max(mean_pow, 0.0) ** (1.0 / cfg.order))
+        out.append(GssdEstimate(mean_pow, root, v, sample_std, float(sample_std / np.sqrt(L)), cfg, int(bad)))
+    return out
+
+
+def estimate(X: SampleSet, Y: SampleSet, cfg: GssdConfig, workers: int = 1) -> GssdEstimate:
+    """Estimate the order-p smoothed sliced divergence between X and Y.
+
+    Deterministic given ``cfg.seed``: bit-identical across re-runs, worker
+    counts and L-prefixes (the first L values of a longer run).
+    """
+    return _sweep(X, Y, [cfg], workers)[0]
 
 
 def sweep_sigma(
     X: SampleSet, Y: SampleSet, sigmas: Sequence[float], cfg: GssdConfig, workers: int = 1
 ) -> list[GssdEstimate]:
-    """One estimate per noise level, sharing direction and base-noise streams.
+    """One estimate per noise level, sharing direction and base-noise draws.
 
-    Streams are keyed only by (seed, label, index), never by sigma, so all
-    sweep points see the same directions and the same standard normal draws
-    scaled by their own sigma -- common random numbers across the sweep.
+    Streams are keyed only by (seed, label, index), never by sigma, so every
+    tile is drawn once and all sweep points see the same directions and the
+    same standard normal draws scaled by their own sigma -- common random
+    numbers across the sweep.  Each point is bit-identical to ``estimate`` at
+    its sigma.
     """
     if len(sigmas) == 0:
         raise ValueError("sigmas must be non-empty")
     if any(s < 0 for s in sigmas):
         raise ValueError("all sigmas must be non-negative")
-    return [estimate(X, Y, replace(cfg, sigma=float(s)), workers=workers) for s in sigmas]
+    return _sweep(X, Y, [replace(cfg, sigma=float(s)) for s in sigmas], workers)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,9 @@ __all__ = [
 
 DIVERGENCE_ALIASES = {"swd": "wasserstein", "mmd": "mmd", "skd": "sinkhorn"}
 
+# wall_ms is the time of the estimate behind a row.  One timed call that yields
+# several rows (a noise-sweep cell over its sigmas, the projection-complexity
+# reference run over its L grid) has its time split evenly over them.
 CSV_COLUMNS = ("experiment", "divergence", "d", "n", "sigma", "L", "run", "value", "std_error", "wall_ms")
 
 PAIR_MODES = ("same", "shifted", "scaled")
@@ -102,29 +105,8 @@ class ExperimentConfig:
         )
 
     def echo(self) -> dict:
-        d = {
-            "command": self.command,
-            "dimensions": list(self.dimensions),
-            "sample_sizes": list(self.sample_sizes),
-            "sigmas": list(self.sigmas),
-            "num_runs": self.num_runs,
-            "divergences": list(self.divergences),
-            "num_projections": self.num_projections,
-            "order": self.order,
-            "epsilon": self.epsilon,
-            "bandwidth": self.bandwidth,
-            "sinkhorn_tol": self.sinkhorn_tol,
-            "sinkhorn_max_iter": self.sinkhorn_max_iter,
-            "seed": self.seed,
-            "workers": self.workers,
-            "l_ref": self.l_ref,
-            "l_grid": list(self.l_grid),
-            "s_grid": list(self.s_grid),
-            "pair": self.pair,
-            "vartheta": self.vartheta,
-            "c_p": self.c_p,
-        }
-        return d
+        """The configuration as written to output headers: every field but ``out`` and ``emit_bound``."""
+        return {k: v for k, v in asdict(self).items() if k not in ("out", "emit_bound")}
 
 
 @dataclass(frozen=True)
@@ -267,7 +249,7 @@ def run_projection_complexity(cfg: ExperimentConfig) -> list[ResultRow]:
         for name in cfg.divergences:
             t0 = time.perf_counter()
             ref = estimate(X, Y, _estimator_config(cfg, name, sigma, cfg.l_ref, run_root), workers=cfg.workers)
-            wall = (time.perf_counter() - t0) * 1e3
+            wall = (time.perf_counter() - t0) * 1e3 / len(cfg.l_grid)
             for L in cfg.l_grid:
                 prefix = ref.per_projection[:L]
                 err = abs(float(np.mean(prefix)) - ref.mean_pow)
@@ -294,7 +276,7 @@ def run_noise_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
                 base = _estimator_config(cfg, name, cfg.sigmas[0], cfg.num_projections, run_root)
                 t0 = time.perf_counter()
                 ests = sweep_sigma(X, Y, list(cfg.sigmas), base, workers=cfg.workers)
-                wall = (time.perf_counter() - t0) * 1e3
+                wall = (time.perf_counter() - t0) * 1e3 / len(ests)
                 for sigma, est in zip(cfg.sigmas, ests):
                     rows.append(
                         ResultRow("noise-sweep", name, d, n, sigma, cfg.num_projections, run, est.mean_pow, est.std_error, wall)
@@ -331,11 +313,20 @@ def run_displacement(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_matrix_csv(path: str) -> np.ndarray:
     """Parse a numeric n x d matrix; one optional header line; strict validation.
 
-    Raises ValueError naming the offending row/column for ragged rows or
-    non-numeric cells; no partial output.
+    The first line is a header only when none of its cells is a number;
+    otherwise it is data.  Raises ValueError naming the offending row/column
+    for ragged rows or non-numeric cells; no partial output.
     """
     rows: list[list[float]] = []
     width = None
@@ -345,14 +336,10 @@ def read_matrix_csv(path: str) -> np.ndarray:
             if not text or text.startswith("#"):
                 continue
             cells = [c.strip() for c in text.split(",")]
-            if not rows and width is None:
-                try:
-                    rows.append([float(c) for c in cells])
-                    width = len(cells)
-                    continue
-                except ValueError:
-                    width = len(cells)  # header line; fixes the column count
-                    continue
+            if width is None:
+                width = len(cells)  # the first line fixes the column count
+                if not any(_is_number(c) for c in cells):
+                    continue  # a header: no cell is a number
             if len(cells) != width:
                 raise ValueError(f"{path}: row {lineno} has {len(cells)} columns, expected {width}")
             parsed = []

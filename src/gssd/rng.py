@@ -8,6 +8,10 @@ other stream.
 Normal variates use the inverse-CDF transform of fixed-width uniforms: exactly
 one 64-bit word per variate, so the counter advance never depends on the values
 drawn (no rejection loops).
+
+``keyed_normals`` draws the leading variates of many streams into one array:
+Philox is counter-based, so one generator re-keyed per stream yields the words
+of a generator built per stream, without the OS entropy each build pulls.
 """
 
 from __future__ import annotations
@@ -15,14 +19,16 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-__all__ = ["RngRoot", "RngStream", "derive_stream", "draw_standard_normal"]
+__all__ = ["RngRoot", "RngStream", "derive_stream", "draw_standard_normal", "keyed_words", "keyed_normals"]
 
 _MASK64 = (1 << 64) - 1
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _stream_key(seed: int, label: str, index: int) -> np.ndarray:
@@ -45,7 +51,7 @@ class RngRoot:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
     def child(self, label: str, index: int = 0) -> RngRoot:
@@ -79,20 +85,12 @@ class RngStream:
         return np.atleast_1d(np.asarray(out, dtype=np.uint64))
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms in the open interval (0, 1), one word each.
-
-        The midpoint offset keeps 0 and 1 unreachable, so ndtri below never
-        produces an infinity.
-        """
-        raw = self.raw_uint64(n)
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        """n uniforms in the open interval (0, 1), one word each; see ``_uniforms``."""
+        return _uniforms(self.raw_uint64(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n i.i.d. standard normal draws via the inverse normal CDF."""
         return ndtri(self.uniforms(n))
-
-    def standard_normal(self) -> float:
-        return float(self.normals(1)[0])
 
 
 def derive_stream(root: RngRoot, label: str, index: int) -> RngStream:
@@ -106,4 +104,47 @@ def derive_stream(root: RngRoot, label: str, index: int) -> RngStream:
 
 def draw_standard_normal(stream: RngStream) -> float:
     """One N(0, 1) draw; advances the stream counter by one word."""
-    return stream.standard_normal()
+    return float(stream.normals(1)[0])
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """Map words to (k + 0.5) * 2^-53, k their top 53 bits, in the open interval (0, 1).
+
+    For k >= 2^52, k + 0.5 rounds to an even integer, so the 2^11 highest words
+    would give 1.0 (ndtri: +inf); they are clamped to the largest double below 1.
+    """
+    u = (raw >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def keyed_words(root: RngRoot, streams: Sequence[tuple[str, int]], indices: Sequence[int]) -> np.ndarray:
+    """Leading raw words of many streams, one row per index.
+
+    Row k holds, side by side for each (label, count) in ``streams``, the first
+    ``count`` words of ``root.stream(label, indices[k])``.  One Philox is
+    re-keyed for each stream (counter 0, empty buffer) instead of built.
+    """
+    width = sum(count for _, count in streams)
+    out = np.empty((len(indices), width), dtype=np.uint64)
+    bitgen = Philox(0)  # a fixed seed skips the OS entropy; every stream below sets its own key
+    state = bitgen.state  # counter 0 and an empty buffer (buffer_pos 4), as a new Philox has
+    state["state"]["counter"] = state["buffer"] = [0, 0, 0, 0]  # lists load faster than arrays
+    for k, index in enumerate(indices):
+        if index < 0:
+            raise ValueError("stream index must be non-negative")
+        col = 0
+        for label, count in streams:
+            state["state"]["key"] = _stream_key(root.seed, label, index)
+            bitgen.state = state
+            out[k, col : col + count] = bitgen.random_raw(count)
+            col += count
+    return out
+
+
+def keyed_normals(root: RngRoot, streams: Sequence[tuple[str, int]], indices: Sequence[int]) -> np.ndarray:
+    """``keyed_words`` mapped to standard normals: row k, block (label, count) equals
+    ``root.stream(label, indices[k]).normals(count)`` bit for bit."""
+    u = _uniforms(keyed_words(root, streams, indices))
+    return ndtri(u, out=u)

@@ -10,10 +10,9 @@ for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .rng import RngStream
 
@@ -81,7 +80,6 @@ class SmoothedSlice:
 
     values: np.ndarray
     sigma: float
-    direction: Direction | None = field(default=None)
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -115,19 +113,14 @@ def project(samples: SampleSet, u: Direction) -> np.ndarray:
     return samples.data @ u.coords
 
 
-def smooth_double(
-    values: np.ndarray,
-    sigma: float,
-    stream: RngStream,
-    direction: Direction | None = None,
-) -> SmoothedSlice:
+def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> SmoothedSlice:
     """Add one N(0, sigma^2) draw per value; sigma = 0 returns values unchanged."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     vals = np.ascontiguousarray(values, dtype=np.float64)
     if sigma > 0:
         vals = vals + sigma * stream.normals(vals.size)
-    return SmoothedSlice(values=vals, sigma=float(sigma), direction=direction)
+    return SmoothedSlice(values=vals, sigma=float(sigma))
 
 
 def mixture_pdf(values: np.ndarray, sigma: float, t):
@@ -145,13 +138,3 @@ def mixture_pdf(values: np.ndarray, sigma: float, t):
     z = (t_arr[..., None] - v) / sigma
     dens = np.exp(-0.5 * z * z).mean(axis=-1) / (sigma * np.sqrt(2.0 * np.pi))
     return float(dens) if np.isscalar(t) or t_arr.ndim == 0 else dens
-
-
-def mixture_cdf(values: np.ndarray, sigma: float, t):
-    """CDF of the smoothed slice mixture at t (average of normal CDFs)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive for the mixture CDF")
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    t_arr = np.asarray(t, dtype=np.float64)
-    c = ndtr((t_arr[..., None] - v) / sigma).mean(axis=-1)
-    return float(c) if np.isscalar(t) or t_arr.ndim == 0 else c

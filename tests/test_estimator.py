@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from gssd.divergences import DivergenceSpec
+from gssd import estimator
+from gssd.divergences import DivergenceSpec, bandwidth_mean_pairwise, mmd_sq, wasserstein_pp
 from gssd.estimator import GssdConfig, estimate, sweep_sigma, two_sigma_check
-from gssd.estimator import _projection_value
-from gssd.rng import RngRoot, derive_stream
-from gssd.slicing import SampleSet
+from gssd.rng import RngRoot, derive_stream, keyed_normals, keyed_words
+from gssd.slicing import SampleSet, project, sample_direction, smooth_double
 
 
 def gauss_set(seed, label, n, d, mean=0.0, scale=1.0):
@@ -86,14 +88,6 @@ class TestDeterminism:
         assert np.array_equal(seq.per_projection, par.per_projection)
         assert seq.mean_pow == par.mean_pow
 
-    def test_fast_path_matches_generic_path_bitwise(self):
-        X = gauss_set(5, "x", 50, 4)
-        Y = gauss_set(5, "y", 50, 4)
-        cfg = wcfg(12, sigma=2.0, L=24)
-        fast = estimate(X, Y, cfg)
-        generic = np.array([_projection_value(X, Y, cfg, l)[0] for l in range(24)])
-        assert np.array_equal(fast.per_projection, generic)
-
     def test_repeat_run_identical(self):
         X = gauss_set(6, "x", 25, 3)
         Y = gauss_set(6, "y", 25, 3)
@@ -109,6 +103,131 @@ class TestDeterminism:
         b = estimate(X, Y, wcfg(14, L=12))
         assert a.mean_pow > 0
         assert np.array_equal(a.per_projection, b.per_projection)
+
+
+def kind_cfg(kind, seed, sigma=1.0, L=32):
+    spec = DivergenceSpec(kind, p=2, sinkhorn_max_iter=100)
+    return GssdConfig(sigma=sigma, num_projections=L, order=2, divergence=spec, seed=RngRoot(seed))
+
+
+def rebuilt_value(X, Y, cfg, l):
+    """Projection l rebuilt one stream at a time through the public slicing functions."""
+    root = cfg.seed
+    u = sample_direction(X.d, root.stream("proj", l))
+    tx = smooth_double(project(X, u), cfg.sigma, root.stream("noisex", l)).values
+    ty = smooth_double(project(Y, u), cfg.sigma, root.stream("noisey", l)).values
+    if cfg.divergence.kind == "wasserstein":
+        return wasserstein_pp(tx, ty, cfg.order)
+    return max(mmd_sq(tx, ty, bandwidth_mean_pairwise(tx, ty)), 0.0) ** (cfg.order / 2)
+
+
+class TestSlicePipeline:
+    """The single tile pipeline: every projection depends only on its own keyed streams."""
+
+    @pytest.mark.parametrize("kind, n, m", [("wasserstein", 40, 40), ("wasserstein", 45, 30), ("mmd", 40, 25)])
+    def test_workers_1_2_8_bitwise(self, kind, n, m):
+        X = gauss_set(21, "pw-x", n, 4)
+        Y = gauss_set(21, "pw-y", m, 4, mean=0.4)
+        runs = [estimate(X, Y, kind_cfg(kind, 31, L=150 if kind == "wasserstein" else 10), workers=w) for w in (1, 2, 8)]
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].per_projection, other.per_projection)
+            assert runs[0].mean_pow == other.mean_pow
+
+    def test_prefix_across_tile_boundary_bitwise(self):
+        # L = 70 crosses the first tile boundary and ends inside the second tile
+        X = gauss_set(22, "pp-x", 50, 5)
+        Y = gauss_set(22, "pp-y", 35, 5, mean=0.3)
+        long = estimate(X, Y, wcfg(32, L=200), workers=3)
+        short = estimate(X, Y, wcfg(32, L=70), workers=2)
+        assert estimator._TILE < 70 < 2 * estimator._TILE
+        assert np.array_equal(long.per_projection[:70], short.per_projection)
+
+    def test_rerun_bitwise(self):
+        X = gauss_set(23, "rr-x", 30, 3)
+        Y = gauss_set(23, "rr-y", 30, 3)
+        a = sweep_sigma(X, Y, [0.0, 2.0], wcfg(33, L=80), workers=2)
+        b = sweep_sigma(X, Y, [0.0, 2.0], wcfg(33, L=80), workers=2)
+        for ea, eb in zip(a, b):
+            assert np.array_equal(ea.per_projection, eb.per_projection)
+
+    @pytest.mark.parametrize("kind, n, m, L", [("wasserstein", 60, 45, 90), ("mmd", 50, 40, 6)])
+    def test_sweep_equals_estimate_at_each_sigma(self, kind, n, m, L):
+        X = gauss_set(24, "se-x", n, 4)
+        Y = gauss_set(24, "se-y", m, 4, mean=0.5)
+        cfg = kind_cfg(kind, 34, L=L)
+        sigmas = [0.0, 0.5, 3.0]
+        for s, est in zip(sigmas, sweep_sigma(X, Y, sigmas, cfg, workers=2)):
+            single = estimate(X, Y, kind_cfg(kind, 34, sigma=s, L=L))
+            assert np.array_equal(est.per_projection, single.per_projection)
+            assert est.config.sigma == s
+
+    @pytest.mark.parametrize("kind, n, m, sigma", [
+        ("wasserstein", 40, 40, 1.5), ("wasserstein", 50, 30, 0.7), ("wasserstein", 30, 45, 0.0), ("mmd", 35, 20, 1.0),
+    ])
+    def test_rows_match_rebuilt_slices(self, kind, n, m, sigma):
+        # exact, not just within 1e-12: the pipeline runs the public functions'
+        # arithmetic row by row
+        X = gauss_set(25, "rb-x", n, 6)
+        Y = gauss_set(25, "rb-y", m, 6, mean=0.2)
+        cfg = kind_cfg(kind, 35, sigma=sigma, L=70)
+        est = estimate(X, Y, cfg, workers=2)
+        for l in (0, 1, 63, 64, 69):
+            want = rebuilt_value(X, Y, cfg, l)
+            assert est.per_projection[l] == want
+
+    def test_tile_rows_equal_public_functions(self):
+        X = gauss_set(27, "tr-x", 30, 5)
+        Y = gauss_set(27, "tr-y", 20, 5)
+        root = RngRoot(37)
+        ls = range(60, 70)
+        U, px, py, zx, zy = estimator._slice_tile(X, Y, root, ls, noise=True)
+        for k, l in enumerate(ls):
+            u = sample_direction(5, root.stream("proj", l))
+            assert np.array_equal(U[k], u.coords)
+            assert np.array_equal(px[k], project(X, u))
+            assert np.array_equal(py[k], project(Y, u))
+            assert np.array_equal(zx[k], root.stream("noisex", l).normals(30))
+            assert np.array_equal(zy[k], root.stream("noisey", l).normals(20))
+        assert estimator._slice_tile(X, Y, root, ls, noise=False)[3:] == (None, None)
+
+    def test_zero_direction_draw_falls_back_to_sample_direction(self, monkeypatch):
+        # a word whose top 53 bits are 2^52 maps to u = 0.5, i.e. z = 0; force
+        # such a direction draw and check the row redraws as sample_direction does
+        real = estimator.keyed_normals
+
+        def zero_first_direction(root, streams, indices):
+            G = real(root, streams, indices)
+            if indices.start == 0:
+                G[0, : streams[0][1]] = 0.0
+            return G
+
+        monkeypatch.setattr(estimator, "keyed_normals", zero_first_direction)
+        X = gauss_set(26, "zd-x", 20, 1)
+        Y = gauss_set(26, "zd-y", 20, 1, mean=1.0)
+        cfg = wcfg(36, sigma=0.0, L=3)
+        est = estimate(X, Y, cfg)
+        assert est.per_projection[0] == rebuilt_value(X, Y, cfg, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        labels=st.lists(st.sampled_from(["proj", "noisex", "noisey", "data", ""]), min_size=1, max_size=3),
+        counts=st.lists(st.integers(0, 9), min_size=3, max_size=3),
+        start=st.integers(0, 2**63),
+        size=st.integers(1, 5),
+    )
+    def test_keyed_words_equal_streams(self, seed, labels, counts, start, size):
+        root = RngRoot(seed)
+        streams = list(zip(labels, counts))
+        indices = range(start, start + size)
+        W = keyed_words(root, streams, indices)
+        G = keyed_normals(root, streams, indices)
+        for k, l in enumerate(indices):
+            col = 0
+            for label, count in streams:
+                assert np.array_equal(W[k, col : col + count], root.stream(label, l).raw_uint64(count))
+                assert np.array_equal(G[k, col : col + count], root.stream(label, l).normals(count))
+                col += count
 
 
 class TestPointMassOracleMode:

@@ -1,9 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from gssd import experiments
 from gssd.cli import main as cli_main
 from gssd.divergences import wasserstein_pp
 from gssd.estimator import GssdConfig, estimate
@@ -88,6 +90,13 @@ class TestReadMatrixCsv:
         f = tmp_path / "m.csv"
         f.write_text("1.0,2.0\n3.0,oops\n")
         with pytest.raises(ValueError, match="row 2, column 2"):
+            read_matrix_csv(str(f))
+
+    def test_malformed_first_row_is_not_a_header(self, tmp_path):
+        # "1.0" parses, so the line is data and its bad cell must be reported
+        f = tmp_path / "m.csv"
+        f.write_text("1.0,2x\n3.0,4.0\n5.0,6.0\n")
+        with pytest.raises(ValueError, match="row 1, column 2: '2x'"):
             read_matrix_csv(str(f))
 
     def test_empty_file_rejected(self, tmp_path):
@@ -311,6 +320,29 @@ class TestCompare:
         base_roots = [math.sqrt(r.value) for r in base_rows]
         spread = float(np.std(base_roots, ddof=1))
         assert abs(report["root"] - float(np.mean(base_roots))) <= 3 * (spread + report["std_error"])
+
+
+# ---------------------------------------------------------------- wall_ms
+
+
+def fake_clock(monkeypatch):
+    """Each perf_counter call in experiments advances one second."""
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+
+
+class TestWallMs:
+    def test_noise_sweep_splits_the_sweep_time_over_sigma_rows(self, monkeypatch):
+        fake_clock(monkeypatch)
+        rows = run_noise_sweep(small_cfg("noise-sweep", sigmas=(0.0, 1.0, 3.0, 5.0), num_runs=1))
+        assert [r.wall_ms for r in rows] == [250.0] * 4
+
+    def test_projection_complexity_splits_the_reference_time_over_l_rows(self, monkeypatch):
+        fake_clock(monkeypatch)
+        rows = run_projection_complexity(small_cfg("projection-complexity", l_ref=64, l_grid=(16, 32, 64), num_runs=1))
+        assert len(rows) == 3
+        assert sum(r.wall_ms for r in rows) == pytest.approx(1000.0, rel=1e-12)
+        assert len({r.wall_ms for r in rows}) == 1
 
 
 # ---------------------------------------------------------------- csv output + cli

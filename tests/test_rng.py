@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from gssd.rng import RngRoot, RngStream, derive_stream, draw_standard_normal
+from gssd.rng import RngRoot, RngStream, _uniforms, derive_stream, draw_standard_normal
 
 
 def test_same_triple_reproduces_sequence():
@@ -70,7 +71,23 @@ def test_child_roots_are_distinct_and_stable():
     assert c1.seed != c2.seed
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "42"])
+def test_top_words_clamp_below_one_and_others_keep_their_bits():
+    # top 53 bits k = 2^53 - 1 give (k + 0.5) * 2^-53 == 1.0 before the clamp;
+    # k = 2^52 gives exactly 0.5
+    top = np.array([0xFFFFFFFFFFFFF800, 0xFFFFFFFFFFFFFC00, 2**64 - 1], dtype=np.uint64)
+    u = _uniforms(top)
+    assert np.all(u == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(ndtri(u)))
+    half = np.array([2**52 << 11], dtype=np.uint64)
+    assert _uniforms(half)[0] == 0.5 and ndtri(_uniforms(half))[0] == 0.0
+    below = np.array([0xFFFFFFFFFFFFF7FF, 0, 1, 2**63 - 1, 2**63 + 2**11], dtype=np.uint64)
+    raw = np.concatenate([below, derive_stream(RngRoot(3), "words", 0).raw_uint64(10**4)])
+    unclamped = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert unclamped.max() < 1.0
+    assert np.array_equal(_uniforms(raw), unclamped)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "42", True, False])
 def test_invalid_seed_rejected(bad):
     with pytest.raises((ValueError, TypeError)):
         RngRoot(bad)
