@@ -29,11 +29,10 @@ from .divergences import (
 )
 from .estimator import GssdConfig, GssdEstimate, TwoSigmaReport, estimate, sweep_sigma, two_sigma_check
 from .experiments import ExperimentConfig, ResultRow, compare, fit_loglog_slope
-from .rng import RngRoot, RngStream, derive_stream, draw_standard_normal
+from .rng import RngRoot, RngStream
 from .slicing import (
     Direction,
     SampleSet,
-    SmoothedSlice,
     mixture_pdf,
     project,
     sample_direction,
@@ -44,11 +43,8 @@ __all__ = [
     "__version__",
     "RngRoot",
     "RngStream",
-    "derive_stream",
-    "draw_standard_normal",
     "SampleSet",
     "Direction",
-    "SmoothedSlice",
     "sample_direction",
     "project",
     "smooth_double",

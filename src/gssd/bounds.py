@@ -153,6 +153,13 @@ def xi_constant(
     Requires vartheta > sqrt(2) (otherwise the Gaussian reweighting integral
     inside the constant diverges).
     """
+    return _xi_and_tail(p, sigma, vartheta, tail_fn)[0]
+
+
+def _xi_and_tail(
+    p: float, sigma: float, vartheta: float, tail_fn: Callable[[float], float]
+) -> tuple[float, float]:
+    """Xi and the tail integral inside it, which is computed once."""
     if p < 1:
         raise ValueError("order p must be >= 1")
     if vartheta <= _SQRT2:
@@ -166,7 +173,7 @@ def xi_constant(
         * vartheta ** (p + 1.0)
         * math.sqrt(gamma_fn(p + 0.5))
     )
-    return prefactor * math.sqrt(gauss_term + 4.0 * tail_integral)
+    return prefactor * math.sqrt(gauss_term + 4.0 * tail_integral), tail_integral
 
 
 def upsilon_constant(
@@ -227,8 +234,7 @@ class TheoryBound:
         vartheta: float = 2.0,
         c_p: float = 1.0,
     ) -> TheoryBound:
-        xi = xi_constant(p, sigma, vartheta, tail_fn)
-        tail_integral = tail_reweighted_integral(sigma, vartheta, tail_fn)
+        xi, tail_integral = _xi_and_tail(p, sigma, vartheta, tail_fn)
         upsilon = upsilon_constant(p, sigma, moments, c_p)
         return cls(
             p=float(p),

@@ -38,11 +38,10 @@ MODES = ("double_empirical", "mixture_oracle")
 
 @dataclass(frozen=True)
 class GssdConfig:
-    """Estimator settings: noise level, projection budget, order, base divergence."""
+    """Estimator settings: noise level, projection budget, base divergence (which carries the order p)."""
 
     sigma: float
     num_projections: int
-    order: float
     divergence: DivergenceSpec
     seed: RngRoot
     mode: str = "double_empirical"
@@ -53,8 +52,6 @@ class GssdConfig:
             raise ValueError("sigma must be non-negative")
         if self.num_projections < 1:
             raise ValueError("num_projections must be >= 1")
-        if self.order < 1:
-            raise ValueError("order p must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.mode == "mixture_oracle":
@@ -62,8 +59,6 @@ class GssdConfig:
                 raise ValueError("mixture_oracle mode requires the Wasserstein base divergence")
             if self.sigma <= 0:
                 raise ValueError("mixture_oracle mode requires sigma > 0")
-        if self.divergence.p != self.order:
-            raise ValueError("divergence spec order and estimator order must agree")
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,7 @@ class GssdEstimate:
             "std_error": self.std_error,
             "num_projections": self.config.num_projections,
             "sigma": self.config.sigma,
-            "order": self.config.order,
+            "order": spec.p,
             "divergence": spec.kind,
             "epsilon": spec.epsilon,
             "bandwidth": spec.bandwidth,
@@ -179,7 +174,7 @@ def _sweep(X: SampleSet, Y: SampleSet, cfgs: list[GssdConfig], workers: int) -> 
     for cfg, v, bad in zip(cfgs, vals, unconverged):
         mean_pow = float(np.mean(v))
         sample_std = float(np.std(v, ddof=1)) if L > 1 else 0.0
-        root = float(max(mean_pow, 0.0) ** (1.0 / cfg.order))
+        root = float(max(mean_pow, 0.0) ** (1.0 / cfg.divergence.p))
         out.append(GssdEstimate(mean_pow, root, v, sample_std, float(sample_std / np.sqrt(L)), cfg, int(bad)))
     return out
 
@@ -241,7 +236,7 @@ def two_sigma_check(
         raise ValueError("the two-noise-level inequality applies to the Wasserstein base")
     if not 0 <= sigma1 <= sigma2:
         raise ValueError("need 0 <= sigma1 <= sigma2")
-    p = cfg.order
+    p = cfg.divergence.p
     est_low, est_high = sweep_sigma(X, Y, [sigma1, sigma2], cfg, workers=workers)
     gap = 2.0 ** (2.5 * p) * (sigma2**2 - sigma1**2) ** p
     rhs = 2.0 ** (p - 1) * est_high.mean_pow + gap

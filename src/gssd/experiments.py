@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .divergences import DivergenceSpec
 from .estimator import GssdConfig, estimate, sweep_sigma
-from .rng import RngRoot, RngStream
+from .rng import RngRoot
 from .slicing import SampleSet
 
 __all__ = [
@@ -41,16 +41,21 @@ __all__ = [
     "compare",
     "fit_loglog_slope",
     "read_matrix_csv",
-    "write_rows_csv",
+    "rows_csv",
     "DIVERGENCE_ALIASES",
 ]
 
 DIVERGENCE_ALIASES = {"swd": "wasserstein", "mmd": "mmd", "skd": "sinkhorn"}
 
-# wall_ms is the time of the estimate behind a row.  One timed call that yields
-# several rows (a noise-sweep cell over its sigmas, the projection-complexity
-# reference run over its L grid) has its time split evenly over them.
-CSV_COLUMNS = ("experiment", "divergence", "d", "n", "sigma", "L", "run", "value", "std_error", "wall_ms")
+# unconverged is the count of projections of the estimate behind a row whose
+# Sinkhorn solve did not converge; wall_ms is that estimate's time.  Rows that
+# share one estimate (the projection-complexity reference run over its L grid)
+# carry its count; one timed call that yields several rows (that reference run,
+# a noise-sweep cell over its sigmas) has its time split evenly over them.
+# Theory-bound rows carry 0 in both.  wall_ms stays the last column.
+CSV_COLUMNS = (
+    "experiment", "divergence", "d", "n", "sigma", "L", "run", "value", "std_error", "unconverged", "wall_ms"
+)
 
 PAIR_MODES = ("same", "shifted", "scaled")
 
@@ -120,6 +125,7 @@ class ResultRow:
     run: int
     value: float
     std_error: float
+    unconverged: int
     wall_ms: float
 
     def as_csv(self) -> str:
@@ -134,13 +140,14 @@ class ResultRow:
                 repr(self.run),
                 repr(float(self.value)),
                 repr(float(self.std_error)),
+                repr(self.unconverged),
                 f"{self.wall_ms:.3f}",
             ]
         )
 
 
-def write_rows_csv(path: str, cfg: ExperimentConfig, rows: list[ResultRow]) -> None:
-    """Long-format CSV with a deterministic config header block."""
+def rows_csv(cfg: ExperimentConfig, rows: list[ResultRow]) -> str:
+    """Long-format CSV text with a deterministic config header block, for a file or stdout."""
     lines = [
         f"# seed = {cfg.seed}",
         f"# version = {__version__}",
@@ -148,13 +155,12 @@ def write_rows_csv(path: str, cfg: ExperimentConfig, rows: list[ResultRow]) -> N
         ",".join(CSV_COLUMNS),
     ]
     lines.extend(r.as_csv() for r in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def gaussian_set(root: RngRoot, label: str, run: int, n: int, d: int, mean=0.0, scale=1.0) -> SampleSet:
     """n x d draws from N(mean, scale^2 I); mean/scale may be scalars or vectors."""
-    z = RngStream(root.child(label, run), "data", 0).normals(n * d).reshape(n, d)
+    z = root.child(label, run).stream("data", 0).normals(n * d).reshape(n, d)
     return SampleSet(np.asarray(mean) + np.asarray(scale) * z)
 
 
@@ -174,7 +180,6 @@ def _estimator_config(cfg: ExperimentConfig, div_name: str, sigma: float, L: int
     return GssdConfig(
         sigma=float(sigma),
         num_projections=int(L),
-        order=cfg.order,
         divergence=cfg.divergence_spec(div_name),
         seed=run_root,
     )
@@ -197,7 +202,10 @@ def run_sample_complexity(cfg: ExperimentConfig) -> list[ResultRow]:
                     est = estimate(X, Y, _estimator_config(cfg, name, sigma, cfg.num_projections, run_root), workers=cfg.workers)
                     wall = (time.perf_counter() - t0) * 1e3
                     rows.append(
-                        ResultRow("sample-complexity", name, d, n, sigma, cfg.num_projections, run, est.mean_pow, est.std_error, wall)
+                        ResultRow(
+                            "sample-complexity", name, d, n, sigma, cfg.num_projections, run,
+                            est.mean_pow, est.std_error, est.unconverged, wall,
+                        )
                     )
     if cfg.emit_bound:
         rows.extend(_bound_rows(cfg))
@@ -222,7 +230,7 @@ def _bound_rows(cfg: ExperimentConfig) -> list[ResultRow]:
         )
         for n in cfg.sample_sizes:
             rows.append(
-                ResultRow("sample-complexity", "theory-bound", d, n, sigma, cfg.num_projections, 0, tb.at(n), 0.0, 0.0)
+                ResultRow("sample-complexity", "theory-bound", d, n, sigma, cfg.num_projections, 0, tb.at(n), 0.0, 0, 0.0)
             )
     return rows
 
@@ -254,7 +262,7 @@ def run_projection_complexity(cfg: ExperimentConfig) -> list[ResultRow]:
                 prefix = ref.per_projection[:L]
                 err = abs(float(np.mean(prefix)) - ref.mean_pow)
                 se = float(np.std(prefix, ddof=1) / np.sqrt(L)) if L > 1 else 0.0
-                rows.append(ResultRow("projection-complexity", name, d, n, sigma, L, run, err, se, wall))
+                rows.append(ResultRow("projection-complexity", name, d, n, sigma, L, run, err, se, ref.unconverged, wall))
     return rows
 
 
@@ -279,7 +287,10 @@ def run_noise_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
                 wall = (time.perf_counter() - t0) * 1e3 / len(ests)
                 for sigma, est in zip(cfg.sigmas, ests):
                     rows.append(
-                        ResultRow("noise-sweep", name, d, n, sigma, cfg.num_projections, run, est.mean_pow, est.std_error, wall)
+                        ResultRow(
+                            "noise-sweep", name, d, n, sigma, cfg.num_projections, run,
+                            est.mean_pow, est.std_error, est.unconverged, wall,
+                        )
                     )
     return rows
 
@@ -308,7 +319,10 @@ def run_displacement(cfg: ExperimentConfig) -> list[ResultRow]:
                 est = estimate(X, Y, _estimator_config(cfg, name, sigma, cfg.num_projections, run_root), workers=cfg.workers)
                 wall = (time.perf_counter() - t0) * 1e3
                 rows.append(
-                    ResultRow(f"displacement[s={s:g}]", name, d, n, sigma, cfg.num_projections, run, est.mean_pow, est.std_error, wall)
+                    ResultRow(
+                        f"displacement[s={s:g}]", name, d, n, sigma, cfg.num_projections, run,
+                        est.mean_pow, est.std_error, est.unconverged, wall,
+                    )
                 )
     return rows
 

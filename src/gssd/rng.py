@@ -25,20 +25,22 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-__all__ = ["RngRoot", "RngStream", "derive_stream", "draw_standard_normal", "keyed_words", "keyed_normals"]
+__all__ = ["RngRoot", "RngStream", "keyed_words", "keyed_normals"]
 
 _MASK64 = (1 << 64) - 1
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _stream_key(seed: int, label: str, index: int) -> np.ndarray:
-    """128-bit Philox key as a pure function of (seed, label, index)."""
+    """128-bit Philox key as a pure function of (seed, label, index); index is an unsigned 64-bit integer."""
+    if not 0 <= index <= _MASK64:
+        raise ValueError("stream index must be an unsigned 64-bit integer")
     raw = label.encode("utf-8")
     msg = (
-        struct.pack("<Q", seed & _MASK64)
+        struct.pack("<Q", seed)
         + struct.pack("<I", len(raw))
         + raw
-        + struct.pack("<Q", index & _MASK64)
+        + struct.pack("<Q", index)
     )
     digest = hashlib.blake2b(msg, digest_size=16).digest()
     return np.frombuffer(digest, dtype=np.uint64).copy()
@@ -59,7 +61,8 @@ class RngRoot:
         return RngRoot(int(_stream_key(self.seed, label, index)[0]))
 
     def stream(self, label: str, index: int) -> RngStream:
-        return derive_stream(self, label, index)
+        """The stream identified by (self, label, index); equal arguments give equal sequences."""
+        return RngStream(self, label, index)
 
 
 class RngStream:
@@ -69,8 +72,6 @@ class RngStream:
     """
 
     def __init__(self, root: RngRoot, label: str, index: int):
-        if index < 0:
-            raise ValueError("stream index must be non-negative")
         self.root = root
         self.label = label
         self.index = index
@@ -91,20 +92,6 @@ class RngStream:
     def normals(self, n: int) -> np.ndarray:
         """n i.i.d. standard normal draws via the inverse normal CDF."""
         return ndtri(self.uniforms(n))
-
-
-def derive_stream(root: RngRoot, label: str, index: int) -> RngStream:
-    """Create the stream identified by (root, label, index).
-
-    Repeated calls with identical arguments yield streams that produce
-    identical sequences.
-    """
-    return RngStream(root, label, index)
-
-
-def draw_standard_normal(stream: RngStream) -> float:
-    """One N(0, 1) draw; advances the stream counter by one word."""
-    return float(stream.normals(1)[0])
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -132,8 +119,6 @@ def keyed_words(root: RngRoot, streams: Sequence[tuple[str, int]], indices: Sequ
     state = bitgen.state  # counter 0 and an empty buffer (buffer_pos 4), as a new Philox has
     state["state"]["counter"] = state["buffer"] = [0, 0, 0, 0]  # lists load faster than arrays
     for k, index in enumerate(indices):
-        if index < 0:
-            raise ValueError("stream index must be non-negative")
         col = 0
         for label, count in streams:
             state["state"]["key"] = _stream_key(root.seed, label, index)

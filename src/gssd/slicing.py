@@ -19,7 +19,6 @@ from .rng import RngStream
 __all__ = [
     "SampleSet",
     "Direction",
-    "SmoothedSlice",
     "sample_direction",
     "project",
     "smooth_double",
@@ -74,26 +73,6 @@ class Direction:
         return self.coords.size
 
 
-@dataclass(frozen=True)
-class SmoothedSlice:
-    """One smoothed 1D slice: t_i = u'X_i + z_i with z_i ~ N(0, sigma^2)."""
-
-    values: np.ndarray
-    sigma: float
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("slice values must be a non-empty 1-D vector")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
 def sample_direction(d: int, stream: RngStream) -> Direction:
     """Uniform direction on S^{d-1} by normalizing a standard Gaussian vector."""
     if d < 1:
@@ -113,14 +92,16 @@ def project(samples: SampleSet, u: Direction) -> np.ndarray:
     return samples.data @ u.coords
 
 
-def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> SmoothedSlice:
-    """Add one N(0, sigma^2) draw per value; sigma = 0 returns values unchanged."""
+def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> np.ndarray:
+    """The smoothed slice t_i = v_i + z_i, z_i ~ N(0, sigma^2) from ``stream``; sigma = 0 returns the values."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     vals = np.ascontiguousarray(values, dtype=np.float64)
+    if vals.ndim != 1 or vals.size < 1:
+        raise ValueError("slice values must be a non-empty 1-D vector")
     if sigma > 0:
         vals = vals + sigma * stream.normals(vals.size)
-    return SmoothedSlice(values=vals, sigma=float(sigma))
+    return vals
 
 
 def mixture_pdf(values: np.ndarray, sigma: float, t):

@@ -23,7 +23,7 @@ from gssd.experiments import (
     run_projection_complexity,
     run_sample_complexity,
 )
-from gssd.rng import RngRoot, derive_stream
+from gssd.rng import RngRoot
 from gssd.slicing import SampleSet
 
 
@@ -34,7 +34,7 @@ def report(criterion, ok, detail):
 
 
 def gauss_set(seed, label, n, d, mean=0.0, scale=1.0):
-    z = derive_stream(RngRoot(seed), label, 0).normals(n * d).reshape(n, d)
+    z = RngRoot(seed).stream(label, 0).normals(n * d).reshape(n, d)
     return SampleSet(mean + scale * z)
 
 
@@ -56,7 +56,6 @@ def test_criterion_1_sample_complexity_rate():
         num_runs=20,
         divergences=("swd",),
         num_projections=50,
-        order=2.0,
         seed=42,
     )
     rows = run_sample_complexity(cfg)
@@ -79,7 +78,6 @@ def test_criterion_2_dimension_independence():
         num_runs=20,
         divergences=("swd",),
         num_projections=50,
-        order=2.0,
         seed=42,
     )
     rows = run_sample_complexity(cfg)
@@ -103,7 +101,6 @@ def test_criterion_3_projection_complexity():
         num_runs=20,
         divergences=("swd",),
         num_projections=50,
-        order=2.0,
         seed=42,
         l_ref=10_000,
         l_grid=(50, 100, 200, 500, 1000),
@@ -126,7 +123,7 @@ def test_criterion_4_noise_monotonicity_and_continuity():
     X = gauss_set(42, "nm-x", 2000, 50)
     Y = gauss_set(42, "nm-y", 2000, 50, mean=1.0, scale=2.0)
     cfg = GssdConfig(
-        sigma=0.0, num_projections=200, order=2.0,
+        sigma=0.0, num_projections=200,
         divergence=DivergenceSpec("wasserstein", p=2), seed=RngRoot(42),
     )
     ests = sweep_sigma(X, Y, [0.0, 1.0, 3.0, 5.0], cfg)
@@ -149,7 +146,7 @@ def test_criterion_4_noise_monotonicity_and_continuity():
 def test_criterion_5_two_sigma_inequality():
     held = 0
     for inst in range(20):
-        prm = derive_stream(RngRoot(202), "ts-params", inst).normals(6)
+        prm = RngRoot(202).stream("ts-params", inst).normals(6)
         m2 = float(prm[0])
         s1, s2 = 0.5 + abs(float(prm[1])), 0.5 + abs(float(prm[2]))
         sig1 = abs(float(prm[3]))
@@ -157,7 +154,7 @@ def test_criterion_5_two_sigma_inequality():
         X = gauss_set(300 + inst, "ts-x", 500, 8, mean=0.0, scale=s1)
         Y = gauss_set(300 + inst, "ts-y", 500, 8, mean=m2, scale=s2)
         cfg = GssdConfig(
-            sigma=sig1, num_projections=100, order=2.0,
+            sigma=sig1, num_projections=100,
             divergence=DivergenceSpec("wasserstein", p=2), seed=RngRoot(400 + inst),
         )
         rep = two_sigma_check(X, Y, sig1, sig2, cfg)
@@ -175,7 +172,6 @@ def test_criterion_6_displacement_argmin():
         num_runs=3,
         divergences=("swd", "mmd", "skd"),
         num_projections=16,
-        order=2.0,
         seed=42,
         sinkhorn_max_iter=150,
         s_grid=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
@@ -211,8 +207,8 @@ def test_criterion_7_exact_oracles():
 
     # (b) Gaussian closed form at n = 1e5
     n = 10**5
-    x = 0.0 + 1.0 * derive_stream(RngRoot(7), "c7b-x", 0).normals(n)
-    y = 1.0 + 2.0 * derive_stream(RngRoot(7), "c7b-y", 0).normals(n)
+    x = 0.0 + 1.0 * RngRoot(7).stream("c7b-x", 0).normals(n)
+    y = 1.0 + 2.0 * RngRoot(7).stream("c7b-y", 0).normals(n)
     w2 = math.sqrt(wasserstein_pp(x, y, 2))
     target = math.sqrt(1.0**2 + 1.0**2)
     ok_b = abs(w2 - target) / target <= 0.02
@@ -224,7 +220,7 @@ def test_criterion_7_exact_oracles():
     delta = float(np.linalg.norm(x0 - y0))
     m_p = math.exp(gammaln(d / 2) + gammaln((p + 1) / 2) - 0.5 * math.log(math.pi) - gammaln((d + p) / 2))
     cfg = GssdConfig(
-        sigma=1.0, num_projections=10_000, order=p,
+        sigma=1.0, num_projections=10_000,
         divergence=DivergenceSpec("wasserstein", p=p),
         seed=RngRoot(42), mode="mixture_oracle", oracle_grid=1000,
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gssd import bounds
 from gssd.bounds import (
     TheoryBound,
     gaussian_abs_moment,
@@ -19,7 +20,7 @@ from gssd.bounds import (
     upsilon_constant,
     xi_constant,
 )
-from gssd.rng import RngRoot, derive_stream
+from gssd.rng import RngRoot
 
 
 class TestGaussianAbsMoment:
@@ -221,7 +222,7 @@ class TestMcErrorBound:
     def test_doubling_l_shrinks_near_invsqrt2(self):
         ratios = []
         for trial in range(50):
-            z = derive_stream(RngRoot(99), "mc-bound", trial).normals(400)
+            z = RngRoot(99).stream("mc-bound", trial).normals(400)
             ratios.append(mc_error_bound(z[:400]) / mc_error_bound(z[:200]))
         mean_ratio = float(np.mean(ratios))
         assert 0.6 <= mean_ratio <= 0.82
@@ -249,3 +250,17 @@ class TestTheoryBound:
             TheoryBound.evaluate(
                 p=1, sigma=1.0, tail_fn=tail_point_mass(), moments=moments_point_mass(), vartheta=1.0
             )
+
+    def test_tail_integral_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tail_reweighted_integral(*args)
+
+        monkeypatch.setattr(bounds, "tail_reweighted_integral", counted)
+        tail = tail_spherical_gaussian(3)
+        tb = TheoryBound.evaluate(p=2, sigma=1.5, tail_fn=tail, moments=moments_spherical_gaussian(3), vartheta=2.5)
+        assert len(calls) == 1
+        assert tb.tail_integral == tail_reweighted_integral(1.5, 2.5, tail)
+        assert tb.xi == xi_constant(2, 1.5, 2.5, tail)

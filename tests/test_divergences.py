@@ -13,7 +13,7 @@ from gssd.divergences import (
     smoothed_wasserstein_oracle,
     wasserstein_pp,
 )
-from gssd.rng import RngRoot, derive_stream
+from gssd.rng import RngRoot
 
 
 # ---------------------------------------------------------------- oracles
@@ -131,8 +131,8 @@ class TestWassersteinPP:
         n = 10**5
         m1, s1 = 0.0, 1.0
         m2, s2 = 1.0, 2.0
-        x = m1 + s1 * derive_stream(RngRoot(0), "gauss-x", 0).normals(n)
-        y = m2 + s2 * derive_stream(RngRoot(0), "gauss-y", 0).normals(n)
+        x = m1 + s1 * RngRoot(0).stream("gauss-x", 0).normals(n)
+        y = m2 + s2 * RngRoot(0).stream("gauss-y", 0).normals(n)
         w2 = wasserstein_pp(x, y, 2) ** 0.5
         expected = math.sqrt((m1 - m2) ** 2 + (s1 - s2) ** 2)
         assert w2 == pytest.approx(expected, rel=0.02)
@@ -304,8 +304,8 @@ class TestSmoothedWassersteinOracle:
         sigma, p, n = 1.0, 2, 10**5
         sampled = []
         for rep in range(6):
-            sx = derive_stream(RngRoot(21), "oracle-x", rep)
-            sy = derive_stream(RngRoot(21), "oracle-y", rep)
+            sx = RngRoot(21).stream("oracle-x", rep)
+            sy = RngRoot(21).stream("oracle-y", rep)
             # one noise draw per mixture component, repeated to n total draws
             cx = np.repeat(vx, n // len(vx))
             tx = cx + sigma * sx.normals(cx.size)

@@ -9,12 +9,12 @@ from scipy.special import gammaln
 from gssd import estimator
 from gssd.divergences import DivergenceSpec, bandwidth_mean_pairwise, mmd_sq, wasserstein_pp
 from gssd.estimator import GssdConfig, estimate, sweep_sigma, two_sigma_check
-from gssd.rng import RngRoot, derive_stream, keyed_normals, keyed_words
+from gssd.rng import RngRoot, keyed_normals, keyed_words
 from gssd.slicing import SampleSet, project, sample_direction, smooth_double
 
 
 def gauss_set(seed, label, n, d, mean=0.0, scale=1.0):
-    z = derive_stream(RngRoot(seed), label, 0).normals(n * d).reshape(n, d)
+    z = RngRoot(seed).stream(label, 0).normals(n * d).reshape(n, d)
     return SampleSet(mean + scale * z)
 
 
@@ -22,7 +22,6 @@ def wcfg(seed, sigma=1.0, L=32, p=2.0, **kw):
     return GssdConfig(
         sigma=sigma,
         num_projections=L,
-        order=p,
         divergence=DivergenceSpec("wasserstein", p=p),
         seed=RngRoot(seed),
         **kw,
@@ -61,18 +60,13 @@ class TestEstimateBasics:
             wcfg(1, L=0)
         with pytest.raises(ValueError):
             GssdConfig(
-                sigma=1.0, num_projections=4, order=2,
+                sigma=1.0, num_projections=4,
                 divergence=DivergenceSpec("mmd", p=2), seed=RngRoot(0), mode="mixture_oracle",
             )
         with pytest.raises(ValueError):
             GssdConfig(
-                sigma=0.0, num_projections=4, order=2,
+                sigma=0.0, num_projections=4,
                 divergence=DivergenceSpec("wasserstein", p=2), seed=RngRoot(0), mode="mixture_oracle",
-            )
-        with pytest.raises(ValueError):
-            GssdConfig(
-                sigma=1.0, num_projections=4, order=2,
-                divergence=DivergenceSpec("wasserstein", p=1), seed=RngRoot(0),
             )
 
 
@@ -82,7 +76,7 @@ class TestDeterminism:
         spec = DivergenceSpec(kind, p=2, sinkhorn_max_iter=100)
         X = gauss_set(4, "x", 60, 5)
         Y = gauss_set(4, "y", 60, 5)
-        cfg = GssdConfig(sigma=1.5, num_projections=16, order=2, divergence=spec, seed=RngRoot(11))
+        cfg = GssdConfig(sigma=1.5, num_projections=16, divergence=spec, seed=RngRoot(11))
         seq = estimate(X, Y, cfg, workers=1)
         par = estimate(X, Y, cfg, workers=8)
         assert np.array_equal(seq.per_projection, par.per_projection)
@@ -107,18 +101,18 @@ class TestDeterminism:
 
 def kind_cfg(kind, seed, sigma=1.0, L=32):
     spec = DivergenceSpec(kind, p=2, sinkhorn_max_iter=100)
-    return GssdConfig(sigma=sigma, num_projections=L, order=2, divergence=spec, seed=RngRoot(seed))
+    return GssdConfig(sigma=sigma, num_projections=L, divergence=spec, seed=RngRoot(seed))
 
 
 def rebuilt_value(X, Y, cfg, l):
     """Projection l rebuilt one stream at a time through the public slicing functions."""
     root = cfg.seed
     u = sample_direction(X.d, root.stream("proj", l))
-    tx = smooth_double(project(X, u), cfg.sigma, root.stream("noisex", l)).values
-    ty = smooth_double(project(Y, u), cfg.sigma, root.stream("noisey", l)).values
+    tx = smooth_double(project(X, u), cfg.sigma, root.stream("noisex", l))
+    ty = smooth_double(project(Y, u), cfg.sigma, root.stream("noisey", l))
     if cfg.divergence.kind == "wasserstein":
-        return wasserstein_pp(tx, ty, cfg.order)
-    return max(mmd_sq(tx, ty, bandwidth_mean_pairwise(tx, ty)), 0.0) ** (cfg.order / 2)
+        return wasserstein_pp(tx, ty, cfg.divergence.p)
+    return max(mmd_sq(tx, ty, bandwidth_mean_pairwise(tx, ty)), 0.0) ** (cfg.divergence.p / 2)
 
 
 class TestSlicePipeline:
@@ -239,7 +233,7 @@ class TestPointMassOracleMode:
         y0 = np.array([[1.1, 0.4, -0.2]])
         delta = float(np.linalg.norm(x0 - y0))
         cfg = GssdConfig(
-            sigma=1.0, num_projections=L, order=p,
+            sigma=1.0, num_projections=L,
             divergence=DivergenceSpec("wasserstein", p=p),
             seed=RngRoot(42), mode="mixture_oracle", oracle_grid=1000,
         )
@@ -249,7 +243,7 @@ class TestPointMassOracleMode:
 
     def test_sphere_moment_formula_against_mc(self):
         d = 3
-        z = derive_stream(RngRoot(123), "sphere-mc", 0).normals(3 * 10**6).reshape(-1, 3)
+        z = RngRoot(123).stream("sphere-mc", 0).normals(3 * 10**6).reshape(-1, 3)
         u1 = z[:, 0] / np.linalg.norm(z, axis=1)
         for p in (1, 2, 3):
             mc = float(np.mean(np.abs(u1) ** p))
@@ -271,7 +265,7 @@ class TestEstimatorProperties:
         spec = DivergenceSpec(kind, p=2, sinkhorn_max_iter=200)
         X = gauss_set(7, "nn-x", 50, 4)
         Y = gauss_set(7, "nn-y", 50, 4)
-        cfg = GssdConfig(sigma=1.0, num_projections=16, order=2, divergence=spec, seed=RngRoot(30))
+        cfg = GssdConfig(sigma=1.0, num_projections=16, divergence=spec, seed=RngRoot(30))
         est = estimate(X, Y, cfg)
         assert est.mean_pow >= -spec.sinkhorn_tol
 
@@ -324,7 +318,7 @@ class TestEstimatorProperties:
             X,
             Y,
             GssdConfig(
-                sigma=sigma, num_projections=1, order=2,
+                sigma=sigma, num_projections=1,
                 divergence=DivergenceSpec("wasserstein", p=2),
                 seed=RngRoot(71), mode="mixture_oracle", oracle_grid=1000,
             ),
@@ -387,7 +381,7 @@ class TestTwoSigmaCheck:
         with pytest.raises(ValueError):
             two_sigma_check(X, X, 2.0, 1.0, wcfg(93))
         mmd_cfg = GssdConfig(
-            sigma=1.0, num_projections=8, order=2,
+            sigma=1.0, num_projections=8,
             divergence=DivergenceSpec("mmd", p=2), seed=RngRoot(0),
         )
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gssd import experiments
+from gssd.cli import build_parser, config_from_args
 from gssd.cli import main as cli_main
 from gssd.divergences import wasserstein_pp
 from gssd.estimator import GssdConfig, estimate
@@ -18,10 +19,10 @@ from gssd.experiments import (
     run_noise_sweep,
     run_projection_complexity,
     run_sample_complexity,
-    write_rows_csv,
+    rows_csv,
     compare,
 )
-from gssd.rng import RngRoot, derive_stream
+from gssd.rng import RngRoot
 from gssd.slicing import SampleSet, project, sample_direction
 
 
@@ -155,12 +156,12 @@ class TestNoiseSweep:
         # recompute the unsmoothed sliced value from the same streams
         root = RngRoot(cfg.seed)
         tag = f"ns/d{cfg.dimensions[0]}/n{cfg.sample_sizes[0]}/{cfg.pair}"
-        X = derive_stream(root.child(f"{tag}/x", 0), "data", 0).normals(80 * 6).reshape(80, 6)
-        Y = derive_stream(root.child(f"{tag}/y", 0), "data", 0).normals(80 * 6).reshape(80, 6)
+        X = root.child(f"{tag}/x", 0).stream("data", 0).normals(80 * 6).reshape(80, 6)
+        Y = root.child(f"{tag}/y", 0).stream("data", 0).normals(80 * 6).reshape(80, 6)
         run_root = root.child(tag, 0)
         vals = []
         for l in range(cfg.num_projections):
-            u = sample_direction(6, derive_stream(run_root, "proj", l))
+            u = sample_direction(6, run_root.stream("proj", l))
             vals.append(wasserstein_pp(project(SampleSet(X), u), project(SampleSet(Y), u), 2))
         assert row0.value == float(np.mean(vals))
 
@@ -258,10 +259,10 @@ class TestTheoryContainment:
         for n in ns:
             vals = []
             for r in range(8):
-                X = SampleSet(derive_stream(RngRoot(900 + r), f"tb-x/{n}", 0).normals(n * d).reshape(n, d))
-                Y = SampleSet(derive_stream(RngRoot(950 + r), f"tb-y/{n}", 0).normals(n * d).reshape(n, d))
+                X = SampleSet(RngRoot(900 + r).stream(f"tb-x/{n}", 0).normals(n * d).reshape(n, d))
+                Y = SampleSet(RngRoot(950 + r).stream(f"tb-y/{n}", 0).normals(n * d).reshape(n, d))
                 cfg = GssdConfig(
-                    sigma=sigma, num_projections=64, order=p,
+                    sigma=sigma, num_projections=64,
                     divergence=DivergenceSpec("wasserstein", p=p), seed=RngRoot(1000 + r),
                 )
                 vals.append(estimate(X, Y, cfg).mean_pow)
@@ -282,7 +283,7 @@ class TestTheoryContainment:
 
 class TestCompare:
     def _write_gaussian(self, path, seed, n, d, label="cmp"):
-        z = derive_stream(RngRoot(seed), label, 0).normals(n * d).reshape(n, d)
+        z = RngRoot(seed).stream(label, 0).normals(n * d).reshape(n, d)
         with open(path, "w") as fh:
             for row in z:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -351,23 +352,61 @@ class TestWallMs:
 class TestCsvOutput:
     def test_header_and_determinism_modulo_wall(self, tmp_path):
         cfg = small_cfg("noise-sweep", sigmas=(0.0, 1.0), out=str(tmp_path / "a.csv"))
-        rows = run_noise_sweep(cfg)
-        write_rows_csv(cfg.out, cfg, rows)
+        (tmp_path / "a.csv").write_text(rows_csv(cfg, run_noise_sweep(cfg)))
         text = (tmp_path / "a.csv").read_text().splitlines()
         assert text[0] == "# seed = 42"
         assert text[1].startswith("# version = ")
         assert text[2].startswith("# config = ")
-        assert text[3] == "experiment,divergence,d,n,sigma,L,run,value,std_error,wall_ms"
+        assert text[3] == "experiment,divergence,d,n,sigma,L,run,value,std_error,unconverged,wall_ms"
         # rerun: identical except the wall_ms column
-        rows2 = run_noise_sweep(cfg)
-        write_rows_csv(str(tmp_path / "b.csv"), cfg, rows2)
+        (tmp_path / "b.csv").write_text(rows_csv(cfg, run_noise_sweep(cfg)))
         a = (tmp_path / "a.csv").read_text().splitlines()
         b = (tmp_path / "b.csv").read_text().splitlines()
         strip = lambda lines: [",".join(ln.split(",")[:-1]) for ln in lines]
         assert strip(a) == strip(b)
 
 
+    def test_unconverged_sinkhorn_is_marked(self, tmp_path):
+        out = tmp_path / "skd.csv"
+        assert cli_main(["sample-complexity", "--dim", "3", "--sizes", "20", "--runs", "1", "--projections", "4",
+                         "--div", "skd", "--sinkhorn-max-iter", "1", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        col = lines[3].split(",").index("unconverged")
+        assert [int(ln.split(",")[col]) for ln in lines[4:]] == [4]
+
+    def test_rows_carry_the_count_of_their_estimate(self):
+        cfg = small_cfg("projection-complexity", divergences=("skd",), sinkhorn_max_iter=1,
+                        l_ref=8, l_grid=(2, 8), num_runs=1, sample_sizes=(20,))
+        rows = run_projection_complexity(cfg)
+        assert [r.unconverged for r in rows] == [8, 8]
+        bound = [r for r in run_sample_complexity(small_cfg("sample-complexity", emit_bound=True, num_runs=1))
+                 if r.divergence == "theory-bound"]
+        assert bound and all(r.unconverged == 0 and r.wall_ms == 0.0 for r in bound)
+
+
 class TestCli:
+    def test_stdout_equals_out_file(self, tmp_path, capsys):
+        args = ["noise-sweep", "--dim", "4", "--sizes", "30", "--sigmas", "0,1", "--runs", "1",
+                "--projections", "6", "--seed", "3"]
+        assert cli_main(args) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert cli_main(args + ["--out", str(tmp_path / "ns.csv")]) == 0
+        written = (tmp_path / "ns.csv").read_text().splitlines()
+        assert printed[1].startswith("# version = ") and printed[2].startswith("# config = ")
+        strip = lambda lines: [ln.rsplit(",", 1)[0] if i > 3 else ln for i, ln in enumerate(lines)]
+        assert len(printed) == len(written) == 6
+        assert strip(printed) == strip(written)
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("sample-complexity", {}),
+        ("projection-complexity", {"sample_sizes": (500,)}),
+        ("noise-sweep", {"sigmas": (0.0, 1.0, 3.0, 5.0, 15.0)}),
+        ("displacement", {"sample_sizes": (500,)}),
+    ])
+    def test_defaults_are_the_config_defaults(self, command, overrides):
+        cfg = config_from_args(build_parser().parse_args([command]))
+        assert cfg == ExperimentConfig(command=command, **overrides)
+
     def test_sample_complexity_command(self, tmp_path):
         out = tmp_path / "sc.csv"
         rc = cli_main([
@@ -382,7 +421,7 @@ class TestCli:
 
     def test_compare_command_json(self, tmp_path):
         f = tmp_path / "x.csv"
-        z = derive_stream(RngRoot(1), "clicmp", 0).normals(30 * 3).reshape(30, 3)
+        z = RngRoot(1).stream("clicmp", 0).normals(30 * 3).reshape(30, 3)
         with open(f, "w") as fh:
             for row in z:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -2,63 +2,57 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from gssd.rng import RngRoot, RngStream, _uniforms, derive_stream, draw_standard_normal
+from gssd.rng import RngRoot, RngStream, _uniforms, keyed_words
 
 
 def test_same_triple_reproduces_sequence():
-    a = derive_stream(RngRoot(7), "proj", 0).normals(100)
-    b = derive_stream(RngRoot(7), "proj", 0).normals(100)
+    a = RngRoot(7).stream("proj", 0).normals(100)
+    b = RngRoot(7).stream("proj", 0).normals(100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_index_differs():
-    a = derive_stream(RngRoot(7), "proj", 0).normals(100)
-    b = derive_stream(RngRoot(7), "proj", 1).normals(100)
+    a = RngRoot(7).stream("proj", 0).normals(100)
+    b = RngRoot(7).stream("proj", 1).normals(100)
     assert np.any(a != b)
 
 
 def test_distinct_seed_differs():
-    a = derive_stream(RngRoot(7), "proj", 0).normals(100)
-    b = derive_stream(RngRoot(8), "proj", 0).normals(100)
+    a = RngRoot(7).stream("proj", 0).normals(100)
+    b = RngRoot(8).stream("proj", 0).normals(100)
     assert np.any(a != b)
 
 
 def test_distinct_label_differs():
-    a = derive_stream(RngRoot(7), "proj", 3).normals(64)
-    b = derive_stream(RngRoot(7), "noisex", 3).normals(64)
+    a = RngRoot(7).stream("proj", 3).normals(64)
+    b = RngRoot(7).stream("noisex", 3).normals(64)
     assert np.any(a != b)
 
 
 def test_chunked_draws_continue_the_same_sequence():
-    s1 = derive_stream(RngRoot(11), "chunks", 0)
-    s2 = derive_stream(RngRoot(11), "chunks", 0)
+    s1 = RngRoot(11).stream("chunks", 0)
+    s2 = RngRoot(11).stream("chunks", 0)
     whole = s1.normals(10)
     parts = np.concatenate([s2.normals(3), s2.normals(7)])
     assert np.array_equal(whole, parts)
 
 
 def test_standard_normal_moments():
-    z = derive_stream(RngRoot(123), "moments", 0).normals(10**6)
+    z = RngRoot(123).stream("moments", 0).normals(10**6)
     assert abs(float(z.mean())) < 0.005
     assert 0.99 <= float(z.var(ddof=1)) <= 1.01
 
 
-def test_scalar_draw_matches_vector_head():
-    s1 = derive_stream(RngRoot(5), "scalar", 2)
-    s2 = derive_stream(RngRoot(5), "scalar", 2)
-    assert draw_standard_normal(s1) == s2.normals(1)[0]
-
-
 def test_uniforms_live_in_open_interval():
-    u = derive_stream(RngRoot(1), "unif", 0).uniforms(10**5)
+    u = RngRoot(1).stream("unif", 0).uniforms(10**5)
     assert u.min() > 0.0
     assert u.max() < 1.0
 
 
 def test_pairwise_stream_correlation_is_negligible():
     n = 10**5
-    a = derive_stream(RngRoot(42), "corr", 0).normals(n)
-    b = derive_stream(RngRoot(42), "corr", 1).normals(n)
+    a = RngRoot(42).stream("corr", 0).normals(n)
+    b = RngRoot(42).stream("corr", 1).normals(n)
     r = float(np.corrcoef(a, b)[0, 1])
     assert abs(r) < 0.01
 
@@ -81,7 +75,7 @@ def test_top_words_clamp_below_one_and_others_keep_their_bits():
     half = np.array([2**52 << 11], dtype=np.uint64)
     assert _uniforms(half)[0] == 0.5 and ndtri(_uniforms(half))[0] == 0.0
     below = np.array([0xFFFFFFFFFFFFF7FF, 0, 1, 2**63 - 1, 2**63 + 2**11], dtype=np.uint64)
-    raw = np.concatenate([below, derive_stream(RngRoot(3), "words", 0).raw_uint64(10**4)])
+    raw = np.concatenate([below, RngRoot(3).stream("words", 0).raw_uint64(10**4)])
     unclamped = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     assert unclamped.max() < 1.0
     assert np.array_equal(_uniforms(raw), unclamped)
@@ -96,3 +90,24 @@ def test_invalid_seed_rejected(bad):
 def test_negative_stream_index_rejected():
     with pytest.raises(ValueError):
         RngStream(RngRoot(0), "proj", -1)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_out_of_range_stream_index_rejected(bad):
+    # an index is hashed as 64 bits: 2^64 would alias 0, and -1 would alias 2^64 - 1
+    root = RngRoot(5)
+    with pytest.raises(ValueError):
+        root.stream("proj", bad)
+    with pytest.raises(ValueError):
+        root.child("x", bad)
+    with pytest.raises(ValueError):
+        keyed_words(root, [("proj", 2)], [0, bad])
+
+
+def test_largest_stream_index_accepted():
+    top = 2**64 - 1
+    root = RngRoot(5)
+    words = root.stream("proj", top).raw_uint64(2)
+    assert np.array_equal(keyed_words(root, [("proj", 2)], [top])[0], words)
+    assert not np.array_equal(words, root.stream("proj", 0).raw_uint64(2))
+    assert root.child("x", top) != root.child("x", 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gssd.rng import RngRoot, derive_stream
+from gssd.rng import RngRoot
 from gssd.slicing import (
     Direction,
     SampleSet,
@@ -16,7 +16,7 @@ ROOT = RngRoot(42)
 
 
 def _stream(label, index=0, seed=42):
-    return derive_stream(RngRoot(seed), label, index)
+    return RngRoot(seed).stream(label, index)
 
 
 class TestSampleSet:
@@ -106,33 +106,38 @@ class TestSmoothDouble:
     def test_sigma_zero_is_identity(self):
         v = np.array([1.0, -2.0, 3.5])
         out = smooth_double(v, 0.0, _stream("noise"))
-        assert np.array_equal(out.values, v)
+        assert np.array_equal(out, v)
 
     def test_noise_variance(self):
         n = 10**5
         out = smooth_double(np.zeros(n), 3.0, _stream("var"))
-        assert abs(out.values.var(ddof=1) - 9.0) < 0.45
+        assert abs(out.var(ddof=1) - 9.0) < 0.45
 
     def test_noise_mean(self):
         n = 10**5
         c = 2.7
         out = smooth_double(np.full(n, c), 1.0, _stream("mean"))
-        assert abs(out.values.mean() - c) < 3.0 / np.sqrt(n)
+        assert abs(out.mean() - c) < 3.0 / np.sqrt(n)
 
     def test_deterministic_given_stream(self):
         v = np.linspace(0, 1, 50)
         a = smooth_double(v, 2.0, _stream("det", 4))
         b = smooth_double(v, 2.0, _stream("det", 4))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_sigma_to_zero_limit(self):
         v = np.linspace(-1, 1, 100)
         out = smooth_double(v, 1e-8, _stream("limit"))
-        assert np.max(np.abs(out.values - v)) < 1e-6
+        assert np.max(np.abs(out - v)) < 1e-6
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             smooth_double(np.zeros(3), -0.1, _stream("neg"))
+
+    @pytest.mark.parametrize("values", [np.zeros(0), np.zeros((2, 3))])
+    def test_values_must_be_a_non_empty_vector(self, values):
+        with pytest.raises(ValueError):
+            smooth_double(values, 1.0, _stream("shape"))
 
 
 class TestMixturePdf:
