@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .experiments import PAIR_MODES, RUNNERS, ExperimentConfig, compare, rows_csv
+from .experiments import PAIR_MODES, ExperimentConfig, compare, rows_csv, run_experiment
 
 
 def _int_list(text: str) -> tuple:
@@ -64,14 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp_sc = add_command("sample-complexity", "divergence vs sample size, same-distribution Gaussian sets")
     sp_sc.add_argument("--emit-bound", action="store_true",
-                       help="append theory-envelope rows for the configured dimensions")
+                       help="append a theory-envelope row per configured dimension, sigma and size")
     sp_sc.add_argument("--vartheta", type=float, help="free bound parameter > sqrt(2) (default %(default)s)")
     sp_sc.add_argument("--c-p", type=float, help="calibration factor for the log-term (default %(default)s)")
 
     sp_pc = add_command("projection-complexity", "Monte Carlo error vs number of projections")
     sp_pc.set_defaults(sample_sizes=(500,))
     sp_pc.add_argument("--l-ref", type=int, help="reference projection count (default %(default)s)")
-    sp_pc.add_argument("--l-grid", type=_int_list, metavar="L[,L..]", help="projection grid (default %(default)s)")
+    sp_pc.add_argument("--l-grid", type=_int_list, metavar="L[,L..]",
+                       help="projection grid, entries in [1, --l-ref] (default %(default)s)")
 
     sp_ns = add_command("noise-sweep", "divergence vs smoothing level, common random numbers")
     sp_ns.set_defaults(sigmas=(0.0, 1.0, 3.0, 5.0, 15.0))
@@ -103,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             text = json.dumps(compare(args.file_x, args.file_y, cfg), sort_keys=True, indent=2) + "\n"
         else:
-            text = rows_csv(cfg, RUNNERS[args.command](cfg))
+            text = rows_csv(cfg, run_experiment(cfg))
         if cfg.out:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

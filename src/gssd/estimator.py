@@ -134,7 +134,7 @@ def _tile_values(px, py, zx, zy, cfg: GssdConfig) -> tuple[np.ndarray, int]:
 
 
 def _chunks(L: int, parts: int) -> list[range]:
-    parts = max(1, min(parts, L))
+    parts = min(parts, L)
     bounds = np.linspace(0, L, parts + 1).astype(int)
     return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
@@ -148,6 +148,8 @@ def _sweep(X: SampleSet, Y: SampleSet, cfgs: list[GssdConfig], workers: int) -> 
     """
     if X.d != Y.d:
         raise ValueError(f"dimension mismatch: X has d={X.d}, Y has d={Y.d}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     first = cfgs[0]
     L = first.num_projections
     vals = np.empty((len(cfgs), L))

@@ -5,39 +5,49 @@ run), with a ``#``-prefixed header block echoing the seed and the full
 configuration.  All values are pure functions of the seed, so re-running a
 command reproduces every column except the wall-clock timing one.
 
-Experiments:
+``run_experiment`` runs every experiment through one loop over the full grid
+``dimensions x sample_sizes x num_runs``.  Each (d, n, run) cell draws X and
+Y from streams under the command's tag and makes one ``sweep_sigma`` call per
+divergence over all of ``sigmas``, so every row is bit-identical to the row of
+a run whose grid holds only its own point.  The commands differ only in their
+tag, their Y draw and the rows they take from each estimate:
 
-* ``sample-complexity``   -- estimate between fresh same-distribution Gaussian
-  sets over a grid of sample sizes (optionally several dimensions).
-* ``projection-complexity`` -- |estimate(L) - estimate(L_ref)| over a grid of
-  projection counts, against a large-L reference.
-* ``noise-sweep``         -- sigma sweep with common random numbers per run.
-* ``displacement``        -- divergence between N(2*1, I) and N(s*1, I) over a
-  grid of displacements s.
-* ``compare``             -- one estimate between two CSV matrices, as JSON.
+* ``sample-complexity``   -- the estimate between X ~ N(0, I_d) and Y drawn by
+  the ``pair`` mode (the default ``same``: Y ~ N(0, I_d) too).
+* ``projection-complexity`` -- the same pair; |estimate(L) - estimate(L_ref)|
+  for each L of the ``l_grid``, from the prefixes of one ``l_ref``-projection
+  estimate.
+* ``noise-sweep``         -- the rows of sample-complexity, under a stream tag
+  that carries the ``pair`` mode.
+* ``displacement``        -- divergence between N(2*1, I) and N(s*1, I) for
+  each s of the displacement grid; all s share the Gaussian residuals, and
+  ``pair`` does not apply.
+* ``compare``             -- one estimate between two CSV matrices, as JSON;
+  it takes one divergence and one sigma.
+
+``emit_bound`` adds one theory-envelope row per (d, sigma, n).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
+from .bounds import TheoryBound, moments_spherical_gaussian, tail_spherical_gaussian
 from .divergences import DivergenceSpec
-from .estimator import GssdConfig, estimate, sweep_sigma
+from .estimator import GssdConfig, GssdEstimate, estimate, sweep_sigma
 from .rng import RngRoot
 from .slicing import SampleSet
 
 __all__ = [
     "ExperimentConfig",
     "ResultRow",
-    "run_sample_complexity",
-    "run_projection_complexity",
-    "run_noise_sweep",
-    "run_displacement",
+    "run_experiment",
     "compare",
     "fit_loglog_slope",
     "read_matrix_csv",
@@ -47,17 +57,17 @@ __all__ = [
 
 DIVERGENCE_ALIASES = {"swd": "wasserstein", "mmd": "mmd", "skd": "sinkhorn"}
 
-# unconverged is the count of projections of the estimate behind a row whose
-# Sinkhorn solve did not converge; wall_ms is that estimate's time.  Rows that
-# share one estimate (the projection-complexity reference run over its L grid)
-# carry its count; one timed call that yields several rows (that reference run,
-# a noise-sweep cell over its sigmas) has its time split evenly over them.
-# Theory-bound rows carry 0 in both.  wall_ms stays the last column.
-CSV_COLUMNS = (
-    "experiment", "divergence", "d", "n", "sigma", "L", "run", "value", "std_error", "unconverged", "wall_ms"
-)
+# (mean, scale) of Y ~ N(mean, scale^2 I) against X ~ N(0, I), per pair mode
+PAIR_MODES = {"same": (0.0, 1.0), "shifted": (2.0, 1.0), "scaled": (1.0, 2.0)}
 
-PAIR_MODES = ("same", "shifted", "scaled")
+# the stream tag of each grid command's (d, n) cell
+_TAGS = {
+    "sample-complexity": "sc/d{d}/n{n}",
+    "projection-complexity": "pc/d{d}/n{n}",
+    "noise-sweep": "ns/d{d}/n{n}/{pair}",
+    "displacement": "disp/d{d}/n{n}",
+}
+COMMANDS = (*_TAGS, "compare")
 
 
 @dataclass(frozen=True)
@@ -71,11 +81,11 @@ class ExperimentConfig:
     num_runs: int = 20
     divergences: tuple = ("swd",)
     num_projections: int = 50
-    order: float = 2.0
-    epsilon: float = 0.1
-    bandwidth: float | None = None
-    sinkhorn_tol: float = 1e-9
-    sinkhorn_max_iter: int = 1000
+    order: float = DivergenceSpec.p
+    epsilon: float = DivergenceSpec.epsilon
+    bandwidth: float | None = DivergenceSpec.bandwidth
+    sinkhorn_tol: float = DivergenceSpec.sinkhorn_tol
+    sinkhorn_max_iter: int = DivergenceSpec.sinkhorn_max_iter
     seed: int = 42
     out: str | None = None
     workers: int = 1
@@ -88,16 +98,20 @@ class ExperimentConfig:
     c_p: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         for name in ("dimensions", "sample_sizes", "sigmas", "divergences", "l_grid", "s_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
         if self.num_runs < 1:
             raise ValueError("num_runs must be >= 1")
         if self.pair not in PAIR_MODES:
-            raise ValueError(f"pair must be one of {PAIR_MODES}")
+            raise ValueError(f"pair must be one of {tuple(PAIR_MODES)}")
         bad = [d for d in self.divergences if d not in DIVERGENCE_ALIASES]
         if bad:
             raise ValueError(f"unknown divergence names {bad}; expected swd, mmd or skd")
+        if self.command == "projection-complexity" and not all(1 <= L <= self.l_ref for L in self.l_grid):
+            raise ValueError(f"projection grid entries must lie in [1, l_ref = {self.l_ref}]")
 
     def divergence_spec(self, name: str) -> DivergenceSpec:
         return DivergenceSpec(
@@ -114,6 +128,10 @@ class ExperimentConfig:
         return {k: v for k, v in asdict(self).items() if k not in ("out", "emit_bound")}
 
 
+# CSV text of each column, by its declared type (annotations are postponed, so the type is its name)
+_FORMATS = {"str": str, "int": repr, "float": lambda v: repr(float(v))}
+
+
 @dataclass(frozen=True)
 class ResultRow:
     experiment: str
@@ -126,24 +144,20 @@ class ResultRow:
     value: float
     std_error: float
     unconverged: int
-    wall_ms: float
+    wall_ms: float = field(metadata={"format": "{:.3f}".format})
 
     def as_csv(self) -> str:
-        return ",".join(
-            [
-                self.experiment,
-                self.divergence,
-                repr(self.d),
-                repr(self.n),
-                repr(float(self.sigma)),
-                repr(self.L),
-                repr(self.run),
-                repr(float(self.value)),
-                repr(float(self.std_error)),
-                repr(self.unconverged),
-                f"{self.wall_ms:.3f}",
-            ]
-        )
+        return ",".join(f.metadata.get("format", _FORMATS[f.type])(getattr(self, f.name)) for f in fields(self))
+
+
+# unconverged is the count of projections of the estimate behind a row whose
+# Sinkhorn solve did not converge; wall_ms is that estimate's time.  Rows that
+# share one estimate (the projection-complexity reference run over its L grid)
+# carry its count; one timed call that yields several rows (a cell's sweep over
+# its sigmas, and for projection-complexity over the L grid of each) has its
+# time split evenly over them.  Theory-bound rows carry 0 in both.  wall_ms
+# stays the last column.
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def rows_csv(cfg: ExperimentConfig, rows: list[ResultRow]) -> str:
@@ -164,166 +178,79 @@ def gaussian_set(root: RngRoot, label: str, run: int, n: int, d: int, mean=0.0, 
     return SampleSet(np.asarray(mean) + np.asarray(scale) * z)
 
 
-def _pair_for_run(cfg: ExperimentConfig, root: RngRoot, tag: str, run: int, n: int, d: int):
-    """Draw the (X, Y) pair for one run according to the configured pair mode."""
+def _draws(cfg: ExperimentConfig, root: RngRoot, tag: str, run: int, n: int, d: int):
+    """X and the (experiment label, Y) pairs of one run of a cell."""
+    if cfg.command == "displacement":
+        X = gaussian_set(root, f"{tag}/x", run, n, d, mean=2.0)
+        GY = gaussian_set(root, f"{tag}/y", run, n, d)
+        return X, [(f"displacement[s={s:g}]", SampleSet(GY.data + float(s))) for s in cfg.s_grid]
     X = gaussian_set(root, f"{tag}/x", run, n, d)
-    if cfg.pair == "same":
-        Y = gaussian_set(root, f"{tag}/y", run, n, d)
-    elif cfg.pair == "shifted":
-        Y = gaussian_set(root, f"{tag}/y", run, n, d, mean=2.0)
-    else:
-        Y = gaussian_set(root, f"{tag}/y", run, n, d, mean=1.0, scale=2.0)
-    return X, Y
+    return X, [(cfg.command, gaussian_set(root, f"{tag}/y", run, n, d, *PAIR_MODES[cfg.pair]))]
 
 
-def _estimator_config(cfg: ExperimentConfig, div_name: str, sigma: float, L: int, run_root: RngRoot) -> GssdConfig:
-    return GssdConfig(
-        sigma=float(sigma),
-        num_projections=int(L),
-        divergence=cfg.divergence_spec(div_name),
-        seed=run_root,
-    )
+def _row_values(cfg: ExperimentConfig, est: GssdEstimate) -> list[tuple[int, float, float]]:
+    """(L, value, std_error) of each row one estimate yields.
+
+    Streams are keyed by projection index, so the L-projection estimate of
+    projection-complexity equals the mean of the first L per-projection values
+    of the reference run; one reference estimate yields the whole L grid.
+    """
+    if cfg.command != "projection-complexity":
+        return [(cfg.num_projections, est.mean_pow, est.std_error)]
+    out = []
+    for L in cfg.l_grid:
+        prefix = est.per_projection[:L]
+        se = float(np.std(prefix, ddof=1) / np.sqrt(L)) if L > 1 else 0.0
+        out.append((L, abs(float(np.mean(prefix)) - est.mean_pow), se))
+    return out
 
 
-def run_sample_complexity(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Estimates between fresh same-distribution N(0, I_d) sets per (d, n, run)."""
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
+    """The rows of ``cfg.command`` over its full grid, ordered by d, n, run, Y, divergence, sigma (and L),
+    then the theory-bound rows."""
+    if cfg.command not in _TAGS:
+        raise ValueError(f"{cfg.command!r} has no grid; call compare()")
     root = RngRoot(cfg.seed)
-    sigma = cfg.sigmas[0]
+    projections = cfg.l_ref if cfg.command == "projection-complexity" else cfg.num_projections
+    bound = _bound_rows(cfg) if cfg.emit_bound else []  # first: an order without an envelope fails before any estimate
     rows: list[ResultRow] = []
-    for d in cfg.dimensions:
-        for n in cfg.sample_sizes:
-            for run in range(cfg.num_runs):
-                tag = f"sc/d{d}/n{n}"
-                X = gaussian_set(root, f"{tag}/x", run, n, d)
-                Y = gaussian_set(root, f"{tag}/y", run, n, d)
-                run_root = root.child(tag, run)
-                for name in cfg.divergences:
-                    t0 = time.perf_counter()
-                    est = estimate(X, Y, _estimator_config(cfg, name, sigma, cfg.num_projections, run_root), workers=cfg.workers)
-                    wall = (time.perf_counter() - t0) * 1e3
-                    rows.append(
-                        ResultRow(
-                            "sample-complexity", name, d, n, sigma, cfg.num_projections, run,
-                            est.mean_pow, est.std_error, est.unconverged, wall,
-                        )
-                    )
-    if cfg.emit_bound:
-        rows.extend(_bound_rows(cfg))
-    return rows
+    for d, n, run in itertools.product(cfg.dimensions, cfg.sample_sizes, range(cfg.num_runs)):
+        tag = _TAGS[cfg.command].format(d=d, n=n, pair=cfg.pair)
+        X, ys = _draws(cfg, root, tag, run, n, d)
+        run_root = root.child(tag, run)
+        for label, Y in ys:
+            for name in cfg.divergences:
+                base = GssdConfig(
+                    sigma=float(cfg.sigmas[0]), num_projections=projections, divergence=cfg.divergence_spec(name),
+                    seed=run_root,
+                )
+                t0 = time.perf_counter()
+                ests = sweep_sigma(X, Y, cfg.sigmas, base, workers=cfg.workers)
+                wall = (time.perf_counter() - t0) * 1e3
+                cell = [(s, est, row) for s, est in zip(cfg.sigmas, ests) for row in _row_values(cfg, est)]
+                rows.extend(
+                    ResultRow(label, name, d, n, s, L, run, value, se, est.unconverged, wall / len(cell))
+                    for s, est, (L, value, se) in cell
+                )
+    return rows + bound
 
 
 def _bound_rows(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Theory envelope rows in the same schema, for overlay plotting."""
-    from .bounds import TheoryBound, moments_spherical_gaussian, tail_spherical_gaussian
-
-    sigma = cfg.sigmas[0]
-    p = int(cfg.order)
+    """Theory envelope rows in the same schema, one per (d, sigma, n), for overlay plotting."""
     rows = []
-    for d in cfg.dimensions:
+    for d, sigma in itertools.product(cfg.dimensions, cfg.sigmas):
         tb = TheoryBound.evaluate(
-            p=p,
+            p=cfg.order,
             sigma=sigma,
             tail_fn=tail_spherical_gaussian(d),
             moments=moments_spherical_gaussian(d),
             vartheta=cfg.vartheta,
             c_p=cfg.c_p,
         )
-        for n in cfg.sample_sizes:
-            rows.append(
-                ResultRow("sample-complexity", "theory-bound", d, n, sigma, cfg.num_projections, 0, tb.at(n), 0.0, 0, 0.0)
-            )
-    return rows
-
-
-def run_projection_complexity(cfg: ExperimentConfig) -> list[ResultRow]:
-    """|estimate(L) - estimate(L_ref)| per L, sharing the projection prefix.
-
-    Streams are keyed by projection index, so the L-projection estimate equals
-    the mean of the first L per-projection values of the reference run; one
-    reference evaluation per (divergence, run) yields the whole L grid.
-    """
-    root = RngRoot(cfg.seed)
-    sigma = cfg.sigmas[0]
-    d = cfg.dimensions[0]
-    n = cfg.sample_sizes[0]
-    if any(L > cfg.l_ref for L in cfg.l_grid):
-        raise ValueError("projection grid entries must not exceed l_ref")
-    rows: list[ResultRow] = []
-    for run in range(cfg.num_runs):
-        tag = f"pc/d{d}/n{n}"
-        X = gaussian_set(root, f"{tag}/x", run, n, d)
-        Y = gaussian_set(root, f"{tag}/y", run, n, d)
-        run_root = root.child(tag, run)
-        for name in cfg.divergences:
-            t0 = time.perf_counter()
-            ref = estimate(X, Y, _estimator_config(cfg, name, sigma, cfg.l_ref, run_root), workers=cfg.workers)
-            wall = (time.perf_counter() - t0) * 1e3 / len(cfg.l_grid)
-            for L in cfg.l_grid:
-                prefix = ref.per_projection[:L]
-                err = abs(float(np.mean(prefix)) - ref.mean_pow)
-                se = float(np.std(prefix, ddof=1) / np.sqrt(L)) if L > 1 else 0.0
-                rows.append(ResultRow("projection-complexity", name, d, n, sigma, L, run, err, se, ref.unconverged, wall))
-    return rows
-
-
-def run_noise_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Sample-complexity-style grid with a sigma sweep at every point.
-
-    Within one (n, run) cell all sigma values share directions and standard
-    noise draws (common random numbers), so sigma effects are paired.
-    """
-    root = RngRoot(cfg.seed)
-    d = cfg.dimensions[0]
-    rows: list[ResultRow] = []
-    for n in cfg.sample_sizes:
-        for run in range(cfg.num_runs):
-            tag = f"ns/d{d}/n{n}/{cfg.pair}"
-            X, Y = _pair_for_run(cfg, root, tag, run, n, d)
-            run_root = root.child(tag, run)
-            for name in cfg.divergences:
-                base = _estimator_config(cfg, name, cfg.sigmas[0], cfg.num_projections, run_root)
-                t0 = time.perf_counter()
-                ests = sweep_sigma(X, Y, list(cfg.sigmas), base, workers=cfg.workers)
-                wall = (time.perf_counter() - t0) * 1e3 / len(ests)
-                for sigma, est in zip(cfg.sigmas, ests):
-                    rows.append(
-                        ResultRow(
-                            "noise-sweep", name, d, n, sigma, cfg.num_projections, run,
-                            est.mean_pow, est.std_error, est.unconverged, wall,
-                        )
-                    )
-    return rows
-
-
-def run_displacement(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Divergence between N(2*1_d, I) and N(s*1_d, I) over the displacement grid.
-
-    The Gaussian residuals and all streams are shared across the grid within a
-    run, so the curve in s is smooth and its minimum is a meaningful argmin.
-    """
-    root = RngRoot(cfg.seed)
-    sigma = cfg.sigmas[0]
-    d = cfg.dimensions[0]
-    n = cfg.sample_sizes[0]
-    rows: list[ResultRow] = []
-    for run in range(cfg.num_runs):
-        tag = f"disp/d{d}/n{n}"
-        GX = gaussian_set(root, f"{tag}/x", run, n, d)
-        GY = gaussian_set(root, f"{tag}/y", run, n, d)
-        X = SampleSet(GX.data + 2.0)
-        run_root = root.child(tag, run)
-        for s in cfg.s_grid:
-            Y = SampleSet(GY.data + float(s))
-            for name in cfg.divergences:
-                t0 = time.perf_counter()
-                est = estimate(X, Y, _estimator_config(cfg, name, sigma, cfg.num_projections, run_root), workers=cfg.workers)
-                wall = (time.perf_counter() - t0) * 1e3
-                rows.append(
-                    ResultRow(
-                        f"displacement[s={s:g}]", name, d, n, sigma, cfg.num_projections, run,
-                        est.mean_pow, est.std_error, est.unconverged, wall,
-                    )
-                )
+        rows.extend(
+            ResultRow(cfg.command, "theory-bound", d, n, sigma, cfg.num_projections, 0, tb.at(n), 0.0, 0, 0.0)
+            for n in cfg.sample_sizes
+        )
     return rows
 
 
@@ -374,16 +301,18 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 def compare(file_x: str, file_y: str, cfg: ExperimentConfig) -> dict:
     """One estimate between two CSV matrices; returns a flat JSON-ready report."""
+    if len(cfg.divergences) > 1 or len(cfg.sigmas) > 1:
+        raise ValueError("compare takes one divergence and one sigma")
     mx = read_matrix_csv(file_x)
     my = read_matrix_csv(file_y)
     if mx.shape[1] != my.shape[1]:
         raise ValueError(f"dimension mismatch: {file_x} has d={mx.shape[1]}, {file_y} has d={my.shape[1]}")
     X, Y = SampleSet(mx), SampleSet(my)
     root = RngRoot(cfg.seed).child("compare", 0)
-    name = cfg.divergences[0]
-    est = estimate(
-        X, Y, _estimator_config(cfg, name, cfg.sigmas[0], cfg.num_projections, root), workers=cfg.workers
-    )
+    (name,), (sigma,) = cfg.divergences, cfg.sigmas
+    spec = cfg.divergence_spec(name)
+    est_cfg = GssdConfig(sigma=float(sigma), num_projections=cfg.num_projections, divergence=spec, seed=root)
+    est = estimate(X, Y, est_cfg, workers=cfg.workers)
     report = est.summary()
     report["n_x"] = X.n
     report["n_y"] = Y.n
@@ -404,10 +333,3 @@ def fit_loglog_slope(points) -> float:
     slope, _ = np.polyfit(lx, ly, 1)
     return float(slope)
 
-
-RUNNERS = {
-    "sample-complexity": run_sample_complexity,
-    "projection-complexity": run_projection_complexity,
-    "noise-sweep": run_noise_sweep,
-    "displacement": run_displacement,
-}

@@ -16,13 +16,7 @@ from gssd.bounds import gaussian_abs_moment, kummer_1f1, sample_bound, upsilon_c
 from gssd.cli import main as cli_main
 from gssd.divergences import DivergenceSpec, mmd_sq, sinkhorn_div, wasserstein_pp
 from gssd.estimator import GssdConfig, estimate, sweep_sigma, two_sigma_check
-from gssd.experiments import (
-    ExperimentConfig,
-    fit_loglog_slope,
-    run_displacement,
-    run_projection_complexity,
-    run_sample_complexity,
-)
+from gssd.experiments import ExperimentConfig, fit_loglog_slope, run_experiment
 from gssd.rng import RngRoot
 from gssd.slicing import SampleSet
 
@@ -58,7 +52,7 @@ def test_criterion_1_sample_complexity_rate():
         num_projections=50,
         seed=42,
     )
-    rows = run_sample_complexity(cfg)
+    rows = run_experiment(cfg)
     means = curve_by_n(rows, 50)
     # the O(n^{-1/2}) rate is exhibited by the estimated distance; the squared
     # estimate between same-distribution sets decays strictly faster
@@ -80,7 +74,7 @@ def test_criterion_2_dimension_independence():
         num_projections=50,
         seed=42,
     )
-    rows = run_sample_complexity(cfg)
+    rows = run_experiment(cfg)
     curves = {d: curve_by_n(rows, d) for d in (10, 50, 100)}
     worst = 1.0
     for n in (100, 400, 1600, 6400):
@@ -105,7 +99,7 @@ def test_criterion_3_projection_complexity():
         l_ref=10_000,
         l_grid=(50, 100, 200, 500, 1000),
     )
-    rows = run_projection_complexity(cfg)
+    rows = run_experiment(cfg)
     mean_err = {
         L: float(np.mean([r.value for r in rows if r.L == L])) for L in cfg.l_grid
     }
@@ -176,7 +170,7 @@ def test_criterion_6_displacement_argmin():
         sinkhorn_max_iter=150,
         s_grid=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     )
-    rows = run_displacement(cfg)
+    rows = run_experiment(cfg)
     argmins = {}
     for name in cfg.divergences:
         curve = {}

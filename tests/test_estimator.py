@@ -53,6 +53,15 @@ class TestEstimateBasics:
         with pytest.raises(ValueError):
             estimate(X, Y, wcfg(9))
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        # a count below 1 is an input error, not a request for one worker
+        X = gauss_set(3, "x", 10, 3)
+        with pytest.raises(ValueError, match="workers"):
+            estimate(X, X, wcfg(9), workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sweep_sigma(X, X, [0.0, 1.0], wcfg(9), workers=workers)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             wcfg(1, sigma=-1.0)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,10 +16,7 @@ from gssd.experiments import (
     ExperimentConfig,
     fit_loglog_slope,
     read_matrix_csv,
-    run_displacement,
-    run_noise_sweep,
-    run_projection_complexity,
-    run_sample_complexity,
+    run_experiment,
     rows_csv,
     compare,
 )
@@ -113,21 +111,21 @@ class TestReadMatrixCsv:
 class TestSampleComplexity:
     def test_row_count_and_schema(self):
         cfg = small_cfg("sample-complexity", sample_sizes=(50, 100), divergences=("swd", "mmd"))
-        rows = run_sample_complexity(cfg)
+        rows = run_experiment(cfg)
         assert len(rows) == 2 * 2 * 2  # sizes x runs x divergences
         assert {r.divergence for r in rows} == {"swd", "mmd"}
         assert all(r.value >= 0 for r in rows)
 
     def test_rerun_reproduces_values(self):
         cfg = small_cfg("sample-complexity")
-        a = run_sample_complexity(cfg)
-        b = run_sample_complexity(cfg)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert [r.value for r in a] == [r.value for r in b]
         assert [r.std_error for r in a] == [r.std_error for r in b]
 
     def test_emit_bound_appends_rows(self):
         cfg = small_cfg("sample-complexity", emit_bound=True)
-        rows = run_sample_complexity(cfg)
+        rows = run_experiment(cfg)
         bound_rows = [r for r in rows if r.divergence == "theory-bound"]
         assert len(bound_rows) == 1
         assert bound_rows[0].value > 0
@@ -136,7 +134,7 @@ class TestSampleComplexity:
 class TestProjectionComplexity:
     def test_reference_row_is_zero_and_errors_positive(self):
         cfg = small_cfg("projection-complexity", l_ref=256, l_grid=(16, 64, 256))
-        rows = run_projection_complexity(cfg)
+        rows = run_experiment(cfg)
         assert len(rows) == 3 * 2
         at_ref = [r for r in rows if r.L == 256]
         assert all(r.value == 0.0 for r in at_ref)
@@ -144,14 +142,16 @@ class TestProjectionComplexity:
         assert any(r.value > 0 for r in below)
 
     def test_grid_beyond_reference_rejected(self):
-        with pytest.raises(ValueError):
-            run_projection_complexity(small_cfg("projection-complexity", l_ref=64, l_grid=(16, 128)))
+        # 0 would average an empty prefix (NaN); -5 would label a row L = -5 and average l_ref - 5 values
+        for grid in ((16, 128), (0, 16), (-5, 16)):
+            with pytest.raises(ValueError, match=r"\[1, l_ref = 64\]"):
+                run_experiment(small_cfg("projection-complexity", l_ref=64, l_grid=grid))
 
 
 class TestNoiseSweep:
     def test_sigma_zero_row_equals_plain_sliced_value(self):
         cfg = small_cfg("noise-sweep", sigmas=(0.0, 1.0), num_runs=1)
-        rows = run_noise_sweep(cfg)
+        rows = run_experiment(cfg)
         row0 = next(r for r in rows if r.sigma == 0.0)
         # recompute the unsmoothed sliced value from the same streams
         root = RngRoot(cfg.seed)
@@ -175,7 +175,7 @@ class TestNoiseSweep:
             divergences=("swd", "mmd"),
             num_projections=32,
         )
-        rows = run_noise_sweep(cfg)
+        rows = run_experiment(cfg)
 
         def mean_at(name, sigma):
             sel = [r.value for r in rows if r.divergence == name and r.sigma == sigma]
@@ -186,8 +186,8 @@ class TestNoiseSweep:
         assert rel_mmd < rel_swd
 
     def test_pair_modes_change_data(self):
-        same = run_noise_sweep(small_cfg("noise-sweep", num_runs=1))
-        shifted = run_noise_sweep(small_cfg("noise-sweep", num_runs=1, pair="shifted"))
+        same = run_experiment(small_cfg("noise-sweep", num_runs=1))
+        shifted = run_experiment(small_cfg("noise-sweep", num_runs=1, pair="shifted"))
         assert shifted[0].value > same[0].value
 
 
@@ -202,7 +202,7 @@ class TestDisplacement:
             s_grid=(1.0, 1.5, 2.0, 2.5, 3.0),
             num_projections=24,
         )
-        rows = run_displacement(cfg)
+        rows = run_experiment(cfg)
         assert len(rows) == 5 * 2
         curve = {}
         for r in rows:
@@ -222,7 +222,7 @@ class TestDisplacement:
             s_grid=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
             num_projections=16,
         )
-        rows = run_displacement(cfg)
+        rows = run_experiment(cfg)
         curve, ses = {}, {}
         for r in rows:
             s = float(r.experiment.split("s=")[1].rstrip("]"))
@@ -278,6 +278,27 @@ class TestTheoryContainment:
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
 
+class TestGrid:
+    @pytest.mark.parametrize("command", ["sample-complexity", "projection-complexity", "noise-sweep", "displacement"])
+    @pytest.mark.parametrize("axis, values", [
+        ("dimensions", (3, 5)), ("sample_sizes", (20, 30)), ("sigmas", (1.5, 3.0)),
+    ])
+    def test_each_axis_entry_yields_the_rows_of_its_own_run(self, command, axis, values):
+        # each row must be the row of the run whose grid holds only its own point
+        kw = dict(dimensions=(4,), sample_sizes=(24,), sigmas=(1.0,), num_runs=1, num_projections=8,
+                  l_ref=8, l_grid=(2, 8), s_grid=(1.0, 2.0), emit_bound=command == "sample-complexity")
+        rows = lambda vals: {replace(r, wall_ms=0.0) for r in run_experiment(small_cfg(command, **{**kw, axis: vals}))}
+        assert rows(values) == rows(values[:1]) | rows(values[1:])
+
+    def test_compare_is_not_a_grid_command(self):
+        with pytest.raises(ValueError, match="compare"):
+            run_experiment(small_cfg("compare"))
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(ValueError, match="unknown command"):
+            small_cfg("sample_complexity")
+
+
 # ---------------------------------------------------------------- compare
 
 
@@ -317,7 +338,7 @@ class TestCompare:
             "sample-complexity", dimensions=(d,), sample_sizes=(n,), sigmas=(1.0,),
             num_runs=6, num_projections=48,
         )
-        base_rows = run_sample_complexity(base_cfg)
+        base_rows = run_experiment(base_cfg)
         base_roots = [math.sqrt(r.value) for r in base_rows]
         spread = float(np.std(base_roots, ddof=1))
         assert abs(report["root"] - float(np.mean(base_roots))) <= 3 * (spread + report["std_error"])
@@ -335,12 +356,12 @@ def fake_clock(monkeypatch):
 class TestWallMs:
     def test_noise_sweep_splits_the_sweep_time_over_sigma_rows(self, monkeypatch):
         fake_clock(monkeypatch)
-        rows = run_noise_sweep(small_cfg("noise-sweep", sigmas=(0.0, 1.0, 3.0, 5.0), num_runs=1))
+        rows = run_experiment(small_cfg("noise-sweep", sigmas=(0.0, 1.0, 3.0, 5.0), num_runs=1))
         assert [r.wall_ms for r in rows] == [250.0] * 4
 
     def test_projection_complexity_splits_the_reference_time_over_l_rows(self, monkeypatch):
         fake_clock(monkeypatch)
-        rows = run_projection_complexity(small_cfg("projection-complexity", l_ref=64, l_grid=(16, 32, 64), num_runs=1))
+        rows = run_experiment(small_cfg("projection-complexity", l_ref=64, l_grid=(16, 32, 64), num_runs=1))
         assert len(rows) == 3
         assert sum(r.wall_ms for r in rows) == pytest.approx(1000.0, rel=1e-12)
         assert len({r.wall_ms for r in rows}) == 1
@@ -350,16 +371,23 @@ class TestWallMs:
 
 
 class TestCsvOutput:
+    def test_row_columns_formatted_by_type(self):
+        row = experiments.ResultRow("noise-sweep", "swd", 3, 40, 1, 16, 0, 0.1, 0.25, 2, 1.23456)
+        assert experiments.CSV_COLUMNS == (
+            "experiment", "divergence", "d", "n", "sigma", "L", "run", "value", "std_error", "unconverged", "wall_ms"
+        )
+        assert row.as_csv() == "noise-sweep,swd,3,40,1.0,16,0,0.1,0.25,2,1.235"
+
     def test_header_and_determinism_modulo_wall(self, tmp_path):
         cfg = small_cfg("noise-sweep", sigmas=(0.0, 1.0), out=str(tmp_path / "a.csv"))
-        (tmp_path / "a.csv").write_text(rows_csv(cfg, run_noise_sweep(cfg)))
+        (tmp_path / "a.csv").write_text(rows_csv(cfg, run_experiment(cfg)))
         text = (tmp_path / "a.csv").read_text().splitlines()
         assert text[0] == "# seed = 42"
         assert text[1].startswith("# version = ")
         assert text[2].startswith("# config = ")
         assert text[3] == "experiment,divergence,d,n,sigma,L,run,value,std_error,unconverged,wall_ms"
         # rerun: identical except the wall_ms column
-        (tmp_path / "b.csv").write_text(rows_csv(cfg, run_noise_sweep(cfg)))
+        (tmp_path / "b.csv").write_text(rows_csv(cfg, run_experiment(cfg)))
         a = (tmp_path / "a.csv").read_text().splitlines()
         b = (tmp_path / "b.csv").read_text().splitlines()
         strip = lambda lines: [",".join(ln.split(",")[:-1]) for ln in lines]
@@ -377,9 +405,9 @@ class TestCsvOutput:
     def test_rows_carry_the_count_of_their_estimate(self):
         cfg = small_cfg("projection-complexity", divergences=("skd",), sinkhorn_max_iter=1,
                         l_ref=8, l_grid=(2, 8), num_runs=1, sample_sizes=(20,))
-        rows = run_projection_complexity(cfg)
+        rows = run_experiment(cfg)
         assert [r.unconverged for r in rows] == [8, 8]
-        bound = [r for r in run_sample_complexity(small_cfg("sample-complexity", emit_bound=True, num_runs=1))
+        bound = [r for r in run_experiment(small_cfg("sample-complexity", emit_bound=True, num_runs=1))
                  if r.divergence == "theory-bound"]
         assert bound and all(r.unconverged == 0 and r.wall_ms == 0.0 for r in bound)
 
@@ -440,6 +468,20 @@ class TestCli:
         f.write_text("1.0,2.0\n3.0\n")
         rc = cli_main(["compare", str(f), str(f), "--projections", "4"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value", [("--div", "swd,mmd"), ("--sigmas", "1,5")])
+    def test_compare_takes_one_divergence_and_one_sigma(self, tmp_path, capsys, flag, value):
+        f = tmp_path / "x.csv"
+        f.write_text("1.0,2.0\n3.0,4.5\n0.5,1.0\n")
+        assert cli_main(["compare", str(f), str(f), "--projections", "4", flag, value]) == 2
+        assert "one divergence and one sigma" in capsys.readouterr().err
+
+    def test_emit_bound_rejects_non_integer_order(self, tmp_path):
+        # the envelope is defined for integer p only; 2.5 must not give the p = 2 envelope
+        args = ["sample-complexity", "--dim", "4", "--sizes", "30", "--sigmas", "1", "--runs", "1",
+                "--projections", "4", "--emit-bound", "--out", str(tmp_path / "sc.csv")]
+        assert cli_main(args + ["--p", "2"]) == 0
+        assert cli_main(args + ["--p", "2.5"]) == 2
 
     def test_workers_flag_reproduces_values(self, tmp_path):
         args = [
