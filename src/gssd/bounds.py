@@ -102,6 +102,12 @@ def kummer_1f1(a: float, gamma: float, z: float, rtol: float = 1e-12, max_terms:
         k += 1
 
 
+_NOT_INTEGRABLE = (
+    "tail integrand is not decaying; the integrability condition "
+    "requires P[|X| > xi] to beat exp(-2 xi^2 / (sigma^2 vartheta^2))"
+)
+
+
 def _tail_cutoff(integrand: Callable[[float], float], sigma: float, vartheta: float) -> float:
     """Smallest probe point beyond which the tail integrand is negligible."""
     probe = max(sigma * vartheta, 1.0)
@@ -109,10 +115,7 @@ def _tail_cutoff(integrand: Callable[[float], float], sigma: float, vartheta: fl
         if integrand(probe) < 1e-14:
             return probe
         probe *= 1.5
-    raise ValueError(
-        "tail integrand is not decaying; the integrability condition "
-        "requires P[|X| > xi] to beat exp(-2 xi^2 / (sigma^2 vartheta^2))"
-    )
+    raise ValueError(_NOT_INTEGRABLE)
 
 
 def tail_reweighted_integral(
@@ -140,7 +143,8 @@ def tail_reweighted_integral(
     cutoff = _tail_cutoff(integrand, sigma, vartheta)
     value, _ = quad(integrand, 0.0, cutoff, limit=200)
     if not math.isfinite(value):
-        raise ValueError("tail integral evaluated to a non-finite value")
+        # the probe can stop where P[|X| > xi] underflows to 0 while the reweighted integrand still grows
+        raise ValueError(_NOT_INTEGRABLE)
     return value
 
 

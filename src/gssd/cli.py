@@ -15,16 +15,12 @@ from dataclasses import fields
 from .experiments import PAIR_MODES, ExperimentConfig, compare, rows_csv, run_experiment
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _float_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _name_list(text: str) -> tuple:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def _list_of(cast):
+    """The argparse type of a comma-separated list whose entries are parsed by ``cast``."""
+    def parse(text: str) -> tuple:
+        return tuple(cast(v.strip()) for v in text.split(",") if v.strip())
+    parse.__name__ = f"{cast.__name__} list"  # argparse names the type in its error message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,18 +35,19 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=text)
         # the dataclass defaults, set before any flag so that every flag (and --help) picks them up
         sp.set_defaults(**{f.name: f.default for f in fields(ExperimentConfig) if f.name != "command"})
-        sp.add_argument("--dim", dest="dimensions", type=_int_list, metavar="D[,D..]",
-                        help="dimension(s) of the sample space (default %(default)s)")
-        sp.add_argument("--sizes", dest="sample_sizes", type=_int_list, metavar="N[,N..]",
-                        help="sample-size grid (default %(default)s)")
-        sp.add_argument("--sigmas", type=_float_list, metavar="S[,S..]",
+        if name != "compare":  # compare's data are its two input files, so it has no grid
+            sp.add_argument("--dim", dest="dimensions", type=_list_of(int), metavar="D[,D..]",
+                            help="dimension(s) of the sample space (default %(default)s)")
+            sp.add_argument("--sizes", dest="sample_sizes", type=_list_of(int), metavar="N[,N..]",
+                            help="sample-size grid (default %(default)s)")
+            sp.add_argument("--runs", dest="num_runs", type=int, metavar="RUNS",
+                            help="independent runs per grid point (default %(default)s)")
+        sp.add_argument("--sigmas", type=_list_of(float), metavar="S[,S..]",
                         help="smoothing noise level(s) (default %(default)s)")
-        sp.add_argument("--runs", dest="num_runs", type=int, metavar="RUNS",
-                        help="independent runs per grid point (default %(default)s)")
         sp.add_argument("--projections", dest="num_projections", type=int, metavar="PROJECTIONS",
-                        help="projections L per estimate (default %(default)s)")
+                        help="projections L per estimate, L_ref for projection-complexity (default %(default)s)")
         sp.add_argument("--p", dest="order", type=float, metavar="P", help="divergence order p (default %(default)s)")
-        sp.add_argument("--div", dest="divergences", type=_name_list, metavar="NAME[,NAME..]",
+        sp.add_argument("--div", dest="divergences", type=_list_of(str), metavar="NAME[,NAME..]",
                         help="divergences: swd, mmd, skd (default %(default)s)")
         sp.add_argument("--epsilon", type=float, help="Sinkhorn entropic regularization (default %(default)s)")
         sp.add_argument("--bandwidth", type=float,
@@ -69,10 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp_sc.add_argument("--c-p", type=float, help="calibration factor for the log-term (default %(default)s)")
 
     sp_pc = add_command("projection-complexity", "Monte Carlo error vs number of projections")
-    sp_pc.set_defaults(sample_sizes=(500,))
-    sp_pc.add_argument("--l-ref", type=int, help="reference projection count (default %(default)s)")
-    sp_pc.add_argument("--l-grid", type=_int_list, metavar="L[,L..]",
-                       help="projection grid, entries in [1, --l-ref] (default %(default)s)")
+    sp_pc.set_defaults(sample_sizes=(500,), num_projections=10_000)
+    sp_pc.add_argument("--l-grid", type=_list_of(int), metavar="L[,L..]",
+                       help="projection grid, entries in [1, --projections] (default %(default)s)")
 
     sp_ns = add_command("noise-sweep", "divergence vs smoothing level, common random numbers")
     sp_ns.set_defaults(sigmas=(0.0, 1.0, 3.0, 5.0, 15.0))
@@ -81,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp_disp = add_command("displacement", "divergence between N(2*1,I) and N(s*1,I) over s")
     sp_disp.set_defaults(sample_sizes=(500,))
-    sp_disp.add_argument("--s-grid", type=_float_list, metavar="S[,S..]",
+    sp_disp.add_argument("--s-grid", type=_list_of(float), metavar="S[,S..]",
                          help="displacement grid (default %(default)s)")
 
     sp_cmp = add_command("compare", "estimate the divergence between two CSV matrices")

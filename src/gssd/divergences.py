@@ -219,7 +219,7 @@ def _entropic_ot(
                     break
         if it >= max_iter:
             break
-    if not np.isfinite(err) or err >= tol:
+    if not np.isfinite(err):  # max_iter ran out before the target epsilon; the last level checks at max_iter
         _, err = plan_and_error(eps)
     value = float(f @ a + g @ b)
     return value, err < tol, it, err

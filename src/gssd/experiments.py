@@ -15,8 +15,8 @@ tag, their Y draw and the rows they take from each estimate:
 * ``sample-complexity``   -- the estimate between X ~ N(0, I_d) and Y drawn by
   the ``pair`` mode (the default ``same``: Y ~ N(0, I_d) too).
 * ``projection-complexity`` -- the same pair; |estimate(L) - estimate(L_ref)|
-  for each L of the ``l_grid``, from the prefixes of one ``l_ref``-projection
-  estimate.
+  for each L of the ``l_grid``, from the prefixes of one reference estimate
+  over L_ref = ``num_projections`` projections.
 * ``noise-sweep``         -- the rows of sample-complexity, under a stream tag
   that carries the ``pair`` mode.
 * ``displacement``        -- divergence between N(2*1, I) and N(s*1, I) for
@@ -89,7 +89,6 @@ class ExperimentConfig:
     seed: int = 42
     out: str | None = None
     workers: int = 1
-    l_ref: int = 10_000
     l_grid: tuple = (50, 100, 200, 500, 1000)
     s_grid: tuple = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
     pair: str = "same"
@@ -110,8 +109,8 @@ class ExperimentConfig:
         bad = [d for d in self.divergences if d not in DIVERGENCE_ALIASES]
         if bad:
             raise ValueError(f"unknown divergence names {bad}; expected swd, mmd or skd")
-        if self.command == "projection-complexity" and not all(1 <= L <= self.l_ref for L in self.l_grid):
-            raise ValueError(f"projection grid entries must lie in [1, l_ref = {self.l_ref}]")
+        if self.command == "projection-complexity" and not all(1 <= L <= self.num_projections for L in self.l_grid):
+            raise ValueError(f"projection grid entries must lie in [1, num_projections = {self.num_projections}]")
 
     def divergence_spec(self, name: str) -> DivergenceSpec:
         return DivergenceSpec(
@@ -211,7 +210,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     if cfg.command not in _TAGS:
         raise ValueError(f"{cfg.command!r} has no grid; call compare()")
     root = RngRoot(cfg.seed)
-    projections = cfg.l_ref if cfg.command == "projection-complexity" else cfg.num_projections
     bound = _bound_rows(cfg) if cfg.emit_bound else []  # first: an order without an envelope fails before any estimate
     rows: list[ResultRow] = []
     for d, n, run in itertools.product(cfg.dimensions, cfg.sample_sizes, range(cfg.num_runs)):
@@ -221,8 +219,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         for label, Y in ys:
             for name in cfg.divergences:
                 base = GssdConfig(
-                    sigma=float(cfg.sigmas[0]), num_projections=projections, divergence=cfg.divergence_spec(name),
-                    seed=run_root,
+                    sigma=float(cfg.sigmas[0]), num_projections=cfg.num_projections,
+                    divergence=cfg.divergence_spec(name), seed=run_root,
                 )
                 t0 = time.perf_counter()
                 ests = sweep_sigma(X, Y, cfg.sigmas, base, workers=cfg.workers)

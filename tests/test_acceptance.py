@@ -94,9 +94,8 @@ def test_criterion_3_projection_complexity():
         sigmas=(3.0,),
         num_runs=20,
         divergences=("swd",),
-        num_projections=50,
+        num_projections=10_000,
         seed=42,
-        l_ref=10_000,
         l_grid=(50, 100, 200, 500, 1000),
     )
     rows = run_experiment(cfg)

@@ -143,11 +143,11 @@ class TestXiConstant:
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_heavy_tail_rejected(self):
-        # omega too large: the integrand grows without bound
-        sigma, vartheta = 1.0, 2.0
-        heavy = tail_spherical_gaussian(1, 4.0 * sigma * vartheta)
-        with pytest.raises(ValueError):
-            xi_constant(1, sigma, vartheta, heavy)
+        # omega too large: the integrand grows without bound; sigma too small: the tail
+        # underflows to 0 near xi = 38, past the point where the integrand overflows
+        for sigma, d, omega in ((1.0, 1, 8.0), (0.5, 4, 1.0)):
+            with pytest.raises(ValueError, match="integrability condition"):
+                xi_constant(1, sigma, 2.0, tail_spherical_gaussian(d, omega))
 
 
 class TestUpsilonConstant:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from dataclasses import replace
@@ -133,7 +134,7 @@ class TestSampleComplexity:
 
 class TestProjectionComplexity:
     def test_reference_row_is_zero_and_errors_positive(self):
-        cfg = small_cfg("projection-complexity", l_ref=256, l_grid=(16, 64, 256))
+        cfg = small_cfg("projection-complexity", num_projections=256, l_grid=(16, 64, 256))
         rows = run_experiment(cfg)
         assert len(rows) == 3 * 2
         at_ref = [r for r in rows if r.L == 256]
@@ -142,10 +143,10 @@ class TestProjectionComplexity:
         assert any(r.value > 0 for r in below)
 
     def test_grid_beyond_reference_rejected(self):
-        # 0 would average an empty prefix (NaN); -5 would label a row L = -5 and average l_ref - 5 values
+        # 0 would average an empty prefix (NaN); -5 would label a row L = -5 and average L_ref - 5 values
         for grid in ((16, 128), (0, 16), (-5, 16)):
-            with pytest.raises(ValueError, match=r"\[1, l_ref = 64\]"):
-                run_experiment(small_cfg("projection-complexity", l_ref=64, l_grid=grid))
+            with pytest.raises(ValueError, match=r"\[1, num_projections = 64\]"):
+                run_experiment(small_cfg("projection-complexity", num_projections=64, l_grid=grid))
 
 
 class TestNoiseSweep:
@@ -286,7 +287,7 @@ class TestGrid:
     def test_each_axis_entry_yields_the_rows_of_its_own_run(self, command, axis, values):
         # each row must be the row of the run whose grid holds only its own point
         kw = dict(dimensions=(4,), sample_sizes=(24,), sigmas=(1.0,), num_runs=1, num_projections=8,
-                  l_ref=8, l_grid=(2, 8), s_grid=(1.0, 2.0), emit_bound=command == "sample-complexity")
+                  l_grid=(2, 8), s_grid=(1.0, 2.0), emit_bound=command == "sample-complexity")
         rows = lambda vals: {replace(r, wall_ms=0.0) for r in run_experiment(small_cfg(command, **{**kw, axis: vals}))}
         assert rows(values) == rows(values[:1]) | rows(values[1:])
 
@@ -361,7 +362,7 @@ class TestWallMs:
 
     def test_projection_complexity_splits_the_reference_time_over_l_rows(self, monkeypatch):
         fake_clock(monkeypatch)
-        rows = run_experiment(small_cfg("projection-complexity", l_ref=64, l_grid=(16, 32, 64), num_runs=1))
+        rows = run_experiment(small_cfg("projection-complexity", num_projections=64, l_grid=(16, 32, 64), num_runs=1))
         assert len(rows) == 3
         assert sum(r.wall_ms for r in rows) == pytest.approx(1000.0, rel=1e-12)
         assert len({r.wall_ms for r in rows}) == 1
@@ -404,7 +405,7 @@ class TestCsvOutput:
 
     def test_rows_carry_the_count_of_their_estimate(self):
         cfg = small_cfg("projection-complexity", divergences=("skd",), sinkhorn_max_iter=1,
-                        l_ref=8, l_grid=(2, 8), num_runs=1, sample_sizes=(20,))
+                        num_projections=8, l_grid=(2, 8), num_runs=1, sample_sizes=(20,))
         rows = run_experiment(cfg)
         assert [r.unconverged for r in rows] == [8, 8]
         bound = [r for r in run_experiment(small_cfg("sample-complexity", emit_bound=True, num_runs=1))
@@ -427,7 +428,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, overrides", [
         ("sample-complexity", {}),
-        ("projection-complexity", {"sample_sizes": (500,)}),
+        ("projection-complexity", {"sample_sizes": (500,), "num_projections": 10_000}),
         ("noise-sweep", {"sigmas": (0.0, 1.0, 3.0, 5.0, 15.0)}),
         ("displacement", {"sample_sizes": (500,)}),
     ])
@@ -505,7 +506,7 @@ class TestCli:
         assert cli_main(["sample-complexity", *common, "--sigmas", "1",
                          "--out", str(tmp_path / "sc.csv")]) == 0
         assert cli_main(["projection-complexity", *common, "--sigmas", "1",
-                         "--l-ref", "64", "--l-grid", "8,16,64",
+                         "--projections", "64", "--l-grid", "8,16,64",
                          "--out", str(tmp_path / "pc.csv")]) == 0
         assert cli_main(["noise-sweep", *common, "--sigmas", "0,1,3",
                          "--out", str(tmp_path / "ns.csv")]) == 0
@@ -516,3 +517,98 @@ class TestCli:
             lines = (tmp_path / f"{name}.csv").read_text().splitlines()
             assert lines[0] == "# seed = 5"
             assert len(lines) > 4
+
+
+# ---------------------------------------------------------------- every flag changes the output
+
+
+def _subparsers() -> dict:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# each (command, flag) that build_parser() accepts
+_FLAGS = [
+    (command, action.option_strings[0])
+    for command, sp in _subparsers().items()
+    for action in sp._actions
+    if action.option_strings and not isinstance(action, argparse._HelpAction)
+]
+
+_SKD = ["--div", "skd", "--epsilon", "1", "--sinkhorn-max-iter", "60"]  # reaches the target epsilon, fast
+# flag -> (flags both runs add to the baseline, the flag's second value; None for a switch)
+_SECOND = {
+    "--dim": ([], "4"),
+    "--sizes": ([], "24"),
+    "--runs": ([], "2"),
+    "--sigmas": ([], "3"),
+    "--projections": ([], "16"),
+    "--p": ([], "1"),
+    "--div": ([], "mmd"),
+    "--epsilon": (_SKD, "0.5"),
+    "--bandwidth": (["--div", "mmd"], "0.5"),
+    "--sinkhorn-tol": (_SKD, "1e-3"),
+    "--sinkhorn-max-iter": (_SKD, "3"),
+    "--seed": ([], "6"),
+    "--emit-bound": ([], None),
+    "--vartheta": (["--emit-bound"], "3"),
+    "--c-p": (["--emit-bound"], "2"),
+    "--l-grid": ([], "4,8"),
+    "--pair": ([], "shifted"),
+    "--s-grid": ([], "1,3"),
+}
+# flags that must leave the output as it is: where it goes (a path under tmp_path), and how many threads compute it
+_SAME = {"--out": None, "--workers": "2"}
+
+
+class TestFlags:
+    @pytest.fixture
+    def baseline(self, tmp_path):
+        """The tiny run of each command (d = 3, n = 20, one run, L = 8) that each flag then varies."""
+        shared = ["--sigmas", "2", "--projections", "8"]
+        grid = ["--dim", "3", "--sizes", "20", "--runs", "1", *shared]
+        paths = []
+        for i, shift in enumerate((0.0, 1.0)):
+            z = RngRoot(7).stream("flags", i).normals(20 * 3).reshape(20, 3) + shift
+            paths.append(tmp_path / f"m{i}.csv")
+            paths[-1].write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in z))
+        return {
+            "sample-complexity": grid,
+            "projection-complexity": [*grid, "--l-grid", "2,8"],
+            "noise-sweep": grid,
+            "displacement": [*grid, "--s-grid", "1,2"],
+            "compare": [*map(str, paths), *shared],
+        }
+
+    @staticmethod
+    def output(argv, capsys):
+        """The `compare` JSON, or the CSV rows without their wall_ms column."""
+        assert cli_main(argv) == 0
+        text = capsys.readouterr().out
+        if "--out" in argv:
+            with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+                text = fh.read()
+        return text if argv[0] == "compare" else [ln.rsplit(",", 1)[0] for ln in text.splitlines()[4:]]
+
+    @pytest.mark.parametrize("command, flag", _FLAGS)
+    def test_every_flag_changes_the_output(self, baseline, tmp_path, capsys, command, flag):
+        assert flag in _SECOND or flag in _SAME, f"{command} {flag}: no second value listed"
+        context, value = _SECOND.get(flag, ([], _SAME.get(flag)))
+        if flag == "--out":
+            value = str(tmp_path / "out")
+        argv = [command, *baseline[command], *context]
+        varied = argv + [flag] + ([] if value is None else [value])
+        unchanged = self.output(argv, capsys) == self.output(varied, capsys)
+        assert unchanged == (flag in _SAME), f"{command} {flag} {value}"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "x.csv", "y.csv", "--dim", "3"],
+        ["compare", "x.csv", "y.csv", "--sizes", "20"],
+        ["compare", "x.csv", "y.csv", "--runs", "2"],
+        ["projection-complexity", "--l-ref", "64"],
+        ["sample-complexity", "--dim", "3,x"],
+        ["sample-complexity", "--sigmas", "1,,y"],
+    ])
+    def test_removed_flags_and_malformed_lists_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
