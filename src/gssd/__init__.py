@@ -9,6 +9,8 @@ benchmark CLI.
 __version__ = "0.1.0"
 
 from .bounds import (
+    PointMass,
+    SphericalGaussian,
     TheoryBound,
     gaussian_abs_moment,
     kummer_1f1,
@@ -63,6 +65,8 @@ __all__ = [
     "sweep_sigma",
     "two_sigma_check",
     "TheoryBound",
+    "PointMass",
+    "SphericalGaussian",
     "gaussian_abs_moment",
     "pochhammer",
     "kummer_1f1",

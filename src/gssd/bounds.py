@@ -9,7 +9,13 @@ a free calibration factor c_p (default 1, user-configurable):
          * sqrt( sqrt(4 pi sigma^2 theta^2 / (theta^2 - 2)) + 4 * T )
 
 with theta > sqrt(2) a free parameter and T the tail integral
-integral_0^inf exp(2 xi^2 / (sigma^2 theta^2)) P[|X| > xi] d xi, and
+integral_0^inf exp(a xi^2) P[|X| > xi] d xi, a = 2 / (sigma^2 theta^2).  By
+the layer-cake formula T = E[F_a(|X|)] with
+
+    F_a(r) = integral_0^r exp(a xi^2) d xi = exp(a r^2) * dawsn(sqrt(a) r) / sqrt(a),
+
+so T exists exactly when E[exp(a |X|^2)] does; for X ~ N(0, omega^2 I_d) that
+is a omega^2 < 1/2, i.e. sigma * theta > 2 omega.  And
 
     Upsilon = 2^{2p-1} c_p / sqrt(pi) * sigma^{2p} * Gamma(p + 1/2)
               * sum_{k=0}^{p} (-p)_k / (1/2)_k * (-1)^k / ((2 sigma^2)^k k!)
@@ -17,7 +23,8 @@ integral_0^inf exp(2 xi^2 / (sigma^2 theta^2)) P[|X| > xi] d xi, and
 
 for integer p, where M_{2k} is the 2k-th absolute moment of the source
 distribution.  The hypergeometric series terminates because (-p)_k vanishes
-for k > p.
+for k > p.  A source (``PointMass`` or ``SphericalGaussian``) gives both T
+and M_{2k}.
 
 The Monte Carlo direction-sampling error is the usual A / sqrt(L) with A^2 the
 variance of the per-direction values; ``mc_error_bound`` is its sample plug-in.
@@ -27,27 +34,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import dawsn, gammaln
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc, gammaln
 
 __all__ = [
     "TheoryBound",
+    "PointMass",
+    "SphericalGaussian",
     "gaussian_abs_moment",
     "pochhammer",
     "kummer_1f1",
-    "tail_reweighted_integral",
     "xi_constant",
     "upsilon_constant",
     "sample_bound",
     "mc_error_bound",
-    "tail_point_mass",
-    "tail_spherical_gaussian",
-    "moments_point_mass",
-    "moments_spherical_gaussian",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -72,11 +75,16 @@ def pochhammer(alpha: float, k: int) -> float:
     return out
 
 
-def kummer_1f1(a: float, gamma: float, z: float, rtol: float = 1e-12, max_terms: int = 10_000) -> float:
+_KUMMER_RTOL = 1e-12
+_KUMMER_MAX_TERMS = 10_000
+
+
+def kummer_1f1(a: float, gamma: float, z: float) -> float:
     """Confluent hypergeometric series sum_k (a)_k / (gamma)_k * z^k / k!.
 
     If a is a non-positive integer the series terminates exactly at k = -a.
-    Otherwise terms are accumulated until |term| < rtol * |partial sum|.
+    Otherwise terms are accumulated until |term| < _KUMMER_RTOL * |partial sum|,
+    for at most _KUMMER_MAX_TERMS terms.
     """
     if gamma <= 0 and float(gamma).is_integer():
         raise ValueError("gamma must not be a non-positive integer (series pole)")
@@ -91,11 +99,11 @@ def kummer_1f1(a: float, gamma: float, z: float, rtol: float = 1e-12, max_terms:
             raise RuntimeError(f"hypergeometric series overflowed at term {k}; partial value {total!r}")
         if terminal is not None and k >= terminal:
             return total
-        if terminal is None and k > 0 and abs(term) < rtol * abs(total):
+        if terminal is None and k > 0 and abs(term) < _KUMMER_RTOL * abs(total):
             return total
-        if k >= max_terms:
+        if k >= _KUMMER_MAX_TERMS:
             raise RuntimeError(
-                f"hypergeometric series did not converge in {max_terms} terms; partial value {total!r}"
+                f"hypergeometric series did not converge in {_KUMMER_MAX_TERMS} terms; partial value {total!r}"
             )
         term *= (a + k) / (gamma + k) * z / (k + 1)
         total += term
@@ -103,72 +111,86 @@ def kummer_1f1(a: float, gamma: float, z: float, rtol: float = 1e-12, max_terms:
 
 
 _NOT_INTEGRABLE = (
-    "tail integrand is not decaying; the integrability condition "
-    "requires P[|X| > xi] to beat exp(-2 xi^2 / (sigma^2 vartheta^2))"
+    "tail integral diverges; for X ~ N(0, omega^2 I_d) the integrability condition is sigma * vartheta > 2 omega"
 )
 
 
-def _tail_cutoff(integrand: Callable[[float], float], sigma: float, vartheta: float) -> float:
-    """Smallest probe point beyond which the tail integrand is negligible."""
-    probe = max(sigma * vartheta, 1.0)
-    for _ in range(60):
-        if integrand(probe) < 1e-14:
-            return probe
-        probe *= 1.5
-    raise ValueError(_NOT_INTEGRABLE)
+@dataclass(frozen=True)
+class PointMass:
+    """X at distance ``radius`` from the origin."""
+
+    radius: float = 0.0
+
+    def moment(self, k: int) -> float:
+        """M_{2k} = radius^{2k}."""
+        return self.radius ** (2 * k)
+
+    def tail_integral(self, a: float) -> float:
+        """T = F_a(radius) = radius * exp(a radius^2) * dawsn(x) / x with x = sqrt(a) radius, in closed form."""
+        x = math.sqrt(a) * self.radius
+        if x == 0.0:  # radius 0, or so small that F_a(radius) = radius to double precision
+            return float(self.radius)
+        return math.exp(math.log(self.radius) + a * self.radius**2 + math.log(dawsn(x) / x))
 
 
-def tail_reweighted_integral(
-    sigma: float, vartheta: float, tail_fn: Callable[[float], float]
-) -> float:
-    """integral_0^inf exp(2 xi^2 / (sigma^2 vartheta^2)) P[|X| > xi] d xi.
+@dataclass(frozen=True)
+class SphericalGaussian:
+    """X ~ N(0, omega^2 I_d)."""
 
-    Adaptive quadrature with an automatic upper cutoff where the integrand has
-    dropped below 1e-14; raises if the integrand never decays (the constant is
-    undefined for such heavy tails).
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    d: int
+    omega: float = 1.0
 
-    def integrand(xi: float) -> float:
-        t = tail_fn(xi)
-        if t <= 0.0:
-            return 0.0
-        # log-space guard: heavy tails push the exponent past double range
-        log_val = 2.0 * xi**2 / (sigma**2 * vartheta**2) + math.log(t)
-        if log_val > 700.0:
-            return math.inf
-        return math.exp(log_val)
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError("dimension must be >= 1")
+        if not self.omega > 0:
+            raise ValueError("omega must be positive")
 
-    cutoff = _tail_cutoff(integrand, sigma, vartheta)
-    value, _ = quad(integrand, 0.0, cutoff, limit=200)
-    if not math.isfinite(value):
-        # the probe can stop where P[|X| > xi] underflows to 0 while the reweighted integrand still grows
-        raise ValueError(_NOT_INTEGRABLE)
-    return value
+    def moment(self, k: int) -> float:
+        """M_{2k} = omega^{2k} 2^k Gamma(d/2 + k) / Gamma(d/2) (chi-square moments)."""
+        return float(self.omega ** (2 * k) * 2.0**k * math.exp(gammaln(self.d / 2.0 + k) - gammaln(self.d / 2.0)))
+
+    def tail_integral(self, a: float) -> float:
+        """T = E[F_a(omega R)] for R ~ chi_d, a quadrature over the chi density in log space."""
+        if not a * self.omega**2 < 0.5:
+            raise ValueError(_NOT_INTEGRABLE)
+        # u = c R turns exp(a omega^2 R^2) of F_a times exp(-R^2 / 2) of the density into exp(-u^2 / 2),
+        # which keeps the peak near u = sqrt(d - 1) however close a omega^2 is to 1/2
+        c = math.sqrt(1.0 - 2.0 * a * self.omega**2)
+        log_norm = (self.d / 2.0 - 1.0) * math.log(2.0) + gammaln(self.d / 2.0) + self.d * math.log(c)
+        root_a = math.sqrt(a)
+
+        def integrand(u: float) -> float:
+            density = math.exp(-0.5 * u * u + (self.d - 1) * math.log(u) - log_norm)
+            return density * dawsn(root_a * self.omega * u / c) / root_a
+
+        # split at the peak: over [0, inf) in one piece quad misses a peak far from 0 (T = 2e-22 at d = 1600);
+        # a T beyond the double range makes math.exp in the density factor raise OverflowError
+        peak = math.sqrt(self.d)
+        pieces = ((0.0, peak), (peak, math.inf))
+        return sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in pieces)
 
 
-def xi_constant(
-    p: float, sigma: float, vartheta: float, tail_fn: Callable[[float], float]
-) -> float:
-    """The sqrt(n)-rate constant Xi.
+Source = PointMass | SphericalGaussian
 
-    ``tail_fn`` maps xi >= 0 to P[|X| > xi] for the source distribution.
+
+def xi_constant(p: float, sigma: float, vartheta: float, source: Source) -> float:
+    """The sqrt(n)-rate constant Xi of ``source``.
+
     Requires vartheta > sqrt(2) (otherwise the Gaussian reweighting integral
-    inside the constant diverges).
+    inside the constant diverges) and an integrable tail integral.
     """
-    return _xi_and_tail(p, sigma, vartheta, tail_fn)[0]
+    return _xi_and_tail(p, sigma, vartheta, source)[0]
 
 
-def _xi_and_tail(
-    p: float, sigma: float, vartheta: float, tail_fn: Callable[[float], float]
-) -> tuple[float, float]:
+def _xi_and_tail(p: float, sigma: float, vartheta: float, source: Source) -> tuple[float, float]:
     """Xi and the tail integral inside it, which is computed once."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("order p must be >= 1")
-    if vartheta <= _SQRT2:
-        raise ValueError("vartheta must exceed sqrt(2)")
-    tail_integral = tail_reweighted_integral(sigma, vartheta, tail_fn)
+    _check_sigma(sigma)
+    if not _SQRT2 < vartheta < math.inf:
+        raise ValueError("vartheta must be finite and exceed sqrt(2)")
+    tail_integral = source.tail_integral(2.0 / (sigma**2 * vartheta**2))
     gauss_term = math.sqrt(4.0 * math.pi * sigma**2 * vartheta**2 / (vartheta**2 - 2.0))
     prefactor = (
         2.0 ** (2.5 * p - 1.25)
@@ -180,23 +202,26 @@ def _xi_and_tail(
     return prefactor * math.sqrt(gauss_term + 4.0 * tail_integral), tail_integral
 
 
-def upsilon_constant(
-    p: int, sigma: float, moments: Callable[[int], float], c_p: float = 1.0
-) -> float:
-    """The log(n)/n-rate constant Upsilon for integer order p.
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
 
-    ``moments(k)`` must return M_{2k}, the 2k-th absolute moment of the source
-    distribution, for k = 0..p.  The alternating series terminates at k = p.
+
+def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = 1.0) -> float:
+    """The log(n)/n-rate constant Upsilon of ``source`` for integer order p.
+
+    Only the moments M_{2k} for k = 0..p enter: the alternating series terminates at k = p.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
+    if not 0.0 <= c_p < math.inf:
+        raise ValueError("c_p must be finite and >= 0")
     if not float(p).is_integer() or p < 1:
         raise ValueError("upsilon is defined for positive integer p (terminating series)")
     p = int(p)
     series = 0.0
     for k in range(p + 1):
         coef = pochhammer(-p, k) / pochhammer(0.5, k)
-        series += coef * (-1.0) ** k / ((2.0 * sigma**2) ** k * math.factorial(k)) * moments(k)
+        series += coef * (-1.0) ** k / ((2.0 * sigma**2) ** k * math.factorial(k)) * source.moment(k)
     return 2.0 ** (2 * p - 1) * c_p / math.sqrt(math.pi) * sigma ** (2 * p) * gamma_fn(p + 0.5) * series
 
 
@@ -233,13 +258,12 @@ class TheoryBound:
         cls,
         p: int,
         sigma: float,
-        tail_fn: Callable[[float], float],
-        moments: Callable[[int], float],
+        source: Source,
         vartheta: float = 2.0,
         c_p: float = 1.0,
     ) -> TheoryBound:
-        xi, tail_integral = _xi_and_tail(p, sigma, vartheta, tail_fn)
-        upsilon = upsilon_constant(p, sigma, moments, c_p)
+        xi, tail_integral = _xi_and_tail(p, sigma, vartheta, source)
+        upsilon = upsilon_constant(p, sigma, source, c_p)
         return cls(
             p=float(p),
             sigma=float(sigma),
@@ -253,36 +277,3 @@ class TheoryBound:
     def at(self, n: int) -> float:
         return sample_bound(n, self.xi, self.upsilon)
 
-
-# Built-in tail functions P[|X| > xi] and even-moment maps M_{2k} for common sources.
-
-
-def tail_point_mass(radius: float = 0.0) -> Callable[[float], float]:
-    """Point mass at distance ``radius`` from the origin."""
-    return lambda xi: 1.0 if xi < radius else 0.0
-
-
-def tail_spherical_gaussian(d: int, omega: float = 1.0) -> Callable[[float], float]:
-    """X ~ N(0, omega^2 I_d): P[|X| > xi] is a regularized upper gamma function."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    return lambda xi: float(gammaincc(d / 2.0, xi**2 / (2.0 * omega**2)))
-
-
-def moments_point_mass(radius: float = 0.0) -> Callable[[int], float]:
-    return lambda k: 1.0 if k == 0 else radius ** (2 * k)
-
-
-def moments_spherical_gaussian(d: int, omega: float = 1.0) -> Callable[[int], float]:
-    """M_{2k} = omega^{2k} 2^k Gamma(d/2 + k) / Gamma(d/2) (chi-square moments)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-
-    def m(k: int) -> float:
-        return float(omega ** (2 * k) * 2.0**k * math.exp(gammaln(d / 2.0 + k) - gammaln(d / 2.0)))
-
-    return m

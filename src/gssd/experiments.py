@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .bounds import TheoryBound, moments_spherical_gaussian, tail_spherical_gaussian
+from .bounds import SphericalGaussian, TheoryBound
 from .divergences import DivergenceSpec
 from .estimator import GssdConfig, GssdEstimate, estimate, sweep_sigma
 from .rng import RngRoot
@@ -240,8 +240,7 @@ def _bound_rows(cfg: ExperimentConfig) -> list[ResultRow]:
         tb = TheoryBound.evaluate(
             p=cfg.order,
             sigma=sigma,
-            tail_fn=tail_spherical_gaussian(d),
-            moments=moments_spherical_gaussian(d),
+            source=SphericalGaussian(d),
             vartheta=cfg.vartheta,
             c_p=cfg.c_p,
         )

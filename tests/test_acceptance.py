@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from gssd.bounds import gaussian_abs_moment, kummer_1f1, sample_bound, upsilon_constant, xi_constant, tail_point_mass
+from gssd.bounds import PointMass, gaussian_abs_moment, kummer_1f1, sample_bound, upsilon_constant, xi_constant
 from gssd.cli import main as cli_main
 from gssd.divergences import DivergenceSpec, mmd_sq, sinkhorn_div, wasserstein_pp
 from gssd.estimator import GssdConfig, estimate, sweep_sigma, two_sigma_check
@@ -243,14 +243,14 @@ def test_criterion_8_bound_machinery():
         ok_moment &= abs(gaussian_abs_moment(q, s) - want) / want <= 1e-8
 
     ok_kummer = kummer_1f1(-1, 0.5, 1.0) == -1.0
-    ok_upsilon = abs(upsilon_constant(1, 1.0, lambda k: 1.0, 1.0) - 2.0) <= 1e-12
+    ok_upsilon = abs(upsilon_constant(1, 1.0, PointMass(1.0), 1.0) - 2.0) <= 1e-12
 
     vals = [sample_bound(n, 1.3, 0.7) for n in range(3, 500)]
     ok_bound = all(a > b for a, b in zip(vals, vals[1:]))
 
     ok_guard = False
     try:
-        xi_constant(2, 1.0, 1.2, tail_point_mass())
+        xi_constant(2, 1.0, 1.2, PointMass())
     except ValueError:
         ok_guard = True
 

@@ -2,21 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from gssd import bounds
 from gssd.bounds import (
+    PointMass,
+    SphericalGaussian,
     TheoryBound,
     gaussian_abs_moment,
     kummer_1f1,
     mc_error_bound,
-    moments_point_mass,
-    moments_spherical_gaussian,
     pochhammer,
     sample_bound,
-    tail_point_mass,
-    tail_reweighted_integral,
-    tail_spherical_gaussian,
     upsilon_constant,
     xi_constant,
 )
@@ -107,15 +107,15 @@ class TestKummer:
 class TestXiConstant:
     def test_rejects_vartheta_below_sqrt2(self):
         with pytest.raises(ValueError):
-            xi_constant(1, 1.0, 1.4, tail_point_mass())
+            xi_constant(1, 1.0, 1.4, PointMass())
         with pytest.raises(ValueError):
-            xi_constant(1, 1.0, math.sqrt(2.0), tail_point_mass())
+            xi_constant(1, 1.0, math.sqrt(2.0), PointMass())
 
     def test_point_mass_closed_form(self):
         # tail term vanishes, leaving the Gaussian reweighting term alone;
         # recompute the displayed constant independently
         p, sigma, vartheta = 1, 1.0, 2.0
-        got = xi_constant(p, sigma, vartheta, tail_point_mass())
+        got = xi_constant(p, sigma, vartheta, PointMass())
         gauss_term = math.sqrt(4 * math.pi * sigma**2 * vartheta**2 / (vartheta**2 - 2))
         want = (
             2 ** (2.5 * p - 1.25)
@@ -131,42 +131,85 @@ class TestXiConstant:
         # omega below sigma * vartheta / 2 keeps the reweighted tail integrable
         sigma, vartheta, d = 1.0, 2.0, 5
         omega = 0.4 * sigma * vartheta / 2
-        xi = xi_constant(2, sigma, vartheta, tail_spherical_gaussian(d, omega))
+        xi = xi_constant(2, sigma, vartheta, SphericalGaussian(d, omega))
         assert math.isfinite(xi) and xi > 0
 
     def test_tail_integral_matches_quadrature_oracle(self):
         sigma, vartheta, d, omega = 1.0, 2.0, 3, 0.3
-        tail = tail_spherical_gaussian(d, omega)
-        got = tail_reweighted_integral(sigma, vartheta, tail)
-        f = lambda x: math.exp(2 * x**2 / (sigma**2 * vartheta**2)) * tail(x)
+        got = SphericalGaussian(d, omega).tail_integral(2 / (sigma**2 * vartheta**2))
+        f = lambda x: math.exp(2 * x**2 / (sigma**2 * vartheta**2)) * gammaincc(d / 2, x**2 / (2 * omega**2))
         want, _ = quad(f, 0, 10, limit=300)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_heavy_tail_rejected(self):
-        # omega too large: the integrand grows without bound; sigma too small: the tail
-        # underflows to 0 near xi = 38, past the point where the integrand overflows
-        for sigma, d, omega in ((1.0, 1, 8.0), (0.5, 4, 1.0)):
+        # sigma * vartheta <= 2 omega: omega too large, sigma too small, or sigma * vartheta = 2
+        # and 1.9 for a standard normal source, on and inside the boundary
+        cases = [(1.0, 2.0, 1, 8.0), (0.5, 2.0, 4, 1.0), (1.0, 2.0, 1, 1.0), (1.0, 2.0, 4, 1.0),
+                 (1.0, 2.0, 50, 1.0), (1.0, 1.9, 1, 1.0)]
+        for sigma, vartheta, d, omega in cases:
             with pytest.raises(ValueError, match="integrability condition"):
-                xi_constant(1, sigma, 2.0, tail_spherical_gaussian(d, omega))
+                xi_constant(1, sigma, vartheta, SphericalGaussian(d, omega))
+
+    @pytest.mark.parametrize("sigma, vartheta, message", [
+        (3.0, math.nan, "vartheta"), (3.0, math.inf, "vartheta"),
+        (math.nan, 2.0, "sigma"), (math.inf, 2.0, "sigma"), (0.0, 2.0, "sigma"),
+    ])
+    def test_invalid_parameters_rejected(self, sigma, vartheta, message):
+        with pytest.raises(ValueError, match=message):
+            xi_constant(1, sigma, vartheta, SphericalGaussian(4))
+
+
+def upper_gamma_tail_integral(d, omega, a):
+    """integral_0^inf exp(a xi^2) P[|X| > xi] d xi for X ~ N(0, omega^2 I_d), with P[|X| > xi] the
+    regularized upper gamma function, split where the integrand peaks."""
+    def tail_weighted(xi):
+        q = gammaincc(d / 2, xi * xi / (2 * omega**2))
+        return math.exp(a * xi * xi + math.log(q)) if q > 0 else 0.0
+
+    peak = omega * math.sqrt(d / (1 - 2 * a * omega**2))
+    return sum(quad(tail_weighted, lo, hi, epsabs=0, epsrel=1e-12, limit=400)[0]
+               for lo, hi in ((0, peak), (peak, np.inf)))
+
+
+class TestSources:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 60), omega=st.floats(0.1, 5.0), ratio=st.floats(1.2, 10.0))
+    def test_gaussian_matches_upper_gamma_quadrature(self, d, omega, ratio):
+        # sigma * vartheta / (2 omega) = ratio at vartheta = 2
+        sigma, vartheta = ratio * omega, 2.0
+        a = 2 / (sigma**2 * vartheta**2)
+        want = upper_gamma_tail_integral(d, omega, a)
+        assert SphericalGaussian(d, omega).tail_integral(a) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("d", [1600, 3200])
+    def test_gaussian_peak_far_from_zero(self, d):
+        a = 2 / (3.0**2 * 2.0**2)  # sigma 3, vartheta 2
+        assert SphericalGaussian(d).tail_integral(a) == pytest.approx(upper_gamma_tail_integral(d, 1.0, a), rel=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(radius=st.floats(0.0, 5.0), a=st.floats(0.01, 2.0))
+    def test_point_mass_matches_quadrature(self, radius, a):
+        want, _ = quad(lambda xi: math.exp(a * xi * xi), 0, radius, epsabs=0, epsrel=1e-12)
+        assert PointMass(radius).tail_integral(a) == pytest.approx(want, rel=1e-8)
 
 
 class TestUpsilonConstant:
     def test_hand_expanded_p1(self):
-        got = upsilon_constant(1, 1.0, lambda k: 1.0, 1.0)
+        got = upsilon_constant(1, 1.0, PointMass(1.0), 1.0)
         assert got == pytest.approx(2.0, rel=1e-13)
 
     def test_series_terminates_at_p(self):
         # moments beyond k = p never enter: poisoning them must not change the value
-        moments_ok = moments_spherical_gaussian(4)
-        def moments_poisoned(k):
-            return moments_ok(k) if k <= 2 else float("nan")
-        a = upsilon_constant(2, 1.3, moments_ok)
-        b = upsilon_constant(2, 1.3, moments_poisoned)
+        class Poisoned(SphericalGaussian):
+            def moment(self, k):
+                return super().moment(k) if k <= 2 else float("nan")
+        a = upsilon_constant(2, 1.3, SphericalGaussian(4))
+        b = upsilon_constant(2, 1.3, Poisoned(4))
         assert a == b
 
     def test_gaussian_moments_match_chi_square_quadrature(self):
         d = 5
-        m = moments_spherical_gaussian(d)
+        m = SphericalGaussian(d).moment
         # chi density of |X| for X ~ N(0, I_d)
         norm = 2 ** (1 - d / 2) / math.gamma(d / 2)
         for k in (1, 2, 3):
@@ -176,10 +219,18 @@ class TestUpsilonConstant:
 
     def test_non_integer_p_rejected(self):
         with pytest.raises(ValueError):
-            upsilon_constant(1.5, 1.0, lambda k: 1.0)
+            upsilon_constant(1.5, 1.0, PointMass(1.0))
+
+    @pytest.mark.parametrize("sigma, c_p, message", [
+        (1.0, -50.0, "c_p"), (1.0, math.nan, "c_p"), (1.0, math.inf, "c_p"),
+        (math.nan, 1.0, "sigma"), (-1.0, 1.0, "sigma"),
+    ])
+    def test_invalid_parameters_rejected(self, sigma, c_p, message):
+        with pytest.raises(ValueError, match=message):
+            upsilon_constant(1, sigma, PointMass(1.0), c_p)
 
     def test_point_mass_moments(self):
-        m = moments_point_mass(2.0)
+        m = PointMass(2.0).moment
         assert m(0) == 1.0 and m(1) == 4.0 and m(2) == 16.0
 
 
@@ -237,8 +288,7 @@ class TestTheoryBound:
         tb = TheoryBound.evaluate(
             p=2,
             sigma=1.0,
-            tail_fn=tail_point_mass(),
-            moments=moments_point_mass(0.0),
+            source=PointMass(0.0),
             vartheta=2.0,
             c_p=1.0,
         )
@@ -248,19 +298,20 @@ class TestTheoryBound:
     def test_vartheta_guard_propagates(self):
         with pytest.raises(ValueError):
             TheoryBound.evaluate(
-                p=1, sigma=1.0, tail_fn=tail_point_mass(), moments=moments_point_mass(), vartheta=1.0
+                p=1, sigma=1.0, source=PointMass(), vartheta=1.0
             )
 
     def test_tail_integral_is_computed_once(self, monkeypatch):
         calls = []
+        exact = bounds.SphericalGaussian.tail_integral
 
-        def counted(*args):
-            calls.append(args)
-            return tail_reweighted_integral(*args)
+        def counted(self, a):
+            calls.append(a)
+            return exact(self, a)
 
-        monkeypatch.setattr(bounds, "tail_reweighted_integral", counted)
-        tail = tail_spherical_gaussian(3)
-        tb = TheoryBound.evaluate(p=2, sigma=1.5, tail_fn=tail, moments=moments_spherical_gaussian(3), vartheta=2.5)
+        monkeypatch.setattr(bounds.SphericalGaussian, "tail_integral", counted)
+        source = SphericalGaussian(3)
+        tb = TheoryBound.evaluate(p=2, sigma=1.5, source=source, vartheta=2.5)
         assert len(calls) == 1
-        assert tb.tail_integral == tail_reweighted_integral(1.5, 2.5, tail)
-        assert tb.xi == xi_constant(2, 1.5, 2.5, tail)
+        assert tb.tail_integral == exact(source, 2 / (1.5**2 * 2.5**2))
+        assert tb.xi == xi_constant(2, 1.5, 2.5, source)

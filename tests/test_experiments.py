@@ -125,7 +125,7 @@ class TestSampleComplexity:
         assert [r.std_error for r in a] == [r.std_error for r in b]
 
     def test_emit_bound_appends_rows(self):
-        cfg = small_cfg("sample-complexity", emit_bound=True)
+        cfg = small_cfg("sample-complexity", emit_bound=True, sigmas=(1.5,))
         rows = run_experiment(cfg)
         bound_rows = [r for r in rows if r.divergence == "theory-bound"]
         assert len(bound_rows) == 1
@@ -244,17 +244,11 @@ class TestTheoryContainment:
         # smallest n and must stay above at larger n
         import math
 
-        from gssd.bounds import (
-            moments_spherical_gaussian,
-            sample_bound,
-            tail_spherical_gaussian,
-            upsilon_constant,
-            xi_constant,
-        )
+        from gssd.bounds import SphericalGaussian, sample_bound, upsilon_constant, xi_constant
 
         d, sigma, p = 10, 3.0, 2
-        xi = xi_constant(p, sigma, 2.0, tail_spherical_gaussian(d, 1.0))
-        upsilon_unit = upsilon_constant(p, sigma, moments_spherical_gaussian(d), 1.0)
+        xi = xi_constant(p, sigma, 2.0, SphericalGaussian(d, 1.0))
+        upsilon_unit = upsilon_constant(p, sigma, SphericalGaussian(d), 1.0)
         ns = (200, 800, 3200)
         measured = {}
         for n in ns:
@@ -286,8 +280,10 @@ class TestGrid:
     ])
     def test_each_axis_entry_yields_the_rows_of_its_own_run(self, command, axis, values):
         # each row must be the row of the run whose grid holds only its own point
-        kw = dict(dimensions=(4,), sample_sizes=(24,), sigmas=(1.0,), num_runs=1, num_projections=8,
-                  l_grid=(2, 8), s_grid=(1.0, 2.0), emit_bound=command == "sample-complexity")
+        # the envelope of a standard normal source needs sigma > 1 at vartheta = 2
+        bound = command == "sample-complexity"
+        kw = dict(dimensions=(4,), sample_sizes=(24,), sigmas=(1.5,) if bound else (1.0,), num_runs=1,
+                  num_projections=8, l_grid=(2, 8), s_grid=(1.0, 2.0), emit_bound=bound)
         rows = lambda vals: {replace(r, wall_ms=0.0) for r in run_experiment(small_cfg(command, **{**kw, axis: vals}))}
         assert rows(values) == rows(values[:1]) | rows(values[1:])
 
@@ -408,7 +404,7 @@ class TestCsvOutput:
                         num_projections=8, l_grid=(2, 8), num_runs=1, sample_sizes=(20,))
         rows = run_experiment(cfg)
         assert [r.unconverged for r in rows] == [8, 8]
-        bound = [r for r in run_experiment(small_cfg("sample-complexity", emit_bound=True, num_runs=1))
+        bound = [r for r in run_experiment(small_cfg("sample-complexity", emit_bound=True, num_runs=1, sigmas=(1.5,)))
                  if r.divergence == "theory-bound"]
         assert bound and all(r.unconverged == 0 and r.wall_ms == 0.0 for r in bound)
 
@@ -479,10 +475,26 @@ class TestCli:
 
     def test_emit_bound_rejects_non_integer_order(self, tmp_path):
         # the envelope is defined for integer p only; 2.5 must not give the p = 2 envelope
-        args = ["sample-complexity", "--dim", "4", "--sizes", "30", "--sigmas", "1", "--runs", "1",
+        args = ["sample-complexity", "--dim", "4", "--sizes", "30", "--sigmas", "1.5", "--runs", "1",
                 "--projections", "4", "--emit-bound", "--out", str(tmp_path / "sc.csv")]
         assert cli_main(args + ["--p", "2"]) == 0
         assert cli_main(args + ["--p", "2.5"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--c-p", "-50"], "c_p must be"),
+        (["--c-p", "nan"], "c_p must be"),
+        (["--vartheta", "inf"], "vartheta must be"),
+        (["--vartheta", "nan"], "vartheta must be"),
+        (["--sigmas", "1"], "integrability condition"),  # sigma * vartheta = 2 omega: the tail integral diverges
+        (["--dim", "200", "--sigmas", "1.0001"], "range"),  # a finite tail integral beyond the double range
+    ])
+    def test_emit_bound_rejects_invalid_envelope_parameters(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sc.csv"
+        args = ["sample-complexity", "--dim", "4", "--sizes", "20", "--sigmas", "3", "--runs", "1",
+                "--projections", "4", "--emit-bound", "--out", str(out)]
+        assert cli_main(args + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_flag_reproduces_values(self, tmp_path):
         args = [
