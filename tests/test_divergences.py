@@ -1,11 +1,16 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gssd.divergences import (
     DivergenceSpec,
+    _entropic_ot,
     bandwidth_mean_pairwise,
     mmd_sq,
     power_value,
@@ -57,6 +62,42 @@ def sinkhorn_dense_oracle(x, y, p, eps, iters=100_000):
     with np.errstate(divide="ignore", invalid="ignore"):
         logratio = np.where(P > 0, np.log(np.where(P > 0, P, 1.0) / (a[:, None] * b[None, :])), 0.0)
     return float((P * C).sum() + eps * (P * logratio).sum())
+
+
+def sinkhorn_reference_loop(x, y, p, eps, max_iter):
+    """The log-domain loop written with a temporary per operation, run to max_iter (no stopping rule).
+
+    Returns the value <f,a> + <g,b>, the update count, the L-infinity marginal
+    violation of the plan built from the final potentials, and the number of
+    coarse ladder levels (20 updates each) before the target epsilon.
+    """
+    n, m = x.size, y.size
+    loga = np.full(n, -np.log(n))
+    logb = np.full(m, -np.log(m))
+    a, b = np.exp(loga), np.exp(logb)
+    C = np.abs(x[:, None] - y[None, :]) ** p
+
+    def lse_rows(A):
+        top = A.max(axis=1)
+        return top + np.log(np.exp(A - top[:, None]).sum(axis=1))
+
+    ladder = []
+    e = max(eps, float(C.max()) / 50.0)
+    while e > eps * 1.0001:
+        ladder.append(e)
+        e *= 0.5
+    ladder.append(eps)
+    f, g = np.zeros(n), np.zeros(m)
+    it = 0
+    for level, e in enumerate(ladder):
+        budget = max_iter - it if level == len(ladder) - 1 else min(20, max_iter - it)
+        for _ in range(budget):
+            f = -e * lse_rows((g[None, :] - C) / e + logb[None, :])
+            g = -e * lse_rows(((f[:, None] - C) / e + loga[:, None]).T)
+            it += 1
+    P = np.exp((f[:, None] + g[None, :] - C) / eps + loga[:, None] + logb[None, :])
+    err = max(float(np.abs(P.sum(axis=1) - a).max()), float(np.abs(P.sum(axis=0) - b).max()))
+    return float(f @ a + g @ b), it, err, len(ladder) - 1
 
 
 # ---------------------------------------------------------------- wasserstein
@@ -224,6 +265,11 @@ def _spec(p=2.0, eps=0.1, tol=1e-9, max_iter=1000):
     return DivergenceSpec("sinkhorn", p=p, epsilon=eps, sinkhorn_tol=tol, sinkhorn_max_iter=max_iter)
 
 
+_QUARTERS = st.integers(-4, 4).map(lambda k: k / 4)  # a coarse grid, so samples tie
+_RNG13 = np.random.default_rng(13)
+_SEEDED_FOUR_POINT = [(_RNG13.normal(size=4), _RNG13.normal(size=4) + 0.5) for _ in range(3)]
+
+
 class TestSinkhornDiv:
     def test_self_divergence_vanishes(self):
         rng = np.random.default_rng(12)
@@ -236,19 +282,66 @@ class TestSinkhornDiv:
         res = sinkhorn_div([0.0], [1.0], _spec(eps=eps))
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
-    def test_four_point_instances_match_dense_oracle(self):
-        rng = np.random.default_rng(13)
-        for trial in range(3):
-            x = rng.normal(size=4)
-            y = rng.normal(size=4) + 0.5
-            spec = _spec(eps=0.5, tol=1e-12, max_iter=20_000)
-            got = sinkhorn_div(x, y, spec)
-            want = (
-                sinkhorn_dense_oracle(x, y, 2, 0.5)
-                - 0.5 * sinkhorn_dense_oracle(x, x, 2, 0.5)
-                - 0.5 * sinkhorn_dense_oracle(y, y, 2, 0.5)
-            )
-            assert got.value == pytest.approx(want, abs=1e-6)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.lists(_QUARTERS, min_size=1, max_size=8),
+        y=st.lists(_QUARTERS, min_size=1, max_size=8),
+        eps=st.floats(0.3, 1.0),
+        p=st.sampled_from([1, 2]),
+    )
+    @example(x=_SEEDED_FOUR_POINT[0][0], y=_SEEDED_FOUR_POINT[0][1], eps=0.5, p=2)
+    @example(x=_SEEDED_FOUR_POINT[1][0], y=_SEEDED_FOUR_POINT[1][1], eps=0.5, p=2)
+    @example(x=_SEEDED_FOUR_POINT[2][0], y=_SEEDED_FOUR_POINT[2][1], eps=0.5, p=2)
+    def test_small_instances_match_dense_oracle(self, x, y, eps, p):
+        # on [-1, 1] with eps >= 0.3, C_max / eps <= 13.4, so 5000 scaling iterations contract the
+        # oracle's error by tanh(C_max / (4 eps))^10000 < 1e-10; the seeded instances reach 1e-9
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        got = sinkhorn_div(x, y, _spec(p=p, eps=eps, tol=1e-12, max_iter=20_000))
+        want = (
+            sinkhorn_dense_oracle(x, y, p, eps, iters=5000)
+            - 0.5 * sinkhorn_dense_oracle(x, x, p, eps, iters=5000)
+            - 0.5 * sinkhorn_dense_oracle(y, y, p, eps, iters=5000)
+        )
+        assert got.value == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n, m, eps", [(9, 14, 0.5), (31, 17, 0.05), (20, 20, 0.05)])
+    def test_solve_matches_reference_loop_bit_for_bit(self, n, m, eps, p):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=n)
+        y = rng.normal(size=m) + 0.5
+        coarse = sinkhorn_reference_loop(x, y, p, eps, 1)[3]
+        # a few updates past the coarse levels: the violation is far above its rounding
+        for max_iter in (20 * coarse + 1, 20 * coarse + 2, 20 * coarse + 5):
+            want_value, want_it, want_err, _ = sinkhorn_reference_loop(x, y, p, eps, max_iter)
+            value, converged, it, err = _entropic_ot(x, y, p, eps, 0.0, max_iter)
+            assert (value, it, converged) == (want_value, want_it, False)
+            assert err == pytest.approx(want_err, rel=1e-12)
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 20, 25])
+    def test_ladder_cut_short_reports_infinite_error(self, max_iter):
+        rng = np.random.default_rng(3)
+        x = 2 * rng.normal(size=40)
+        y = 2 * rng.normal(size=30) + 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, converged, it, err = _entropic_ot(x, y, 2.0, 0.1, 1e-9, max_iter)
+        assert (converged, it, err) == (False, max_iter, math.inf)
+        assert math.isfinite(value)
+
+    def test_solve_holds_two_n_by_m_arrays(self):
+        # the cost matrix and one work buffer; eps above C_max / 50 puts every update at the target
+        n = 1000
+        rng = np.random.default_rng(17)
+        x, y = rng.uniform(size=n), rng.uniform(size=n)
+        tracemalloc.start()
+        try:
+            _, _, it, _ = _entropic_ot(x, y, 2.0, 0.1, 0.0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert it == 3
+        assert peak <= 2.5 * n * n * 8
 
     def test_epsilon_decrease_approaches_quantile_value(self):
         # translated sets: the quadratic-cost value is shift^2 for every
