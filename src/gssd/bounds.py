@@ -151,24 +151,44 @@ class SphericalGaussian:
         return float(self.omega ** (2 * k) * 2.0**k * math.exp(gammaln(self.d / 2.0 + k) - gammaln(self.d / 2.0)))
 
     def tail_integral(self, a: float) -> float:
-        """T = E[F_a(omega R)] for R ~ chi_d, a quadrature over the chi density in log space."""
+        """T = E[F_a(omega R)] for R ~ chi_d, a quadrature over the chi density in log space.
+
+        The log density is centred at its peak, so its rounding does not grow
+        with d log d; what is left grows with d |log c|, from c^-d below.
+        """
         if not a * self.omega**2 < 0.5:
             raise ValueError(_NOT_INTEGRABLE)
         # u = c R turns exp(a omega^2 R^2) of F_a times exp(-R^2 / 2) of the density into exp(-u^2 / 2),
         # which keeps the peak near u = sqrt(d - 1) however close a omega^2 is to 1/2
-        c = math.sqrt(1.0 - 2.0 * a * self.omega**2)
-        log_norm = (self.d / 2.0 - 1.0) * math.log(2.0) + gammaln(self.d / 2.0) + self.d * math.log(c)
-        root_a = math.sqrt(a)
+        d = self.d
+        x = 2.0 * a * self.omega**2
+        c = math.sqrt(1.0 - x)
+        root_a, root_d = math.sqrt(a), math.sqrt(d)
+        # log of the chi_d density at u = sqrt(d) t, centred at its peak: with the Stirling form of
+        # gammaln(d/2) the terms of size d log d cancel in closed form and leave -log(pi)/2 - S(d/2);
+        # c^-d is the Jacobian of u = c R
+        log_scale = -0.5 * math.log(math.pi) - _stirling_remainder(0.5 * d) - 0.5 * d * math.log1p(-x)
 
         def integrand(u: float) -> float:
-            density = math.exp(-0.5 * u * u + (self.d - 1) * math.log(u) - log_norm)
+            t = u / root_d
+            density = math.exp((d - 1) * math.log(t) - 0.5 * d * (t - 1.0) * (t + 1.0) + log_scale)
             return density * dawsn(root_a * self.omega * u / c) / root_a
 
         # split at the peak: over [0, inf) in one piece quad misses a peak far from 0 (T = 2e-22 at d = 1600);
         # a T beyond the double range makes math.exp in the density factor raise OverflowError
-        peak = math.sqrt(self.d)
-        pieces = ((0.0, peak), (peak, math.inf))
+        pieces = ((0.0, root_d), (root_d, math.inf))
         return sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in pieces)
+
+
+# B_2j / (2j (2j - 1)) for j = 1..7; from k = 10 on the first omitted term is below 3e-17
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirling_remainder(k: float) -> float:
+    """S(k) = gammaln(k) - ((k - 1/2) log k - k + log(2 pi) / 2), by its asymptotic series from k = 10 on."""
+    if k < 10.0:
+        return float(gammaln(k)) - ((k - 0.5) * math.log(k) - k + 0.5 * math.log(2.0 * math.pi))
+    return sum(b / k ** (2 * j + 1) for j, b in enumerate(_STIRLING))
 
 
 Source = PointMass | SphericalGaussian

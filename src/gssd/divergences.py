@@ -7,7 +7,9 @@ Three families are provided:
   breakpoints otherwise).
 * ``mmd_sq`` -- the squared maximum mean discrepancy as the biased V-statistic
   of a Gaussian kernel, (1/n^2) sum k(x_i, x_j) - (2/nm) sum k(x_i, y_j)
-  + (1/m^2) sum k(y_i, y_j).
+  + (1/m^2) sum k(y_i, y_j), by an O((n + m) M) Gauss-Hermite quadrature
+  checked against twice the nodes, or else by the exact O((n + m)^2) kernel
+  sum in fixed-size blocks.
 * ``sinkhorn_div`` -- the debiased entropic divergence
   S_eps = OT_eps(x, y) - OT_eps(x, x)/2 - OT_eps(y, y)/2 for cost |s - t|^p,
   where OT_eps is the entropic optimal transport value (transport cost plus
@@ -21,11 +23,13 @@ against the double-sampling estimator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, roots_hermitenorm
 
 __all__ = [
     "DivergenceSpec",
@@ -41,6 +45,10 @@ __all__ = [
 KINDS = ("wasserstein", "mmd", "sinkhorn")
 
 _MMD_BLOCK = 2048
+_QUAD_MIN_NODES = 64  # below 64 nodes, M >= (range / h)^2 does not yet resolve cos(Z range / h) to 1e-13
+_QUAD_BLOCK = 1 << 16  # floats in each work buffer of the quadrature route
+_QUAD_RTOL = 1e-13
+_QUAD_ATOL = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -125,13 +133,72 @@ def _kernel_sum(a: np.ndarray, b: np.ndarray, bandwidth: float) -> float:
     return total
 
 
+@lru_cache(maxsize=None)
+def _half_rule(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive nodes of the M-point Gauss-Hermite rule for E f(Z), Z ~ N(0, 1), with their weights doubled.
+
+    For M even the rule is symmetric with no node at 0, so E f(Z) = sum_j w_j f(z_j) for even f.
+    """
+    z, w = roots_hermitenorm(M)
+    pos = z > 0
+    z, w = z[pos], w[pos] * (2.0 / math.sqrt(2.0 * math.pi))
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
+def _quadrature_pair(v: np.ndarray, s: np.ndarray, bandwidth: float, M: int) -> tuple[float, float]:
+    """E_Z |sum_i s_i exp(i Z v_i / bandwidth)|^2 by the M- and the 2M-point rule.
+
+    The integrand at each node is one cos, one sin and two matrix-vector
+    products over the pooled values, a block of nodes at a time in two
+    reused work buffers of at most _QUAD_BLOCK floats each.
+    """
+    (z1, w1), (z2, w2) = _half_rule(M), _half_rule(2 * M)
+    freq = np.concatenate([z1, z2]) / bandwidth
+    power = np.empty(freq.size)
+    rows = min(freq.size, max(1, _QUAD_BLOCK // v.size))
+    arg = np.empty((rows, v.size))
+    trig = np.empty((rows, v.size))
+    for i in range(0, freq.size, rows):
+        k = min(rows, freq.size - i)
+        a, t = arg[:k], trig[:k]
+        np.multiply(freq[i : i + k, None], v, out=a)
+        re = np.cos(a, out=t) @ s
+        im = np.sin(a, out=a) @ s
+        power[i : i + k] = re * re + im * im
+    return float(power[: z1.size] @ w1), float(power[z1.size :] @ w2)
+
+
 def mmd_sq(x, y, bandwidth: float) -> float:
-    """Squared MMD with Gaussian kernel, biased V-statistic (>= 0 up to rounding)."""
+    """Squared MMD with Gaussian kernel, biased V-statistic (>= 0 up to rounding).
+
+    By k_h(s - t) = E cos(Z (s - t) / h), Z ~ N(0, 1), the V-statistic is
+    E |phi_x(Z/h) - phi_y(Z/h)|^2 over the empirical characteristic functions.
+    A Gauss-Hermite rule with M nodes, the smallest power of two >= (range/h)^2
+    and at least _QUAD_MIN_NODES, sums it; the 2M-node value is returned when it
+    agrees with the M-node value to _QUAD_RTOL relative, plus _QUAD_ATOL (the
+    exact sum's own rounding).  Otherwise, and straight away when the two rules
+    would evaluate more terms than the exact sum has kernel pairs, the exact
+    blocked kernel sum runs.
+    """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     xs = _as_samples(x, "x")
     ys = _as_samples(y, "y")
     n, m = xs.size, ys.size
+    v = np.concatenate([xs, ys])
+    lo, hi = float(v.min()), float(v.max())
+    ratio = (hi - lo) / bandwidth
+    budget = (n * n + n * m + m * m) / (1.5 * v.size)  # the two rules evaluate 1.5 M nodes at every point
+    M = _QUAD_MIN_NODES
+    while M < ratio * ratio and M <= budget:
+        M *= 2
+    if M <= budget:
+        v -= 0.5 * (lo + hi)  # the kernel is shift-invariant; centring keeps the phases Z v / h small
+        s = np.concatenate([np.full(n, 1.0 / n), np.full(m, -1.0 / m)])
+        coarse, fine = _quadrature_pair(v, s, bandwidth, M)
+        if abs(fine - coarse) <= _QUAD_RTOL * fine + _QUAD_ATOL:
+            return fine
     return (
         _kernel_sum(xs, xs, bandwidth) / (n * n)
         - 2.0 * _kernel_sum(xs, ys, bandwidth) / (n * m)

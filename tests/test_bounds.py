@@ -186,6 +186,19 @@ class TestSources:
         a = 2 / (3.0**2 * 2.0**2)  # sigma 3, vartheta 2
         assert SphericalGaussian(d).tail_integral(a) == pytest.approx(upper_gamma_tail_integral(d, 1.0, a), rel=1e-8)
 
+    @pytest.mark.parametrize("d", [1600, 6400])
+    def test_gaussian_matches_hypergeometric_closed_form_at_large_d(self, d):
+        # E[F_a(omega R)] = omega sqrt(2) Gamma((d + 1)/2) / Gamma(d/2) 2F1(1/2, (d + 1)/2; 3/2; 2 a omega^2)
+        # (erfi as a 1F1 series, then the odd moments of chi_d), evaluated at 40 digits
+        import mpmath
+
+        mpmath.mp.dps = 40
+        a = 2 / (3.0**2 * 2.0**2)  # sigma 3, vartheta 2
+        half = mpmath.mpf(d + 1) / 2
+        want = mpmath.sqrt(2) * mpmath.exp(mpmath.loggamma(half) - mpmath.loggamma(mpmath.mpf(d) / 2))
+        want *= mpmath.hyp2f1(0.5, half, 1.5, 2 * mpmath.mpf(a))
+        assert SphericalGaussian(d).tail_integral(a) == pytest.approx(float(want), rel=1e-14)
+
     @settings(max_examples=60, deadline=None)
     @given(radius=st.floats(0.0, 5.0), a=st.floats(0.01, 2.0))
     def test_point_mass_matches_quadrature(self, radius, a):

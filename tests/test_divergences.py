@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gssd import divergences
 from gssd.divergences import (
     DivergenceSpec,
     _entropic_ot,
@@ -42,6 +44,40 @@ def wasserstein_quantile_grid(x, y, p, grid=2_000_000):
     qx = xs[np.minimum((t * len(xs)).astype(int), len(xs) - 1)]
     qy = ys[np.minimum((t * len(ys)).astype(int), len(ys) - 1)]
     return float(np.mean(np.abs(qx - qy) ** p))
+
+
+def mmd_dense_oracle(x, y, bw, rows=256):
+    """The V-statistic written out: every kernel pair, summed a block of rows at a time."""
+
+    def total(a, b):
+        return sum(
+            float(np.exp(-0.5 * ((a[i : i + rows, None] - b[None, :]) / bw) ** 2).sum()) for i in range(0, a.size, rows)
+        )
+
+    n, m = x.size, y.size
+    return total(x, x) / n**2 - 2 * total(x, y) / (n * m) + total(y, y) / m**2
+
+
+def mmd_exact_route(x, y, bw):
+    """The exact route of mmd_sq: three blocked kernel sums, combined in this order."""
+    ks = divergences._kernel_sum
+    n, m = x.size, y.size
+    return ks(x, x, bw) / (n * n) - 2.0 * ks(x, y, bw) / (n * m) + ks(y, y, bw) / (m * m)
+
+
+@contextlib.contextmanager
+def counting(name):
+    """Record the arguments of every call to divergences.<name> inside the block."""
+    calls = []
+    inner = getattr(divergences, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divergences, name, wrapper)
+        yield calls
 
 
 def sinkhorn_dense_oracle(x, y, p, eps, iters=100_000):
@@ -229,6 +265,107 @@ class TestMmdSq:
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             mmd_sq([0.0], [1.0], 0.0)
+
+
+def sweep_slice(sigma):
+    """A smoothed slice pair of the noise sweep's size, n = 2000 and m = 1600."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=2000) + sigma * rng.normal(size=2000)
+    y = rng.normal(size=1600) + 0.3 + sigma * rng.normal(size=1600)
+    return x, y
+
+
+# rounding of sums whose terms are at most 1: the scale of the exact route's own error
+KERNEL_SUM_ATOL = 64 * 2.0**-52
+
+
+class TestMmdRoutes:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 40), st.integers(200, 3000)),
+        m=st.one_of(st.integers(1, 40), st.integers(200, 3000)),
+        kind=st.sampled_from(["normal", "ties", "near-identical"]),
+        log_h=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2000, m=1600, kind="normal", log_h=-0.8, seed=0)
+    @example(n=2500, m=2500, kind="near-identical", log_h=0.0, seed=1)
+    @example(n=300, m=3000, kind="ties", log_h=-3.0, seed=2)
+    def test_matches_exact_sum_and_dense_formula(self, n, m, kind, log_h, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            x, y = rng.normal(size=n), rng.normal(size=m) + rng.normal(scale=0.5)
+        elif kind == "ties":
+            x, y = rng.integers(-3, 4, n) * 0.5, rng.integers(-2, 5, m) * 0.5
+        else:  # the same points up to 1e-9, in another order
+            x = rng.normal(size=n)
+            y = rng.permutation(x) + 1e-9 * rng.normal(size=n)
+        spread = float(np.ptp(np.concatenate([x, y])))
+        bw = (spread if spread > 0 else 1.0) * 10.0**log_h
+        want, exact = mmd_dense_oracle(x, y, bw), mmd_exact_route(x, y, bw)
+        with counting("_kernel_sum") as calls:
+            got = mmd_sq(x, y, bw)
+        for ref in (want, exact):
+            assert abs(got - ref) <= 1e-12 * abs(ref) + KERNEL_SUM_ATOL
+        if calls:
+            assert got == exact
+        else:
+            assert got >= 0.0
+
+    @pytest.mark.parametrize("sigma", [0.0, 15.0])
+    def test_default_bandwidth_slice_never_runs_the_kernel_sum(self, sigma):
+        x, y = sweep_slice(sigma)
+        bw = bandwidth_mean_pairwise(x, y)
+        with counting("_kernel_sum") as calls:
+            got = mmd_sq(x, y, bw)
+        assert calls == []
+        assert got > 0.0 and got == pytest.approx(mmd_exact_route(x, y, bw), rel=1e-12)
+
+    def test_narrow_bandwidth_runs_the_exact_sum_before_any_quadrature(self):
+        # at h = 0.1 the two rules would need M = 2^14 nodes: more terms than the exact sum's pairs
+        x, y = sweep_slice(1.0)
+        with counting("_kernel_sum") as calls, counting("_half_rule") as rules:
+            got = mmd_sq(x, y, 0.1)
+        assert len(calls) == 3 and rules == []
+        assert got == mmd_exact_route(x, y, 0.1)
+
+    @pytest.mark.parametrize("rel_gap, exact", [(1e-14, False), (1e-12, True)])
+    def test_rules_that_disagree_fall_back_to_the_exact_sum(self, monkeypatch, rel_gap, exact):
+        x, y = sweep_slice(0.0)
+        bw = bandwidth_mean_pairwise(x, y)
+        monkeypatch.setattr(divergences, "_quadrature_pair", lambda *args: (0.01, 0.01 * (1.0 + rel_gap)))
+        got = mmd_sq(x, y, bw)
+        assert got == (mmd_exact_route(x, y, bw) if exact else 0.01 * (1.0 + rel_gap))
+
+    def test_quadrature_route_allocates_a_few_mib(self):
+        # one block of the exact route is 2048 x 2048 floats, 32 MiB, and it holds three at once
+        x, y = sweep_slice(1.0)
+        bw = bandwidth_mean_pairwise(x, y)
+        divergences._half_rule.cache_clear()
+        tracemalloc.start()
+        try:
+            mmd_sq(x, y, bw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    def test_noise_mean_of_double_sampling_is_the_closed_form(self):
+        # Gaussian noise of scale s turns k_h(a - b) into c k_H(a - b), H = sqrt(h^2 + 2 s^2), c = h / H,
+        # for independent draws; the diagonal terms of the V-statistic stay 1, hence (1 - c)(1/n + 1/m)
+        rng = np.random.default_rng(0)
+        v, w = rng.normal(size=40), rng.normal(size=30) + 0.7
+        h, s = 0.8, 1.3
+        H = math.sqrt(h * h + 2 * s * s)
+        c = h / H
+        want = c * mmd_sq(v, w, H) + (1 - c) * (1 / 40 + 1 / 30)
+        assert want == pytest.approx(0.09831, abs=5e-6)
+        noise = np.random.default_rng(1)
+        draws = np.array(
+            [mmd_sq(v + s * noise.normal(size=40), w + s * noise.normal(size=30), h) for _ in range(20_000)]
+        )
+        std_error = draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(draws.mean() - want) <= 4 * std_error
 
 
 class TestBandwidthHeuristic:
