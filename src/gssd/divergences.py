@@ -7,9 +7,10 @@ Three families are provided:
   breakpoints otherwise).
 * ``mmd_sq`` -- the squared maximum mean discrepancy as the biased V-statistic
   of a Gaussian kernel, (1/n^2) sum k(x_i, x_j) - (2/nm) sum k(x_i, y_j)
-  + (1/m^2) sum k(y_i, y_j), by an O((n + m) M) Gauss-Hermite quadrature
-  checked against twice the nodes, or else by the exact O((n + m)^2) kernel
-  sum in fixed-size blocks.
+  + (1/m^2) sum k(y_i, y_j), by an O((n + m) (range/h)) trapezoid rule in
+  the kernel's Gaussian frequency, checked against the same rule on every
+  other node, or else by the exact O((n + m)^2) kernel sum in fixed-size
+  blocks.
 * ``sinkhorn_div`` -- the debiased entropic divergence
   S_eps = OT_eps(x, y) - OT_eps(x, x)/2 - OT_eps(y, y)/2 for cost |s - t|^p,
   where OT_eps is the entropic optimal transport value (transport cost plus
@@ -25,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_hermitenorm
+from scipy.special import ndtr, ndtri
 
 __all__ = [
     "DivergenceSpec",
@@ -45,7 +45,13 @@ __all__ = [
 KINDS = ("wasserstein", "mmd", "sinkhorn")
 
 _MMD_BLOCK = 2048
-_QUAD_MIN_NODES = 64  # below 64 nodes, M >= (range / h)^2 does not yet resolve cos(Z range / h) to 1e-13
+# The trapezoid rule with step tau errs on E cos(w Z) = exp(-w^2 / 2) by about exp(-(2 pi / tau - |w|)^2 / 2)
+# (Poisson summation).  The MMD integrand's frequencies are |w| <= range / h and sum |s_i| = 2, so with
+# tau = pi / (range / h + _QUAD_MARGIN) the step-2 tau rule errs by at most 4 exp(-_QUAD_MARGIN^2 / 2) =
+# 1.4e-16 < 2^-52, and the step-tau rule (margin range / h + 2 _QUAD_MARGIN) by far less.  Nodes stop at
+# |z| <= _QUAD_CUT, which drops Gaussian mass 2e-19.
+_QUAD_MARGIN = 8.7
+_QUAD_CUT = 9.0
 _QUAD_BLOCK = 1 << 16  # floats in each work buffer of the quadrature route
 _QUAD_RTOL = 1e-13
 _QUAD_ATOL = 2.0**-52
@@ -69,12 +75,14 @@ class DivergenceSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown divergence kind {self.kind!r}; expected one of {KINDS}")
-        if self.p < 1:
-            raise ValueError("order p must be >= 1")
-        if self.kind == "sinkhorn" and self.epsilon <= 0:
-            raise ValueError("sinkhorn epsilon must be positive")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("fixed bandwidth must be positive")
+        if not 1 <= self.p < math.inf:
+            raise ValueError("order p must be finite and >= 1")
+        if self.kind == "sinkhorn" and not 0 < self.epsilon < math.inf:
+            raise ValueError("sinkhorn epsilon must be finite and positive")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise ValueError("fixed bandwidth must be finite and positive")
+        if not 0 <= self.sinkhorn_tol < math.inf:
+            raise ValueError("sinkhorn_tol must be finite and >= 0 (0 runs to the iteration cap)")
         if self.sinkhorn_max_iter < 1:
             raise ValueError("sinkhorn_max_iter must be >= 1")
 
@@ -83,6 +91,8 @@ def _as_samples(x, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
     return arr
 
 
@@ -93,8 +103,8 @@ def wasserstein_pp(x, y, p: float) -> float:
     sizes integrate |F_x^{-1}(t) - F_y^{-1}(t)|^p exactly over the merged
     quantile breakpoints (both quantile functions are piecewise constant).
     """
-    if p < 1:
-        raise ValueError("order p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError("order p must be finite and >= 1")
     return float(wasserstein_pp_rows(_as_samples(x, "x")[None], _as_samples(y, "y")[None], p)[0])
 
 
@@ -123,50 +133,39 @@ def wasserstein_pp_rows(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
 
 def _kernel_sum(a: np.ndarray, b: np.ndarray, bandwidth: float) -> float:
     """Sum of exp(-(s-t)^2 / (2 bw^2)) over all pairs, in fixed-size blocks."""
-    inv = 1.0 / bandwidth
     total = 0.0
-    for i in range(0, a.size, _MMD_BLOCK):
-        ai = a[i : i + _MMD_BLOCK, None]
-        for j in range(0, b.size, _MMD_BLOCK):
-            z = (ai - b[None, j : j + _MMD_BLOCK]) * inv
-            total += float(np.exp(-0.5 * z * z).sum())
+    with np.errstate(over="ignore"):  # a pair far apart on the scale of bw overflows to z = inf, kernel value 0
+        for i in range(0, a.size, _MMD_BLOCK):
+            ai = a[i : i + _MMD_BLOCK, None]
+            for j in range(0, b.size, _MMD_BLOCK):
+                z = (ai - b[None, j : j + _MMD_BLOCK]) / bandwidth
+                total += float(np.exp(-0.5 * z * z).sum())
     return total
 
 
-@lru_cache(maxsize=None)
-def _half_rule(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positive nodes of the M-point Gauss-Hermite rule for E f(Z), Z ~ N(0, 1), with their weights doubled.
+def _quadrature_pair(u: np.ndarray, s: np.ndarray, tau: float, K: int) -> tuple[float, float]:
+    """E_Z |sum_i s_i exp(i Z u_i)|^2 by the trapezoid rule on z_k = k tau, k = 0..K (K even),
+    and by the same rule on the even k alone, with step 2 tau: (coarse, fine).
 
-    For M even the rule is symmetric with no node at 0, so E f(Z) = sum_j w_j f(z_j) for even f.
+    The integrand is even, so the weights tau phi(z_k) are doubled for k >= 1.  At each node it is one
+    cos, one sin and two matrix-vector products over the pooled values, a block of nodes at a time in
+    two reused work buffers of at most _QUAD_BLOCK floats each.
     """
-    z, w = roots_hermitenorm(M)
-    pos = z > 0
-    z, w = z[pos], w[pos] * (2.0 / math.sqrt(2.0 * math.pi))
-    z.flags.writeable = w.flags.writeable = False
-    return z, w
-
-
-def _quadrature_pair(v: np.ndarray, s: np.ndarray, bandwidth: float, M: int) -> tuple[float, float]:
-    """E_Z |sum_i s_i exp(i Z v_i / bandwidth)|^2 by the M- and the 2M-point rule.
-
-    The integrand at each node is one cos, one sin and two matrix-vector
-    products over the pooled values, a block of nodes at a time in two
-    reused work buffers of at most _QUAD_BLOCK floats each.
-    """
-    (z1, w1), (z2, w2) = _half_rule(M), _half_rule(2 * M)
-    freq = np.concatenate([z1, z2]) / bandwidth
-    power = np.empty(freq.size)
-    rows = min(freq.size, max(1, _QUAD_BLOCK // v.size))
-    arg = np.empty((rows, v.size))
-    trig = np.empty((rows, v.size))
-    for i in range(0, freq.size, rows):
-        k = min(rows, freq.size - i)
+    z = tau * np.arange(K + 1)
+    w = tau / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * z * z)
+    w[1:] *= 2.0
+    power = np.empty(z.size)
+    rows = min(z.size, max(1, _QUAD_BLOCK // u.size))
+    arg = np.empty((rows, u.size))
+    trig = np.empty((rows, u.size))
+    for i in range(0, z.size, rows):
+        k = min(rows, z.size - i)
         a, t = arg[:k], trig[:k]
-        np.multiply(freq[i : i + k, None], v, out=a)
+        np.multiply(z[i : i + k, None], u, out=a)
         re = np.cos(a, out=t) @ s
         im = np.sin(a, out=a) @ s
         power[i : i + k] = re * re + im * im
-    return float(power[: z1.size] @ w1), float(power[z1.size :] @ w2)
+    return 2.0 * float(power[::2] @ w[::2]), float(power @ w)
 
 
 def mmd_sq(x, y, bandwidth: float) -> float:
@@ -174,29 +173,26 @@ def mmd_sq(x, y, bandwidth: float) -> float:
 
     By k_h(s - t) = E cos(Z (s - t) / h), Z ~ N(0, 1), the V-statistic is
     E |phi_x(Z/h) - phi_y(Z/h)|^2 over the empirical characteristic functions.
-    A Gauss-Hermite rule with M nodes, the smallest power of two >= (range/h)^2
-    and at least _QUAD_MIN_NODES, sums it; the 2M-node value is returned when it
-    agrees with the M-node value to _QUAD_RTOL relative, plus _QUAD_ATOL (the
-    exact sum's own rounding).  Otherwise, and straight away when the two rules
-    would evaluate more terms than the exact sum has kernel pairs, the exact
-    blocked kernel sum runs.
+    The trapezoid rule with step tau = pi / (range/h + _QUAD_MARGIN) on
+    0 <= z <= _QUAD_CUT sums it; its value is returned when the rule on every
+    other node agrees with it to _QUAD_RTOL relative, plus _QUAD_ATOL (the
+    exact sum's own rounding).  Otherwise, and straight away when the K + 1
+    nodes would evaluate more terms than the exact sum has kernel pairs, the
+    exact blocked kernel sum runs.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError("bandwidth must be finite and positive")
     xs = _as_samples(x, "x")
     ys = _as_samples(y, "y")
     n, m = xs.size, ys.size
     v = np.concatenate([xs, ys])
     lo, hi = float(v.min()), float(v.max())
-    ratio = (hi - lo) / bandwidth
-    budget = (n * n + n * m + m * m) / (1.5 * v.size)  # the two rules evaluate 1.5 M nodes at every point
-    M = _QUAD_MIN_NODES
-    while M < ratio * ratio and M <= budget:
-        M *= 2
-    if M <= budget:
+    band = (hi - lo) / bandwidth + _QUAD_MARGIN  # pi / tau
+    K = 2.0 * np.ceil(0.5 * _QUAD_CUT * band / math.pi)  # a float, inf when h is tiny: no int() before the test
+    if (K + 1.0) * v.size <= n * n + n * m + m * m:
         v -= 0.5 * (lo + hi)  # the kernel is shift-invariant; centring keeps the phases Z v / h small
         s = np.concatenate([np.full(n, 1.0 / n), np.full(m, -1.0 / m)])
-        coarse, fine = _quadrature_pair(v, s, bandwidth, M)
+        coarse, fine = _quadrature_pair(v / bandwidth, s, math.pi / band, int(K))
         if abs(fine - coarse) <= _QUAD_RTOL * fine + _QUAD_ATOL:
             return fine
     return (
@@ -295,8 +291,8 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     Non-convergence within ``spec.sinkhorn_max_iter`` is reported through the
     ``converged`` flag; the value is still returned.
     """
-    if spec.epsilon <= 0:
-        raise ValueError("sinkhorn epsilon must be positive")
+    if not 0 < spec.epsilon < math.inf:
+        raise ValueError("sinkhorn epsilon must be finite and positive")
     xs = _as_samples(x, "x")
     ys = _as_samples(y, "y")
     args = (spec.p, spec.epsilon, spec.sinkhorn_tol, spec.sinkhorn_max_iter)
@@ -342,12 +338,12 @@ def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = 2000
     a midpoint grid of quantile levels and the p-th power difference is
     averaged.  Deterministic.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive in oracle mode")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive in oracle mode")
     if grid < 1000:
         raise ValueError("quantile grid must have at least 1000 points")
-    if p < 1:
-        raise ValueError("order p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError("order p must be finite and >= 1")
     ax = _as_samples(vx, "vx")
     ay = _as_samples(vy, "vy")
     levels = (np.arange(grid) + 0.5) / grid

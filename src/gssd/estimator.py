@@ -48,8 +48,8 @@ class GssdConfig:
     oracle_grid: int = 2000
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and non-negative")
         if self.num_projections < 1:
             raise ValueError("num_projections must be >= 1")
         if self.mode not in MODES:
@@ -203,8 +203,8 @@ def sweep_sigma(
     """
     if len(sigmas) == 0:
         raise ValueError("sigmas must be non-empty")
-    if any(s < 0 for s in sigmas):
-        raise ValueError("all sigmas must be non-negative")
+    if not all(0 <= s < np.inf for s in sigmas):
+        raise ValueError("all sigmas must be finite and non-negative")
     return _sweep(X, Y, [replace(cfg, sigma=float(s)) for s in sigmas], workers)
 
 

@@ -94,8 +94,8 @@ def project(samples: SampleSet, u: Direction) -> np.ndarray:
 
 def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> np.ndarray:
     """The smoothed slice t_i = v_i + z_i, z_i ~ N(0, sigma^2) from ``stream``; sigma = 0 returns the values."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and non-negative")
     vals = np.ascontiguousarray(values, dtype=np.float64)
     if vals.ndim != 1 or vals.size < 1:
         raise ValueError("slice values must be a non-empty 1-D vector")
@@ -110,8 +110,8 @@ def mixture_pdf(values: np.ndarray, sigma: float, t):
     Accepts scalar or array ``t``; requires sigma > 0 (the sigma = 0 slice is
     purely atomic and has no density).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive for the mixture density")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be finite and positive for the mixture density")
     v = np.ascontiguousarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("values must be a non-empty 1-D vector")

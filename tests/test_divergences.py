@@ -322,12 +322,55 @@ class TestMmdRoutes:
         assert got > 0.0 and got == pytest.approx(mmd_exact_route(x, y, bw), rel=1e-12)
 
     def test_narrow_bandwidth_runs_the_exact_sum_before_any_quadrature(self):
-        # at h = 0.1 the two rules would need M = 2^14 nodes: more terms than the exact sum's pairs
+        # at h = 1e-3 the rule would need about 2.9 (range / h) nodes: more terms than the exact sum's pairs
         x, y = sweep_slice(1.0)
-        with counting("_kernel_sum") as calls, counting("_half_rule") as rules:
-            got = mmd_sq(x, y, 0.1)
+        with counting("_kernel_sum") as calls, counting("_quadrature_pair") as rules:
+            got = mmd_sq(x, y, 1e-3)
         assert len(calls) == 3 and rules == []
-        assert got == mmd_exact_route(x, y, 0.1)
+        assert got == mmd_exact_route(x, y, 1e-3)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 10.0, 100.0, 1000.0])
+    def test_both_rules_resolve_the_highest_frequency(self, ratio):
+        # v = (-t/2, t/2), s = (1, -1): the integrand is 2 - 2 cos(Z t / h), whose frequency t / h is the
+        # largest a slice of range t can have, and E = 2 - 2 exp(-(t / h)^2 / 2)
+        band = ratio + divergences._QUAD_MARGIN
+        K = 2 * math.ceil(0.5 * divergences._QUAD_CUT * band / math.pi)
+        u, s = np.array([-0.5 * ratio, 0.5 * ratio]), np.array([1.0, -1.0])
+        want = 2.0 - 2.0 * math.exp(-0.5 * ratio * ratio)
+        for got in divergences._quadrature_pair(u, s, math.pi / band, K):
+            assert abs(got - want) <= 16 * 2.0**-52
+
+    def test_coarse_value_is_the_rule_on_every_other_node(self):
+        # a step too coarse for frequencies up to 10, so the two values differ and the check has something to see
+        rng = np.random.default_rng(4)
+        u, s = np.linspace(-5.0, 5.0, 7), rng.normal(size=7)
+        tau = math.pi / 11.0
+        K = 2 * math.ceil(0.5 * divergences._QUAD_CUT / tau)
+        coarse, fine = divergences._quadrature_pair(u, s, tau, K)
+        assert coarse == pytest.approx(divergences._quadrature_pair(u, s, 2.0 * tau, K // 2)[1], rel=1e-14)
+        assert abs(coarse - fine) > 1e-3 * fine
+
+    def test_bandwidth_a_tenth_stays_on_the_rule_in_a_few_mib(self):
+        # range / h is about 91 here: a 289-node rule, far fewer terms than the exact sum's pairs
+        x, y = sweep_slice(1.0)
+        with counting("_kernel_sum") as calls:
+            tracemalloc.start()
+            try:
+                got = mmd_sq(x, y, 0.1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert calls == [] and peak <= 4 * 2**20
+        assert got == pytest.approx(mmd_exact_route(x, y, 0.1), rel=1e-12)
+
+    def test_subnormal_bandwidth_gives_the_exact_value(self):
+        # range / h overflows to inf; every distinct pair is then infinitely far apart and its kernel is 0
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=30), rng.normal(size=20)
+        got = mmd_sq(x, y, 1e-320)
+        assert got == mmd_exact_route(x, y, 1e-320) == pytest.approx(1 / 30 + 1 / 20, rel=1e-15)
+        # with one repeated point the range is 0, the rule runs, and its phases stay 0
+        assert abs(mmd_sq(np.zeros(30), np.zeros(20), 1e-320)) <= KERNEL_SUM_ATOL
 
     @pytest.mark.parametrize("rel_gap, exact", [(1e-14, False), (1e-12, True)])
     def test_rules_that_disagree_fall_back_to_the_exact_sum(self, monkeypatch, rel_gap, exact):
@@ -341,7 +384,6 @@ class TestMmdRoutes:
         # one block of the exact route is 2048 x 2048 floats, 32 MiB, and it holds three at once
         x, y = sweep_slice(1.0)
         bw = bandwidth_mean_pairwise(x, y)
-        divergences._half_rule.cache_clear()
         tracemalloc.start()
         try:
             mmd_sq(x, y, bw)
@@ -580,3 +622,45 @@ class TestPowerValue:
         spec = DivergenceSpec("mmd", p=1, bandwidth=1.0)
         val, _ = power_value(x, y, spec)
         assert val == pytest.approx(math.sqrt(mmd_sq(x, y, 1.0)), rel=1e-12)
+
+
+# ---------------------------------------------------------------- input ranges
+
+
+_SAMPLE_FUNCTIONS = {
+    "wasserstein_pp": lambda x, y: wasserstein_pp(x, y, 2.0),
+    "mmd_sq": lambda x, y: mmd_sq(x, y, 1.0),
+    "bandwidth_mean_pairwise": bandwidth_mean_pairwise,
+    "sinkhorn_div": lambda x, y: sinkhorn_div(x, y, _spec()),
+    "smoothed_wasserstein_oracle": lambda x, y: smoothed_wasserstein_oracle(x, y, 1.0, 2.0),
+}
+
+_SETTINGS = {
+    "DivergenceSpec.p": lambda v: DivergenceSpec("wasserstein", p=v),
+    "DivergenceSpec.epsilon": lambda v: DivergenceSpec("sinkhorn", epsilon=v),
+    "DivergenceSpec.bandwidth": lambda v: DivergenceSpec("mmd", bandwidth=v),
+    "DivergenceSpec.sinkhorn_tol": lambda v: DivergenceSpec("wasserstein", sinkhorn_tol=v),
+    "wasserstein_pp.p": lambda v: wasserstein_pp([0.0], [1.0], v),
+    "mmd_sq.bandwidth": lambda v: mmd_sq([0.0], [1.0], v),
+    "smoothed_wasserstein_oracle.sigma": lambda v: smoothed_wasserstein_oracle([0.0], [1.0], v, 2.0),
+    "smoothed_wasserstein_oracle.p": lambda v: smoothed_wasserstein_oracle([0.0], [1.0], 1.0, v),
+}
+
+
+class TestInputRanges:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", _SAMPLE_FUNCTIONS)
+    def test_non_finite_samples_raise(self, name, bad):
+        for x, y in (([0.0, bad, 1.0], [1.0, 2.0]), ([0.0, 1.0], [bad])):
+            with pytest.raises(ValueError, match="non-finite"):
+                _SAMPLE_FUNCTIONS[name](x, y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", _SETTINGS)
+    def test_non_finite_settings_raise(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _SETTINGS[name](bad)
+
+    def test_zero_sinkhorn_tol_runs_to_the_cap(self):
+        res = sinkhorn_div([0.0, 1.0], [0.5, 2.0], _spec(tol=0.0, max_iter=30))
+        assert res.iterations == 3 * 30 and not res.converged

@@ -364,6 +364,14 @@ class TestSweepSigma:
         with pytest.raises(ValueError):
             sweep_sigma(X, X, [-0.5], wcfg(83))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        X = gauss_set(12, "bad-x", 10, 2)
+        with pytest.raises(ValueError, match="finite"):
+            wcfg(83, sigma=bad)
+        with pytest.raises(ValueError, match="finite"):
+            sweep_sigma(X, X, [1.0, bad], wcfg(83))
+
 
 class TestTwoSigmaCheck:
     def test_equal_sigmas_gap_vanishes_and_holds(self):

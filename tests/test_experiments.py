@@ -496,6 +496,24 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--sigmas", "nan"],
+        ["--sigmas", "inf"],
+        ["--p", "nan"],
+        ["--p", "inf"],
+        ["--div", "skd", "--epsilon", "nan"],
+        ["--div", "mmd", "--bandwidth", "nan"],
+        ["--div", "skd", "--sinkhorn-tol", "nan"],
+        ["--sinkhorn-tol", "-1"],
+    ])
+    def test_settings_out_of_range_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "sc.csv"
+        args = ["sample-complexity", "--dim", "3", "--sizes", "20", "--runs", "1", "--projections", "4",
+                "--out", str(out)]
+        assert cli_main(args + flags) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_workers_flag_reproduces_values(self, tmp_path):
         args = [
             "noise-sweep", "--dim", "6", "--sizes", "60", "--sigmas", "0,1",

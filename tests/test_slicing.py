@@ -134,6 +134,13 @@ class TestSmoothDouble:
         with pytest.raises(ValueError):
             smooth_double(np.zeros(3), -0.1, _stream("neg"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            smooth_double(np.zeros(3), bad, _stream("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            mixture_pdf(np.zeros(3), bad, 0.0)
+
     @pytest.mark.parametrize("values", [np.zeros(0), np.zeros((2, 3))])
     def test_values_must_be_a_non_empty_vector(self, values):
         with pytest.raises(ValueError):
