@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .experiments import PAIR_MODES, ExperimentConfig, compare, rows_csv, run_experiment
 
@@ -33,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name: str, text: str) -> argparse.ArgumentParser:
         """A subcommand with the shared flags; each flag's dest is the ExperimentConfig field it sets."""
         sp = sub.add_parser(name, help=text)
-        # the dataclass defaults, set before any flag so that every flag (and --help) picks them up
-        sp.set_defaults(**{f.name: f.default for f in fields(ExperimentConfig) if f.name != "command"})
+        # the command's config defaults, set before any flag so that every flag (and --help) picks them up
+        sp.set_defaults(**{k: v for k, v in asdict(ExperimentConfig(command=name)).items() if k != "command"})
         if name != "compare":  # compare's data are its two input files, so it has no grid
             sp.add_argument("--dim", dest="dimensions", type=_list_of(int), metavar="D[,D..]",
                             help="dimension(s) of the sample space (default %(default)s)")
@@ -66,17 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp_sc.add_argument("--c-p", type=float, help="calibration factor for the log-term (default %(default)s)")
 
     sp_pc = add_command("projection-complexity", "Monte Carlo error vs number of projections")
-    sp_pc.set_defaults(sample_sizes=(500,), num_projections=10_000)
     sp_pc.add_argument("--l-grid", type=_list_of(int), metavar="L[,L..]",
                        help="projection grid, entries in [1, --projections] (default %(default)s)")
 
     sp_ns = add_command("noise-sweep", "divergence vs smoothing level, common random numbers")
-    sp_ns.set_defaults(sigmas=(0.0, 1.0, 3.0, 5.0, 15.0))
     sp_ns.add_argument("--pair", choices=PAIR_MODES,
                        help="sample pair: same N(0,I) twice; shifted mean 2; scaled mean 1, scale 2 (default %(default)s)")
 
     sp_disp = add_command("displacement", "divergence between N(2*1,I) and N(s*1,I) over s")
-    sp_disp.set_defaults(sample_sizes=(500,))
     sp_disp.add_argument("--s-grid", type=_list_of(float), metavar="S[,S..]",
                          help="displacement grid (default %(default)s)")
 

@@ -1,4 +1,5 @@
-"""Base 1D divergences between empirical measures on the line.
+"""Base 1D divergences between empirical measures on the line, and ``slice_values``,
+their order-p value on each row of two matrices of slices: the one dispatch on the kind.
 
 Three families are provided:
 
@@ -40,6 +41,7 @@ __all__ = [
     "bandwidth_mean_pairwise",
     "sinkhorn_div",
     "smoothed_wasserstein_oracle",
+    "slice_values",
 ]
 
 KINDS = ("wasserstein", "mmd", "sinkhorn")
@@ -77,7 +79,7 @@ class DivergenceSpec:
             raise ValueError(f"unknown divergence kind {self.kind!r}; expected one of {KINDS}")
         if not 1 <= self.p < math.inf:
             raise ValueError("order p must be finite and >= 1")
-        if self.kind == "sinkhorn" and not 0 < self.epsilon < math.inf:
+        if not 0 < self.epsilon < math.inf:
             raise ValueError("sinkhorn epsilon must be finite and positive")
         if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
             raise ValueError("fixed bandwidth must be finite and positive")
@@ -209,9 +211,7 @@ def bandwidth_mean_pairwise(x, y) -> float:
     stays well-defined and MMD^2 of identical degenerate sets remains 0.
     """
     pooled = np.concatenate([_as_samples(x, "x"), _as_samples(y, "y")])
-    m = pooled.size
-    if m < 2:
-        raise ValueError("pooled set must contain at least 2 points")
+    m = pooled.size  # at least 2: each set is non-empty
     s = np.sort(pooled)
     # sum_{i<j} (s_j - s_i) = sum_i s_i * (2i - m + 1) over the sorted order
     total = float(np.sum(s * (2.0 * np.arange(m) - (m - 1))))
@@ -291,8 +291,6 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     Non-convergence within ``spec.sinkhorn_max_iter`` is reported through the
     ``converged`` flag; the value is still returned.
     """
-    if not 0 < spec.epsilon < math.inf:
-        raise ValueError("sinkhorn epsilon must be finite and positive")
     xs = _as_samples(x, "x")
     ys = _as_samples(y, "y")
     args = (spec.p, spec.epsilon, spec.sinkhorn_tol, spec.sinkhorn_max_iter)
@@ -352,20 +350,18 @@ def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = 2000
     return float(np.mean(np.abs(qx - qy) ** p))
 
 
-def power_value(tx: np.ndarray, ty: np.ndarray, spec: DivergenceSpec) -> tuple[float, bool]:
-    """The per-slice quantity D^p for one pair of smoothed slices.
+def slice_values(TX: np.ndarray, TY: np.ndarray, spec: DivergenceSpec) -> tuple[np.ndarray, int]:
+    """The per-slice quantity D^p of row k of TX against row k of TY, and how many rows did not converge.
 
     Wasserstein and Sinkhorn values already live on the |s-t|^p cost scale and
     are used directly; squared MMD is the square of the RKHS metric, so the
-    order-p quantity is mmd_sq^{p/2}.  Returns (value, converged).
+    order-p quantity is mmd_sq^{p/2}, at the fixed bandwidth or else at the
+    mean-pairwise bandwidth of its own row.  Only Sinkhorn rows can fail to converge.
     """
     if spec.kind == "wasserstein":
-        return wasserstein_pp(tx, ty, spec.p), True
+        return wasserstein_pp_rows(TX, TY, spec.p), 0
     if spec.kind == "mmd":
-        bw = spec.bandwidth
-        if bw is None:
-            bw = bandwidth_mean_pairwise(tx, ty)
-        m2 = max(mmd_sq(tx, ty, bw), 0.0)
-        return m2 ** (spec.p / 2.0), True
-    res = sinkhorn_div(tx, ty, spec)
-    return res.value, res.converged
+        m2 = [mmd_sq(x, y, spec.bandwidth or bandwidth_mean_pairwise(x, y)) for x, y in zip(TX, TY)]
+        return np.array([max(v, 0.0) ** (spec.p / 2.0) for v in m2]), 0
+    results = [sinkhorn_div(x, y, spec) for x, y in zip(TX, TY)]
+    return np.array([r.value for r in results]), sum(not r.converged for r in results)

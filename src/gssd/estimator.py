@@ -3,8 +3,8 @@
 For each projection index l the estimator draws a direction from stream
 ("proj", l), projects both sample sets, smooths each slice with its own noise
 stream ("noisex", l) / ("noisey", l), and evaluates the base divergence's
-order-p value on the pair.  The estimate is the arithmetic mean over the L
-per-projection values.
+order-p value on the pair (``divergences.slice_values``).  The estimate is the
+mean of the L per-projection values, with its Monte Carlo error (``GssdEstimate.from_values``).
 
 One slice pipeline serves every base divergence and mode: ``_slice_tile``
 draws the keyed streams of up to ``_TILE`` projections at once and returns
@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergences import DivergenceSpec, power_value, smoothed_wasserstein_oracle, wasserstein_pp_rows
+from .bounds import mc_error_bound
+from .divergences import DivergenceSpec, slice_values, smoothed_wasserstein_oracle
 from .rng import RngRoot, keyed_normals
 from .slicing import SampleSet, sample_direction
 
@@ -72,6 +73,15 @@ class GssdEstimate:
     std_error: float
     config: GssdConfig
     unconverged: int = 0
+
+    @classmethod
+    def from_values(cls, values: np.ndarray, config: GssdConfig, unconverged: int = 0) -> GssdEstimate:
+        """The estimate from its per-projection values: their mean, its order-p root, their sample std
+        and the Monte Carlo error ``mc_error_bound`` (both 0.0 for a single projection)."""
+        mean_pow = float(np.mean(values))
+        root = float(max(mean_pow, 0.0) ** (1.0 / config.divergence.p))
+        std, err = (float(np.std(values, ddof=1)), mc_error_bound(values)) if values.size > 1 else (0.0, 0.0)
+        return cls(mean_pow, root, values, std, err, config, unconverged)
 
     def summary(self) -> dict:
         spec = self.config.divergence
@@ -121,16 +131,12 @@ def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: boo
 
 def _tile_values(px, py, zx, zy, cfg: GssdConfig) -> tuple[np.ndarray, int]:
     """Order-p values of a tile's projections at ``cfg.sigma``, and how many did not converge."""
-    spec = cfg.divergence
     if cfg.mode == "mixture_oracle":
-        vals = [smoothed_wasserstein_oracle(x, y, cfg.sigma, spec.p, cfg.oracle_grid) for x, y in zip(px, py)]
+        vals = [smoothed_wasserstein_oracle(x, y, cfg.sigma, cfg.divergence.p, cfg.oracle_grid) for x, y in zip(px, py)]
         return np.array(vals), 0
     tx = px if cfg.sigma == 0 else px + cfg.sigma * zx
     ty = py if cfg.sigma == 0 else py + cfg.sigma * zy
-    if spec.kind == "wasserstein":
-        return wasserstein_pp_rows(tx, ty, spec.p), 0
-    pairs = [power_value(x, y, spec) for x, y in zip(tx, ty)]
-    return np.array([v for v, _ in pairs]), sum(not ok for _, ok in pairs)
+    return slice_values(tx, ty, cfg.divergence)
 
 
 def _chunks(L: int, parts: int) -> list[range]:
@@ -172,13 +178,7 @@ def _sweep(X: SampleSet, Y: SampleSet, cfgs: list[GssdConfig], workers: int) -> 
     else:
         unconverged = run_block(blocks[0])
 
-    out = []
-    for cfg, v, bad in zip(cfgs, vals, unconverged):
-        mean_pow = float(np.mean(v))
-        sample_std = float(np.std(v, ddof=1)) if L > 1 else 0.0
-        root = float(max(mean_pow, 0.0) ** (1.0 / cfg.divergence.p))
-        out.append(GssdEstimate(mean_pow, root, v, sample_std, float(sample_std / np.sqrt(L)), cfg, int(bad)))
-    return out
+    return [GssdEstimate.from_values(v, cfg, int(bad)) for cfg, v, bad in zip(cfgs, vals, unconverged)]
 
 
 def estimate(X: SampleSet, Y: SampleSet, cfg: GssdConfig, workers: int = 1) -> GssdEstimate:
@@ -203,8 +203,6 @@ def sweep_sigma(
     """
     if len(sigmas) == 0:
         raise ValueError("sigmas must be non-empty")
-    if not all(0 <= s < np.inf for s in sigmas):
-        raise ValueError("all sigmas must be finite and non-negative")
     return _sweep(X, Y, [replace(cfg, sigma=float(s)) for s in sigmas], workers)
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,18 +69,26 @@ _TAGS = {
 }
 COMMANDS = (*_TAGS, "compare")
 
+# the values of the grid fields that ExperimentConfig leaves at None: the command's own, else those of "*"
+_GRID_DEFAULTS = {
+    "*": {"sample_sizes": (100, 400, 1600, 6400), "sigmas": (3.0,), "num_projections": 50},
+    "projection-complexity": {"sample_sizes": (500,), "num_projections": 10_000},
+    "noise-sweep": {"sigmas": (0.0, 1.0, 3.0, 5.0, 15.0)},
+    "displacement": {"sample_sizes": (500,)},
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid and hyperparameters for one benchmark command."""
+    """Grid and hyperparameters for one benchmark command; grid fields left at None take the command's defaults."""
 
     command: str
     dimensions: tuple = (50,)
-    sample_sizes: tuple = (100, 400, 1600, 6400)
-    sigmas: tuple = (3.0,)
+    sample_sizes: tuple | None = None
+    sigmas: tuple | None = None
     num_runs: int = 20
     divergences: tuple = ("swd",)
-    num_projections: int = 50
+    num_projections: int | None = None
     order: float = DivergenceSpec.p
     epsilon: float = DivergenceSpec.epsilon
     bandwidth: float | None = DivergenceSpec.bandwidth
@@ -99,6 +107,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
+        for name, value in {**_GRID_DEFAULTS["*"], **_GRID_DEFAULTS.get(self.command, {})}.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         for name in ("dimensions", "sample_sizes", "sigmas", "divergences", "l_grid", "s_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
@@ -191,17 +202,14 @@ def _row_values(cfg: ExperimentConfig, est: GssdEstimate) -> list[tuple[int, flo
     """(L, value, std_error) of each row one estimate yields.
 
     Streams are keyed by projection index, so the L-projection estimate of
-    projection-complexity equals the mean of the first L per-projection values
+    projection-complexity is the estimate from the first L per-projection values
     of the reference run; one reference estimate yields the whole L grid.
     """
     if cfg.command != "projection-complexity":
         return [(cfg.num_projections, est.mean_pow, est.std_error)]
-    out = []
-    for L in cfg.l_grid:
-        prefix = est.per_projection[:L]
-        se = float(np.std(prefix, ddof=1) / np.sqrt(L)) if L > 1 else 0.0
-        out.append((L, abs(float(np.mean(prefix)) - est.mean_pow), se))
-    return out
+    prefixes = [GssdEstimate.from_values(est.per_projection[:L], replace(est.config, num_projections=L))
+                for L in cfg.l_grid]
+    return [(L, abs(pre.mean_pow - est.mean_pow), pre.std_error) for L, pre in zip(cfg.l_grid, prefixes)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -268,7 +276,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
     """
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

@@ -97,8 +97,8 @@ def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> np.nda
     if not 0 <= sigma < np.inf:
         raise ValueError("sigma must be finite and non-negative")
     vals = np.ascontiguousarray(values, dtype=np.float64)
-    if vals.ndim != 1 or vals.size < 1:
-        raise ValueError("slice values must be a non-empty 1-D vector")
+    if vals.ndim != 1 or vals.size < 1 or not np.isfinite(vals).all():
+        raise ValueError("slice values must be a non-empty 1-D vector of finite values")
     if sigma > 0:
         vals = vals + sigma * stream.normals(vals.size)
     return vals
@@ -113,8 +113,8 @@ def mixture_pdf(values: np.ndarray, sigma: float, t):
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be finite and positive for the mixture density")
     v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("values must be a non-empty 1-D vector")
+    if v.ndim != 1 or v.size < 1 or not np.isfinite(v).all():
+        raise ValueError("values must be a non-empty 1-D vector of finite values")
     t_arr = np.asarray(t, dtype=np.float64)
     z = (t_arr[..., None] - v) / sigma
     dens = np.exp(-0.5 * z * z).mean(axis=-1) / (sigma * np.sqrt(2.0 * np.pi))

@@ -15,8 +15,8 @@ from gssd.divergences import (
     _entropic_ot,
     bandwidth_mean_pairwise,
     mmd_sq,
-    power_value,
     sinkhorn_div,
+    slice_values,
     smoothed_wasserstein_oracle,
     wasserstein_pp,
 )
@@ -598,30 +598,41 @@ class TestSmoothedWassersteinOracle:
             smoothed_wasserstein_oracle([0.0], [1.0], 1.0, 2, grid=500)
 
 
-# ---------------------------------------------------------------- power values
+# ---------------------------------------------------------------- slice values
 
 
-class TestPowerValue:
-    def test_wasserstein_power_is_wpp(self):
-        x = np.array([0.0, 1.0])
-        y = np.array([2.0, 3.0])
-        spec = DivergenceSpec("wasserstein", p=2)
-        val, ok = power_value(x, y, spec)
-        assert ok and val == wasserstein_pp(x, y, 2)
+def _slice_rows(n, m, rows=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, n)), rng.normal(size=(rows, m)) * 1.5 + 0.4
 
-    def test_mmd_order_two_is_squared_mmd(self):
-        x = np.array([0.0, 0.5])
-        y = np.array([1.0, 1.5])
-        spec = DivergenceSpec("mmd", p=2, bandwidth=1.0)
-        val, ok = power_value(x, y, spec)
-        assert ok and val == pytest.approx(mmd_sq(x, y, 1.0), rel=1e-12)
 
-    def test_mmd_order_one_is_root(self):
-        x = np.array([0.0, 0.5])
-        y = np.array([1.0, 1.5])
-        spec = DivergenceSpec("mmd", p=1, bandwidth=1.0)
-        val, _ = power_value(x, y, spec)
-        assert val == pytest.approx(math.sqrt(mmd_sq(x, y, 1.0)), rel=1e-12)
+class TestSliceValues:
+    @pytest.mark.parametrize("n, m", [(7, 7), (7, 5)])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_wasserstein_rows_are_wpp(self, n, m, p):
+        TX, TY = _slice_rows(n, m)
+        vals, bad = slice_values(TX, TY, DivergenceSpec("wasserstein", p=p))
+        assert bad == 0
+        assert [float(v) for v in vals] == [wasserstein_pp(x, y, p) for x, y in zip(TX, TY)]
+
+    @pytest.mark.parametrize("bandwidth", [1.0, None])
+    @pytest.mark.parametrize("p", [2.0, 1.0])
+    def test_mmd_rows_are_squared_mmd_to_the_power_p_over_2(self, p, bandwidth):
+        TX, TY = _slice_rows(6, 4)
+        vals, bad = slice_values(TX, TY, DivergenceSpec("mmd", p=p, bandwidth=bandwidth))
+        # None: the mean-pairwise bandwidth of each row on its own; the rows' bandwidths all differ
+        bws = [bandwidth or bandwidth_mean_pairwise(x, y) for x, y in zip(TX, TY)]
+        assert bandwidth is not None or len(set(bws)) == len(bws)
+        want = [max(mmd_sq(x, y, h), 0.0) ** (p / 2.0) for x, y, h in zip(TX, TY, bws)]
+        assert bad == 0 and [float(v) for v in vals] == want
+
+    def test_sinkhorn_counts_every_unconverged_row(self):
+        TX, TY = _slice_rows(5, 4, rows=3)
+        vals, bad = slice_values(TX, TY, _spec(max_iter=1))
+        assert bad == 3 and vals.shape == (3,)
+        vals, bad = slice_values(TX, TY, _spec(eps=1.0))
+        assert bad == 0
+        assert list(vals) == [sinkhorn_div(x, y, _spec(eps=1.0)).value for x, y in zip(TX, TY)]
 
 
 # ---------------------------------------------------------------- input ranges

@@ -99,6 +99,13 @@ class TestReadMatrixCsv:
         with pytest.raises(ValueError, match="row 1, column 2: '2x'"):
             read_matrix_csv(str(f))
 
+    @pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.0\n", "a,b\n1.0,2.0\n3.0,4.0\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        # Excel and PowerShell save UTF-8 CSV with a leading byte-order mark
+        f = tmp_path / "m.csv"
+        f.write_bytes(("\ufeff" + text).encode("utf-8"))
+        assert read_matrix_csv(str(f)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("\n")
@@ -422,15 +429,17 @@ class TestCli:
         assert len(printed) == len(written) == 6
         assert strip(printed) == strip(written)
 
-    @pytest.mark.parametrize("command, overrides", [
-        ("sample-complexity", {}),
-        ("projection-complexity", {"sample_sizes": (500,), "num_projections": 10_000}),
-        ("noise-sweep", {"sigmas": (0.0, 1.0, 3.0, 5.0, 15.0)}),
-        ("displacement", {"sample_sizes": (500,)}),
-    ])
-    def test_defaults_are_the_config_defaults(self, command, overrides):
+    @pytest.mark.parametrize("command", ["sample-complexity", "projection-complexity", "noise-sweep", "displacement"])
+    def test_defaults_are_the_config_defaults(self, command):
         cfg = config_from_args(build_parser().parse_args([command]))
-        assert cfg == ExperimentConfig(command=command, **overrides)
+        assert cfg == ExperimentConfig(command=command)
+
+    def test_command_defaults_apply_only_to_fields_left_unset(self):
+        cfg = ExperimentConfig(command="projection-complexity")
+        assert (cfg.sample_sizes, cfg.sigmas, cfg.num_projections) == ((500,), (3.0,), 10_000)
+        assert ExperimentConfig(command="noise-sweep").sigmas == (0.0, 1.0, 3.0, 5.0, 15.0)
+        assert ExperimentConfig(command="noise-sweep", sigmas=(3.0,)).sigmas == (3.0,)
+        assert ExperimentConfig(command="compare").num_projections == 50
 
     def test_sample_complexity_command(self, tmp_path):
         out = tmp_path / "sc.csv"
@@ -505,6 +514,7 @@ class TestCli:
         ["--div", "mmd", "--bandwidth", "nan"],
         ["--div", "skd", "--sinkhorn-tol", "nan"],
         ["--sinkhorn-tol", "-1"],
+        ["--epsilon", "nan"],  # checked for every divergence, here swd
     ])
     def test_settings_out_of_range_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "sc.csv"

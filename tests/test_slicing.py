@@ -141,6 +141,13 @@ class TestSmoothDouble:
         with pytest.raises(ValueError, match="finite"):
             mixture_pdf(np.zeros(3), bad, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            smooth_double(np.array([0.0, bad]), 1.0, _stream("nan-values"))
+        with pytest.raises(ValueError, match="finite"):
+            mixture_pdf(np.array([0.0, bad]), 1.0, 0.0)
+
     @pytest.mark.parametrize("values", [np.zeros(0), np.zeros((2, 3))])
     def test_values_must_be_a_non_empty_vector(self, values):
         with pytest.raises(ValueError):
