@@ -7,6 +7,7 @@ test suite, and not first in a benchmark run.
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gssd
@@ -27,3 +28,18 @@ def test_warm_up_and_slice_rebuild(workloads, tmp_path):
     est = gssd.estimate(X, Y, cfg)
     tx, ty = workloads.slice_pair(X, Y, cfg.seed, 3, cfg.sigma)
     assert est.per_projection[3] == gssd.wasserstein_pp(tx, ty, workloads.P)
+
+
+def test_exact_routes_sinkhorn_converges_and_matches_the_reference(workloads, tmp_path):
+    import reference
+
+    inputs = workloads.exact_inputs(1, str(tmp_path))
+    (print1, report), (print2, _) = (workloads.exact_sinkhorn(inputs, w) for w in (1, 2))
+    assert print1 == print2
+    assert report["unconverged_projections"] == 0
+    # the slices compare() estimates on, rebuilt as the benchmark's own output check does
+    root = gssd.RngRoot(workloads.SKD_SEED).child("compare", 0)
+    X, Y = gssd.SampleSet(inputs["skd"]["x"]), gssd.SampleSet(inputs["skd"]["y"])
+    slices = [workloads.slice_pair(X, Y, root, l, 1.0) for l in range(workloads.EXACT_SKD_L)]
+    want = np.mean([reference.sinkhorn_div(tx, ty, workloads.P, 0.1) for tx, ty in slices])
+    assert report["mean_pow"] == pytest.approx(want, rel=1e-9, abs=0.0)
