@@ -15,10 +15,9 @@ Three families are provided:
 * ``sinkhorn_div`` -- the debiased entropic divergence
   S_eps = OT_eps(x, y) - OT_eps(x, x)/2 - OT_eps(y, y)/2 for cost |s - t|^p,
   where OT_eps is the entropic optimal transport value (transport cost plus
-  eps * KL of the plan against the product of the marginals), warm-started by
-  log-domain fixed-point iterations down an epsilon ladder and finished at the
-  target epsilon by Newton's method on the semi-dual, each step solved by
-  matrix-free conjugate gradients.
+  eps * KL of the plan against the product of the marginals), found by Newton's
+  method on the semi-dual down an epsilon ladder to the target epsilon, each
+  step solved by matrix-free conjugate gradients.
 
 ``smoothed_wasserstein_oracle`` gives a deterministic high-accuracy value of
 W_p^p between two equal-bandwidth Gaussian mixtures, used as the second route
@@ -59,12 +58,15 @@ _QUAD_CUT = 9.0
 _QUAD_BLOCK = 1 << 16  # floats in each work buffer of the quadrature route
 _QUAD_RTOL = 1e-13
 _QUAD_ATOL = 2.0**-52
-# The Newton finish of the Sinkhorn solve: conjugate gradients stop at a relative residual _CG_RTOL (an inexact
-# step cannot move the fixed point: the stop test uses the exact gradient) or after _CG_MAX_ITER products; a
-# _NEWTON_RIDGE multiple of the mean preconditioner diagonal pins the constant direction of the semi-dual.  A
-# step is halved until the semi-dual falls by at most _NEWTON_SLACK times its terms' magnitude, its rounding.
+ORACLE_GRID = 2000  # the mixture-quantile oracle's default number of midpoint quantile levels
+_MIXTURE_BISECTIONS = 60  # the most bisections of each of its quantiles
+# The Newton steps of the Sinkhorn solve: conjugate gradients stop at a relative residual _CG_RTOL (an inexact
+# step cannot move the fixed point: the stop test uses the exact gradient) or after m products, where they end
+# in exact arithmetic; a _NEWTON_RIDGE multiple of the mean preconditioner diagonal pins the constant direction
+# of the semi-dual.  A step is halved until the semi-dual falls by at most _NEWTON_SLACK times its terms'
+# magnitude, its rounding.
 _CG_RTOL = 1e-3
-_CG_MAX_ITER = 100
+_LEVEL_STEPS = 2  # Newton steps on each coarse level of the epsilon ladder, a warm start for the next
 _NEWTON_RIDGE = 1e-12
 _NEWTON_SLACK = 16 * 2.0**-52
 
@@ -234,9 +236,9 @@ def bandwidth_mean_pairwise(x, y) -> float:
 class SinkhornResult(NamedTuple):
     """The debiased value and the three solves' diagnostics.
 
-    ``iterations`` sums the ladder updates and Newton steps of the three solves
-    (the halvings of a Newton step are not counted); ``marginal_error`` is the
-    largest final max |cols - b|, inf where the ladder was cut short.
+    ``iterations`` sums the Newton steps of the three solves, on every level of
+    the ladder (the halvings of a step are not counted); ``marginal_error`` is
+    the largest final max |cols - b|, inf where the ladder was cut short.
     """
 
     value: float
@@ -270,7 +272,7 @@ def _newton_step(R: np.ndarray, a: np.ndarray, cols: np.ndarray, grad: np.ndarra
     d = z.copy()
     rz = float(r @ z)
     stop = (_CG_RTOL * float(np.linalg.norm(grad))) ** 2
-    for _ in range(min(_CG_MAX_ITER, cols.size)):
+    for _ in range(cols.size):
         if float(r @ r) <= stop:
             break
         hd = (cols * d - ((R @ d) * a) @ R) / eps + ridge * d
@@ -288,59 +290,55 @@ def _entropic_ot(
 ) -> tuple[float, bool, int, float]:
     """Entropic OT value <f,a> + <g,b> at the dual optimum.
 
-    Warm-starts through a geometric epsilon ladder from max(eps, C_max/50) down
-    to the target, 20 alternating (f, g) updates per coarse level.  At the target
-    it maximises the semi-dual F(g) = <f(g), a> + <g, b>, with f(g) the exact
+    Maximises the semi-dual F(g) = <f(g), a> + <g, b>, with f(g) the exact
     c-transform, by Newton steps solved by conjugate gradients (``_newton_step``)
-    and halved until F does not fall.  f(g) makes the plan's rows exact, so the
-    marginal error is max |b - cols|, the gradient of F; the solve stops when it
-    is below tol.  Every ladder update and every Newton step (not each halving)
-    counts against max_iter; the error is inf when max_iter runs out before the
-    target.  A solve holds C and one work buffer W, which ends each step as the
-    plan's rows over a.
+    and halved until F does not fall.  The steps run down a geometric epsilon
+    ladder from max(eps, C_max/50) to the target, _LEVEL_STEPS on each coarse
+    level, then at eps until the marginal error is below tol.  f(g) makes the
+    plan's rows exact, so that error is max |b - cols|, the gradient of F.
+    Every Newton step (not each halving) counts against max_iter; the error is
+    inf when max_iter runs out above the target.  A solve holds C and one work
+    buffer W, which ends each step as the plan's rows over a.
     """
     n, m = x.size, y.size
-    loga = np.full(n, -np.log(n))
-    logb = np.full(m, -np.log(m))
-    a, b = np.exp(loga), np.exp(logb)
+    a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    logb = np.log(b)
     C = np.abs(x[:, None] - y[None, :]) ** p
     cmax = float(C.max())
     if cmax == 0.0:
         return 0.0, True, 0, 0.0
 
-    W = np.empty_like(C)  # the g update runs in the transposed views C.T and W.T
+    W = np.empty_like(C)
     g = np.zeros(m)
     it = 0
     e = max(eps, cmax / 50.0)
-    while e > eps * 1.0001:  # coarse levels of the ladder, 20 updates each
-        for _ in range(min(20, max_iter - it)):
-            f = _potential(g, C, logb, e, W)
-            g = _potential(f, C.T, loga, e, W.T)
+    while True:  # one level of the ladder; the last one is eps itself
+        coarse = e > eps * 1.0001
+        e = e if coarse else eps
+        f = _potential(g, C, logb, e, W)
+        value = float(f @ a + g @ b)
+        for k in range(max_iter - it + 1):  # at most the steps left, and the last stop test
+            np.divide(W, W.sum(axis=1)[:, None], out=W)
+            cols = a @ W
+            grad = b - cols
+            err = math.inf if coarse else float(np.abs(grad).max())
+            if err < tol or it == max_iter:
+                return value, err < tol, it, err
+            if coarse and k == _LEVEL_STEPS:
+                break
+            step = _newton_step(W, a, cols, grad, e)
+            slack = _NEWTON_SLACK * float(np.abs(f) @ a + np.abs(g) @ b)
+            t = 1.0
+            while True:
+                h = g + t * step
+                f = _potential(h, C, logb, e, W)
+                trial = float(f @ a + h @ b)
+                if trial >= value - slack:
+                    break
+                t *= 0.5
+            g, value = h, trial
             it += 1
         e *= 0.5
-    if it == max_iter:
-        return float(f @ a + g @ b), False, it, math.inf
-    f = _potential(g, C, logb, eps, W)
-    value = float(f @ a + g @ b)
-    while True:
-        np.divide(W, W.sum(axis=1)[:, None], out=W)
-        cols = a @ W
-        grad = b - cols
-        err = float(np.abs(grad).max())
-        if err < tol or it == max_iter:
-            return value, err < tol, it, err
-        step = _newton_step(W, a, cols, grad, eps)
-        slack = _NEWTON_SLACK * float(np.abs(f) @ a + np.abs(g) @ b)
-        t = 1.0
-        while True:
-            h = g + t * step
-            f = _potential(h, C, logb, eps, W)
-            trial = float(f @ a + h @ b)
-            if trial >= value - slack:
-                break
-            t *= 0.5
-        g, value = h, trial
-        it += 1
 
 
 def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
@@ -363,7 +361,7 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     )
 
 
-def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray, iters: int = 60) -> np.ndarray:
+def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray) -> np.ndarray:
     """Quantiles of (1/n) sum_i N(v_i, sigma^2) at the given levels, by bisection.
 
     All components share sigma, so [v_min + sigma*z, v_max + sigma*z] with
@@ -376,7 +374,7 @@ def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray, iters: i
     if v.size == 1:
         return lo
     scale = max(float(hi[-1] - lo[0]), sigma)
-    for _ in range(iters):
+    for _ in range(_MIXTURE_BISECTIONS):
         if float(np.max(hi - lo)) <= 1e-10 * scale:
             break
         mid = 0.5 * (lo + hi)
@@ -387,7 +385,7 @@ def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray, iters: i
     return 0.5 * (lo + hi)
 
 
-def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = 2000) -> float:
+def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = ORACLE_GRID) -> float:
     """W_p^p between the mixtures (1/n) sum N(vx_i, s^2) and (1/m) sum N(vy_j, s^2).
 
     Numerical quantile coupling: both mixture CDFs are inverted by bisection on

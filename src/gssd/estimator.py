@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import mc_error_bound
-from .divergences import DivergenceSpec, slice_values, smoothed_wasserstein_oracle
+from .divergences import ORACLE_GRID, DivergenceSpec, slice_values, smoothed_wasserstein_oracle
 from .rng import RngRoot, keyed_normals
 from .slicing import SampleSet, sample_direction
 
@@ -46,7 +46,7 @@ class GssdConfig:
     divergence: DivergenceSpec
     seed: RngRoot
     mode: str = "double_empirical"
-    oracle_grid: int = 2000
+    oracle_grid: int = ORACLE_GRID
 
     def __post_init__(self) -> None:
         if not 0 <= self.sigma < np.inf:

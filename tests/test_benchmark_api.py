@@ -42,4 +42,4 @@ def test_exact_routes_sinkhorn_converges_and_matches_the_reference(workloads, tm
     X, Y = gssd.SampleSet(inputs["skd"]["x"]), gssd.SampleSet(inputs["skd"]["y"])
     slices = [workloads.slice_pair(X, Y, root, l, 1.0) for l in range(workloads.EXACT_SKD_L)]
     want = np.mean([reference.sinkhorn_div(tx, ty, workloads.P, 0.1) for tx, ty in slices])
-    assert report["mean_pow"] == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert report["mean_pow"] == pytest.approx(want, rel=1e-11, abs=0.0)
