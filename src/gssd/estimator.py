@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import mc_error_bound
-from .divergences import ORACLE_GRID, DivergenceSpec, slice_values, smoothed_wasserstein_oracle
+from .divergences import ORACLE_GRID, DivergenceSpec, check_oracle_grid, slice_values, smoothed_wasserstein_oracle
 from .rng import RngRoot, keyed_normals
 from .slicing import SampleSet, sample_direction
 
@@ -60,6 +60,7 @@ class GssdConfig:
                 raise ValueError("mixture_oracle mode requires the Wasserstein base divergence")
             if self.sigma <= 0:
                 raise ValueError("mixture_oracle mode requires sigma > 0")
+            check_oracle_grid(self.oracle_grid)
 
 
 @dataclass(frozen=True)

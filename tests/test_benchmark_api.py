@@ -43,3 +43,15 @@ def test_exact_routes_sinkhorn_converges_and_matches_the_reference(workloads, tm
     slices = [workloads.slice_pair(X, Y, root, l, 1.0) for l in range(workloads.EXACT_SKD_L)]
     want = np.mean([reference.sinkhorn_div(tx, ty, workloads.P, 0.1) for tx, ty in slices])
     assert report["mean_pow"] == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+def test_exact_routes_oracle_matches_the_reference(workloads, tmp_path):
+    import reference
+
+    inputs = workloads.exact_inputs(1, str(tmp_path))
+    (print1, est), (print2, _) = (workloads.exact_oracle(inputs, w) for w in (1, 2))
+    assert print1 == print2
+    # the projections the oracle estimates on, rebuilt as the benchmark's own output check does
+    px, py = workloads.projections(inputs["OX"], inputs["OY"], inputs["oracle"].seed, 0)
+    want = reference.smoothed_wasserstein(px, py, 1.0, workloads.P, workloads.ORACLE_GRID)
+    assert est.per_projection[0] == pytest.approx(want, rel=1e-11, abs=0.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from gssd import divergences
 from gssd.divergences import (
@@ -59,6 +60,24 @@ def mmd_dense_oracle(x, y, bw, rows=256):
 
     n, m = x.size, y.size
     return total(x, x) / n**2 - 2 * total(x, y) / (n * m) + total(y, y) / m**2
+
+
+def mixture_cdf(v, sigma, t):
+    """(1/n) sum_i Phi((t - v_i) / sigma) at each point of t."""
+    return ndtr((np.asarray(t)[:, None] - v[None, :]) / sigma).mean(axis=1)
+
+
+def mixture_quantiles_by_bisection(v, sigma, levels):
+    """Quantiles of (1/n) sum_i N(v_i, sigma^2): 100 halvings of [v_min + sigma z, v_max + sigma z], z = ndtri(level),
+    which holds every quantile since each component's own quantile lies in it; returns them with that span."""
+    lo = v.min() + sigma * ndtri(levels)
+    hi = v.max() + sigma * ndtri(levels)
+    span = max(float(hi[-1] - lo[0]), sigma)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        above = mixture_cdf(v, sigma, mid) >= levels
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return 0.5 * (lo + hi), span
 
 
 def mmd_exact_route(x, y, bw):
@@ -644,6 +663,59 @@ class TestSmoothedWassersteinOracle:
             smoothed_wasserstein_oracle([0.0], [1.0], 0.0, 2)
         with pytest.raises(ValueError):
             smoothed_wasserstein_oracle([0.0], [1.0], 1.0, 2, grid=500)
+
+    @pytest.mark.parametrize("grid", [10, 999, 1000.5, math.inf, math.nan, True])
+    def test_grid_must_be_an_integer_of_at_least_1000(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            smoothed_wasserstein_oracle([0.0], [1.0], 1.0, 2, grid=grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.sampled_from(["atom", "ties", "clusters", "spread"]),
+        scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]),
+    )
+    def test_quantiles_match_bisection(self, data, shape, scale):
+        # ties: atoms a quarter (250 sigma) apart; clusters: two groups 50 apart at sigma 0.02, where the CDF is
+        # flat between them to far below rounding; each level must sit at a CDF residual of rounding size, or
+        # else (where the CDF is that flat) as close to the bisected quantile as the two stopping widths allow
+        def points(elements, lo=2):
+            return np.array(data.draw(st.lists(elements, min_size=lo, max_size=12)), dtype=float)
+
+        if shape == "atom":
+            v, sigma = np.array([data.draw(st.floats(-3, 3))]), data.draw(st.sampled_from([0.02, 1.0]))
+        elif shape == "ties":
+            v, sigma = points(_QUARTERS), 1e-3
+        elif shape == "clusters":
+            v, sigma = np.concatenate([0.1 * points(_QUARTERS, lo=1), 50.0 + 0.1 * points(_QUARTERS, lo=1)]), 0.02
+        else:
+            v, sigma = points(st.floats(-3, 3)), data.draw(st.sampled_from([0.3, 1.0, 3.0]))
+        v, sigma = scale * v, scale * sigma
+        levels = (np.arange(1000) + 0.5) / 1000
+        got = divergences._mixture_quantiles(v, sigma, levels)
+        want, span = mixture_quantiles_by_bisection(v, sigma, levels)
+        ok = (np.abs(mixture_cdf(v, sigma, got) - levels) <= 1e-13) | (np.abs(got - want) <= 2e-10 * span)
+        assert ok.all(), (levels[~ok], got[~ok], want[~ok])
+
+    def test_bits_do_not_depend_on_the_level_block(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        vx, vy = rng.normal(size=300), 1.5 * rng.normal(size=300) + 0.4
+        want = smoothed_wasserstein_oracle(vx, vy, 1.0, 2, grid=1000)  # the default block: 218 levels of 300 points
+        for rows in (1, 7):
+            monkeypatch.setattr(divergences, "_LEVEL_BLOCK", rows * 300)
+            assert smoothed_wasserstein_oracle(vx, vy, 1.0, 2, grid=1000) == want
+
+    def test_memory_does_not_grow_with_grid_times_n(self):
+        # grid x n = 10^7 floats, 76 MiB for one CDF matrix; the blocks hold 2^16 floats each
+        rng = np.random.default_rng(5)
+        vx, vy = rng.normal(size=10_000), 2.0 * rng.normal(size=10_000) + 1.5
+        tracemalloc.start()
+        try:
+            smoothed_wasserstein_oracle(vx, vy, 1.0, 2, grid=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------- slice values

@@ -78,6 +78,15 @@ class TestEstimateBasics:
                 divergence=DivergenceSpec("wasserstein", p=2), seed=RngRoot(0), mode="mixture_oracle",
             )
 
+    @pytest.mark.parametrize("grid", [10, 999, 1000.5, math.inf, True])
+    def test_oracle_grid_checked_at_construction(self, grid):
+        spec = DivergenceSpec("wasserstein", p=2)
+        with pytest.raises(ValueError, match="grid"):
+            GssdConfig(sigma=1.0, num_projections=4, divergence=spec, seed=RngRoot(0), mode="mixture_oracle",
+                       oracle_grid=grid)
+        # the double-empirical mode never reads the grid
+        GssdConfig(sigma=1.0, num_projections=4, divergence=spec, seed=RngRoot(0), oracle_grid=grid)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["wasserstein", "mmd", "sinkhorn"])
