@@ -15,7 +15,6 @@ from .bounds import (
     gaussian_abs_moment,
     kummer_1f1,
     mc_error_bound,
-    pochhammer,
     sample_bound,
     upsilon_constant,
     xi_constant,
@@ -68,7 +67,6 @@ __all__ = [
     "PointMass",
     "SphericalGaussian",
     "gaussian_abs_moment",
-    "pochhammer",
     "kummer_1f1",
     "xi_constant",
     "upsilon_constant",

@@ -2,15 +2,15 @@
 
 The finite-sample error of the estimator admits an envelope of the form
 Xi / sqrt(n) + Upsilon * log(n) / n, where both constants are explicit up to
-a free calibration factor c_p (default 1, user-configurable):
+a free calibration factor c_p (default C_P = 1, user-configurable):
 
     Xi = 2^{5p/2 - 5/4} / sqrt(pi) * sigma^{p - 1/4} * theta^{p+1}
          * sqrt(Gamma(p + 1/2))
          * sqrt( sqrt(4 pi sigma^2 theta^2 / (theta^2 - 2)) + 4 * T )
 
-with theta > sqrt(2) a free parameter and T the tail integral
-integral_0^inf exp(a xi^2) P[|X| > xi] d xi, a = 2 / (sigma^2 theta^2).  By
-the layer-cake formula T = E[F_a(|X|)] with
+with theta > sqrt(2) a free parameter (default VARTHETA = 2) and T the tail
+integral integral_0^inf exp(a xi^2) P[|X| > xi] d xi, a = 2 / (sigma^2 theta^2).
+By the layer-cake formula T = E[F_a(|X|)] with
 
     F_a(r) = integral_0^r exp(a xi^2) d xi = exp(a r^2) * dawsn(sqrt(a) r) / sqrt(a),
 
@@ -22,8 +22,9 @@ is a omega^2 < 1/2, i.e. sigma * theta > 2 omega.  And
               * M_{2k}
 
 for integer p, where M_{2k} is the 2k-th absolute moment of the source
-distribution.  The hypergeometric series terminates because (-p)_k vanishes
-for k > p.  A source (``PointMass`` or ``SphericalGaussian``) gives both T
+distribution.  The sum is Kummer's series 1F1(-p; 1/2; -1/(2 sigma^2)) with
+its k-th term weighted by M_{2k}; it terminates because (-p)_k vanishes for
+k > p.  A source (``PointMass`` or ``SphericalGaussian``) gives both T
 and M_{2k}.
 
 The Monte Carlo direction-sampling error is the usual A / sqrt(L) with A^2 the
@@ -32,6 +33,7 @@ variance of the per-direction values; ``mc_error_bound`` is its sample plug-in.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +47,6 @@ __all__ = [
     "PointMass",
     "SphericalGaussian",
     "gaussian_abs_moment",
-    "pochhammer",
     "kummer_1f1",
     "xi_constant",
     "upsilon_constant",
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+VARTHETA = 2.0  # the envelope's default free parameter vartheta > sqrt(2)
+C_P = 1.0  # the envelope's default calibration factor of the log(n)/n term
 
 
 def gaussian_abs_moment(q: float, s: float) -> float:
@@ -63,16 +66,6 @@ def gaussian_abs_moment(q: float, s: float) -> float:
     if s <= 0:
         raise ValueError("scale s must be positive")
     return s**q * 2.0 ** (q / 2.0) * gamma_fn((q + 1.0) / 2.0) / math.sqrt(math.pi)
-
-
-def pochhammer(alpha: float, k: int) -> float:
-    """Rising factorial (alpha)_k = alpha (alpha+1) ... (alpha+k-1); ()_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1.0
-    for j in range(k):
-        out *= alpha + j
-    return out
 
 
 _KUMMER_RTOL = 1e-12
@@ -91,10 +84,9 @@ def kummer_1f1(a: float, gamma: float, z: float) -> float:
     terminal = None
     if a <= 0 and float(a).is_integer():
         terminal = int(-a)
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
+    total = 0.0
+    for k, term in enumerate(_kummer_terms(a, gamma, z)):
+        total += term
         if not (math.isfinite(term) and math.isfinite(total)):
             raise RuntimeError(f"hypergeometric series overflowed at term {k}; partial value {total!r}")
         if terminal is not None and k >= terminal:
@@ -105,9 +97,14 @@ def kummer_1f1(a: float, gamma: float, z: float) -> float:
             raise RuntimeError(
                 f"hypergeometric series did not converge in {_KUMMER_MAX_TERMS} terms; partial value {total!r}"
             )
+
+
+def _kummer_terms(a: float, gamma: float, z: float):
+    """The terms (a)_k / (gamma)_k * z^k / k! of Kummer's series for k = 0, 1, ..., each from the one before."""
+    term = 1.0
+    for k in itertools.count():
+        yield term
         term *= (a + k) / (gamma + k) * z / (k + 1)
-        total += term
-        k += 1
 
 
 _NOT_INTEGRABLE = (
@@ -227,10 +224,10 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError("sigma must be finite and positive")
 
 
-def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = 1.0) -> float:
+def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = C_P) -> float:
     """The log(n)/n-rate constant Upsilon of ``source`` for integer order p.
 
-    Only the moments M_{2k} for k = 0..p enter: the alternating series terminates at k = p.
+    Only the moments M_{2k} for k = 0..p enter: the series terminates at k = p.
     """
     _check_sigma(sigma)
     if not 0.0 <= c_p < math.inf:
@@ -238,10 +235,9 @@ def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = 1.0) -> 
     if not float(p).is_integer() or p < 1:
         raise ValueError("upsilon is defined for positive integer p (terminating series)")
     p = int(p)
-    series = 0.0
-    for k in range(p + 1):
-        coef = pochhammer(-p, k) / pochhammer(0.5, k)
-        series += coef * (-1.0) ** k / ((2.0 * sigma**2) ** k * math.factorial(k)) * source.moment(k)
+    # the k-th term of 1F1(-p; 1/2; -1/(2 sigma^2)), times M_2k
+    terms = zip(range(p + 1), _kummer_terms(-p, 0.5, -0.5 / sigma**2))
+    series = sum(term * source.moment(k) for k, term in terms)
     return 2.0 ** (2 * p - 1) * c_p / math.sqrt(math.pi) * sigma ** (2 * p) * gamma_fn(p + 0.5) * series
 
 
@@ -279,8 +275,8 @@ class TheoryBound:
         p: int,
         sigma: float,
         source: Source,
-        vartheta: float = 2.0,
-        c_p: float = 1.0,
+        vartheta: float = VARTHETA,
+        c_p: float = C_P,
     ) -> TheoryBound:
         xi, tail_integral = _xi_and_tail(p, sigma, vartheta, source)
         upsilon = upsilon_constant(p, sigma, source, c_p)

@@ -10,8 +10,8 @@ Three families are provided:
   of a Gaussian kernel, (1/n^2) sum k(x_i, x_j) - (2/nm) sum k(x_i, y_j)
   + (1/m^2) sum k(y_i, y_j), by an O((n + m) (range/h)) trapezoid rule in
   the kernel's Gaussian frequency, checked against the same rule on every
-  other node, or else by the exact O((n + m)^2) kernel sum in fixed-size
-  blocks.
+  other node, or else by the exact O((n + m)^2) signed kernel sum over the
+  pooled slice, a block of rows at a time.
 * ``sinkhorn_div`` -- the debiased entropic divergence
   S_eps = OT_eps(x, y) - OT_eps(x, x)/2 - OT_eps(y, y)/2 for cost |s - t|^p,
   where OT_eps is the entropic optimal transport value (transport cost plus
@@ -48,7 +48,7 @@ __all__ = [
 
 KINDS = ("wasserstein", "mmd", "sinkhorn")
 
-_MMD_BLOCK = 2048
+_BLOCK = 1 << 16  # floats in each work buffer of a blocked loop
 # The trapezoid rule with step tau errs on E cos(w Z) = exp(-w^2 / 2) by about exp(-(2 pi / tau - |w|)^2 / 2)
 # (Poisson summation).  The MMD integrand's frequencies are |w| <= range / h and sum |s_i| = 2, so with
 # tau = pi / (range / h + _QUAD_MARGIN) the step-2 tau rule errs by at most 4 exp(-_QUAD_MARGIN^2 / 2) =
@@ -56,7 +56,6 @@ _MMD_BLOCK = 2048
 # |z| <= _QUAD_CUT, which drops Gaussian mass 2e-19.
 _QUAD_MARGIN = 8.7
 _QUAD_CUT = 9.0
-_QUAD_BLOCK = 1 << 16  # floats in each work buffer of the quadrature route
 _QUAD_RTOL = 1e-13
 _QUAD_ATOL = 2.0**-52
 ORACLE_GRID = 2000  # the mixture-quantile oracle's default number of midpoint quantile levels
@@ -67,11 +66,10 @@ _ORACLE_MIN_GRID = 1000
 # has not halved over the last two steps and the Newton step is longer than that tolerance.  So from the third
 # step on the bracket halves at least every three steps, a step is never longer than the bracket, and no level
 # takes more than _QUANTILE_STEPS steps (2^-34 < _QUANTILE_RTOL).  CDF and density are evaluated a block of
-# levels at a time, in two reused work buffers of at most _LEVEL_BLOCK floats each (one row when n is larger).
+# levels at a time (``_row_blocks``).
 _QUANTILE_KNOTS = 512
 _QUANTILE_RTOL = 1e-10
 _QUANTILE_STEPS = 3 * 34 + 1
-_LEVEL_BLOCK = 1 << 16
 # The Newton steps of the Sinkhorn solve: conjugate gradients stop at a relative residual _CG_RTOL (an inexact
 # step cannot move the fixed point: the stop test uses the exact gradient) or after m products, where they end
 # in exact arithmetic; a _NEWTON_RIDGE multiple of the mean preconditioner diagonal pins the constant direction
@@ -157,15 +155,29 @@ def wasserstein_pp_rows(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     return np.sum(widths * np.abs(xs.take(ix, axis=1) - ys.take(iy, axis=1)) ** p, axis=1)
 
 
-def _kernel_sum(a: np.ndarray, b: np.ndarray, bandwidth: float) -> float:
-    """Sum of exp(-(s-t)^2 / (2 bw^2)) over all pairs, in fixed-size blocks."""
+def _row_blocks(count: int, width: int, buffers: int):
+    """Split ``count`` rows of ``width`` floats into blocks of at most _BLOCK floats (one row when width is larger).
+
+    Yields each block's row slice and an array of ``buffers`` work buffers of the block's shape,
+    C-contiguous and reused from block to block.
+    """
+    rows = max(1, min(count, _BLOCK // width))
+    work = np.empty((buffers, rows, width))
+    for i in range(0, count, rows):
+        k = min(rows, count - i)
+        yield slice(i, i + k), work[:, :k]
+
+
+def _kernel_sum(v: np.ndarray, s: np.ndarray, bandwidth: float) -> float:
+    """s^T K s with K_ij = exp(-(v_i - v_j)^2 / (2 bw^2)): each block of rows adds s[rows] @ (K[rows] @ s)."""
     total = 0.0
     with np.errstate(over="ignore"):  # a pair far apart on the scale of bw overflows to z = inf, kernel value 0
-        for i in range(0, a.size, _MMD_BLOCK):
-            ai = a[i : i + _MMD_BLOCK, None]
-            for j in range(0, b.size, _MMD_BLOCK):
-                z = (ai - b[None, j : j + _MMD_BLOCK]) / bandwidth
-                total += float(np.exp(-0.5 * z * z).sum())
+        for rows, (z,) in _row_blocks(v.size, v.size, 1):
+            np.subtract(v[rows, None], v, out=z)
+            np.divide(z, bandwidth, out=z)
+            np.multiply(z, z, out=z)
+            np.multiply(z, -0.5, out=z)
+            total += float(s[rows] @ (np.exp(z, out=z) @ s))
     return total
 
 
@@ -174,37 +186,33 @@ def _quadrature_pair(u: np.ndarray, s: np.ndarray, tau: float, K: int) -> tuple[
     and by the same rule on the even k alone, with step 2 tau: (coarse, fine).
 
     The integrand is even, so the weights tau phi(z_k) are doubled for k >= 1.  At each node it is one
-    cos, one sin and two matrix-vector products over the pooled values, a block of nodes at a time in
-    two reused work buffers of at most _QUAD_BLOCK floats each.
+    cos, one sin and two matrix-vector products over the pooled values, a block of nodes at a time.
     """
     z = tau * np.arange(K + 1)
     w = tau / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * z * z)
     w[1:] *= 2.0
     power = np.empty(z.size)
-    rows = min(z.size, max(1, _QUAD_BLOCK // u.size))
-    arg = np.empty((rows, u.size))
-    trig = np.empty((rows, u.size))
-    for i in range(0, z.size, rows):
-        k = min(rows, z.size - i)
-        a, t = arg[:k], trig[:k]
-        np.multiply(z[i : i + k, None], u, out=a)
+    for rows, (a, t) in _row_blocks(z.size, u.size, 2):
+        np.multiply(z[rows, None], u, out=a)
         re = np.cos(a, out=t) @ s
         im = np.sin(a, out=a) @ s
-        power[i : i + k] = re * re + im * im
+        power[rows] = re * re + im * im
     return 2.0 * float(power[::2] @ w[::2]), float(power @ w)
 
 
 def mmd_sq(x, y, bandwidth: float) -> float:
     """Squared MMD with Gaussian kernel, biased V-statistic (>= 0 up to rounding).
 
-    By k_h(s - t) = E cos(Z (s - t) / h), Z ~ N(0, 1), the V-statistic is
-    E |phi_x(Z/h) - phi_y(Z/h)|^2 over the empirical characteristic functions.
-    The trapezoid rule with step tau = pi / (range/h + _QUAD_MARGIN) on
-    0 <= z <= _QUAD_CUT sums it; its value is returned when the rule on every
-    other node agrees with it to _QUAD_RTOL relative, plus _QUAD_ATOL (the
-    exact sum's own rounding).  Otherwise, and straight away when the K + 1
-    nodes would evaluate more terms than the exact sum has kernel pairs, the
-    exact blocked kernel sum runs.
+    Over the pooled slice v = (x, y) with weights s = (1/n, ..., -1/m, ...) the
+    V-statistic is the quadratic form s^T K s of the kernel matrix.  By
+    k_h(a - b) = E cos(Z (a - b) / h), Z ~ N(0, 1), it is also
+    E |sum_i s_i exp(i Z v_i / h)|^2.  The trapezoid rule with step
+    tau = pi / (range/h + _QUAD_MARGIN) on 0 <= z <= _QUAD_CUT sums that; its
+    value is returned when the rule on every other node agrees with it to
+    _QUAD_RTOL relative, plus _QUAD_ATOL (the exact sum's own rounding).
+    Otherwise, and straight away when the K + 1 nodes would evaluate more
+    terms than the exact sum has kernel pairs, the exact signed kernel sum
+    s^T K s runs, a block of rows at a time.
     """
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be finite and positive")
@@ -212,20 +220,17 @@ def mmd_sq(x, y, bandwidth: float) -> float:
     ys = _as_samples(y, "y")
     n, m = xs.size, ys.size
     v = np.concatenate([xs, ys])
+    s = np.concatenate([np.full(n, 1.0 / n), np.full(m, -1.0 / m)])
     lo, hi = float(v.min()), float(v.max())
     band = (hi - lo) / bandwidth + _QUAD_MARGIN  # pi / tau
     K = 2.0 * np.ceil(0.5 * _QUAD_CUT * band / math.pi)  # a float, inf when h is tiny: no int() before the test
     if (K + 1.0) * v.size <= n * n + n * m + m * m:
-        v -= 0.5 * (lo + hi)  # the kernel is shift-invariant; centring keeps the phases Z v / h small
-        s = np.concatenate([np.full(n, 1.0 / n), np.full(m, -1.0 / m)])
-        coarse, fine = _quadrature_pair(v / bandwidth, s, math.pi / band, int(K))
+        # the kernel is shift-invariant; centring keeps the phases Z v / h small
+        u = (v - 0.5 * (lo + hi)) / bandwidth
+        coarse, fine = _quadrature_pair(u, s, math.pi / band, int(K))
         if abs(fine - coarse) <= _QUAD_RTOL * fine + _QUAD_ATOL:
             return fine
-    return (
-        _kernel_sum(xs, xs, bandwidth) / (n * n)
-        - 2.0 * _kernel_sum(xs, ys, bandwidth) / (n * m)
-        + _kernel_sum(ys, ys, bandwidth) / (m * m)
-    )
+    return _kernel_sum(v, s, bandwidth)
 
 
 def bandwidth_mean_pairwise(x, y) -> float:
@@ -374,25 +379,20 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
 
 
 def _mixture_cdf_pdf(v: np.ndarray, sigma: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CDF and density (``slicing.mixture_pdf``) of (1/n) sum_i N(v_i, sigma^2) at each point of t.
+    """CDF and density of (1/n) sum_i N(v_i, sigma^2) at each point of t, a block of points at a time.
 
     Each point's values are the means of its own row of a block of points, so
     their bits do not depend on how many rows a block holds.
     """
-    rows = max(1, min(t.size, _LEVEL_BLOCK // v.size))
-    arg = np.empty((rows, v.size))
-    work = np.empty((rows, v.size))
     cdf = np.empty(t.size)
     pdf = np.empty(t.size)
-    for i in range(0, t.size, rows):
-        k = min(rows, t.size - i)
-        a = arg[:k]
-        np.subtract(t[i : i + k, None], v, out=a)
+    for rows, (a, work) in _row_blocks(t.size, v.size, 2):
+        np.subtract(t[rows, None], v, out=a)
         np.divide(a, sigma, out=a)
-        cdf[i : i + k] = ndtr(a, out=work[:k]).mean(axis=1)
+        cdf[rows] = ndtr(a, out=work).mean(axis=1)
         np.multiply(a, a, out=a)
         np.multiply(a, -0.5, out=a)
-        pdf[i : i + k] = np.exp(a, out=a).mean(axis=1)
+        pdf[rows] = np.exp(a, out=a).mean(axis=1)
     pdf /= sigma * math.sqrt(2.0 * math.pi)
     return cdf, pdf
 

@@ -22,7 +22,7 @@ the number of projections that follow it.  Streams do not depend on sigma, so
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -216,8 +216,6 @@ class TwoSigmaReport:
     gap: float
     slack: float
     holds: bool
-    low: GssdEstimate | None = field(repr=False, default=None)
-    high: GssdEstimate | None = field(repr=False, default=None)
 
 
 def two_sigma_check(
@@ -248,6 +246,4 @@ def two_sigma_check(
         gap=gap,
         slack=slack,
         holds=est_low.mean_pow <= rhs + slack,
-        low=est_low,
-        high=est_high,
     )

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .bounds import SphericalGaussian, TheoryBound
+from .bounds import C_P, VARTHETA, SphericalGaussian, TheoryBound
 from .divergences import DivergenceSpec
 from .estimator import GssdConfig, GssdEstimate, estimate, sweep_sigma
 from .rng import RngRoot
@@ -101,8 +101,8 @@ class ExperimentConfig:
     s_grid: tuple = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
     pair: str = "same"
     emit_bound: bool = False
-    vartheta: float = 2.0
-    c_p: float = 1.0
+    vartheta: float = VARTHETA
+    c_p: float = C_P
 
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:

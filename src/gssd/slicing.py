@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergences import _mixture_cdf_pdf
 from .rng import RngStream
 
 __all__ = [
@@ -108,7 +109,8 @@ def mixture_pdf(values: np.ndarray, sigma: float, t):
     """Density of the exact smoothed slice, (1/n) * sum_i N(v_i, sigma^2) at t.
 
     Accepts scalar or array ``t``; requires sigma > 0 (the sigma = 0 slice is
-    purely atomic and has no density).
+    purely atomic and has no density).  The density is the mixture oracle's,
+    evaluated a block of points at a time, so memory does not grow with t.size * n.
     """
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be finite and positive for the mixture density")
@@ -116,6 +118,5 @@ def mixture_pdf(values: np.ndarray, sigma: float, t):
     if v.ndim != 1 or v.size < 1 or not np.isfinite(v).all():
         raise ValueError("values must be a non-empty 1-D vector of finite values")
     t_arr = np.asarray(t, dtype=np.float64)
-    z = (t_arr[..., None] - v) / sigma
-    dens = np.exp(-0.5 * z * z).mean(axis=-1) / (sigma * np.sqrt(2.0 * np.pi))
+    dens = _mixture_cdf_pdf(v, sigma, t_arr.ravel())[1].reshape(t_arr.shape)
     return float(dens) if np.isscalar(t) or t_arr.ndim == 0 else dens

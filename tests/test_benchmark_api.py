@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gssd
+from gssd import divergences
 
 
 @pytest.fixture
@@ -55,3 +56,33 @@ def test_exact_routes_oracle_matches_the_reference(workloads, tmp_path):
     px, py = workloads.projections(inputs["OX"], inputs["OY"], inputs["oracle"].seed, 0)
     want = reference.smoothed_wasserstein(px, py, 1.0, workloads.P, workloads.ORACLE_GRID)
     assert est.per_projection[0] == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+def test_sweep_mmd_job_passes_its_output_checks(workloads, tmp_path):
+    inputs = workloads.sweep_inputs(1, str(tmp_path))
+    _, result = workloads.WORKLOADS["sweep-mmd"].job(inputs, 1)
+    checks = workloads.sweep_checks(inputs, result)
+    assert checks and [(label, detail) for label, ok, detail in checks if not ok] == []
+
+
+def longdouble_mmd_sq(x, y, bw, rows=128):
+    """The V-statistic s^T K s summed in long double, a block of rows at a time."""
+    v = np.concatenate([x, y]).astype(np.longdouble)
+    s = np.concatenate([np.full(x.size, 1 / np.longdouble(x.size)), np.full(y.size, -1 / np.longdouble(y.size))])
+    total = np.longdouble(0.0)
+    for i in range(0, v.size, rows):
+        z = (v[i : i + rows, None] - v) / np.longdouble(bw)
+        total += s[i : i + rows] @ (np.exp(-0.5 * z * z) @ s)
+    return total
+
+
+def test_exact_mmd_route_holds_on_a_small_value(workloads, tmp_path, monkeypatch):
+    # sweep-mmd seed 1, sigma 15, slice 3: MMD^2 is 4.3e-5, where (n + m)^2 kernel terms near 1 cancel
+    inputs = workloads.sweep_inputs(1, str(tmp_path))
+    tx, ty = workloads.slice_pair(inputs["X"], inputs["Y"], inputs["cfgs"]["mmd"].seed, 3, 15.0)
+    bw = gssd.bandwidth_mean_pairwise(tx, ty)
+    want = longdouble_mmd_sq(tx, ty, bw)
+    assert float(want) == pytest.approx(4.337e-5, rel=1e-3)
+    monkeypatch.setattr(divergences, "_quadrature_pair", lambda *args: (0.0, 1.0))  # the rules disagree
+    got = gssd.mmd_sq(tx, ty, bw)
+    assert float(abs(got - want)) <= 3e-13 * float(want)

@@ -15,7 +15,6 @@ from gssd.bounds import (
     gaussian_abs_moment,
     kummer_1f1,
     mc_error_bound,
-    pochhammer,
     sample_bound,
     upsilon_constant,
     xi_constant,
@@ -46,22 +45,6 @@ class TestGaussianAbsMoment:
             gaussian_abs_moment(-1, 1.0)
         with pytest.raises(ValueError):
             gaussian_abs_moment(1, 0.0)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.7, 0) == 1.0
-        assert pochhammer(-9.9, 0) == 1.0
-
-    def test_rising_factorial(self):
-        assert pochhammer(3, 2) == 12.0
-
-    def test_negative_integer_hits_zero(self):
-        assert pochhammer(-2, 3) == 0.0
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
 
 
 class TestKummer:
@@ -210,6 +193,14 @@ class TestUpsilonConstant:
     def test_hand_expanded_p1(self):
         got = upsilon_constant(1, 1.0, PointMass(1.0), 1.0)
         assert got == pytest.approx(2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sigma, radius", [(0.5, 0.3), (1.0, 1.0), (2.0, 3.0)])
+    def test_point_mass_is_kummer_series_times_prefactor(self, p, sigma, radius):
+        # M_2k = r^2k folds into the series argument: the sum is 1F1(-p; 1/2; -r^2 / (2 sigma^2))
+        prefactor = 2.0 ** (2 * p - 1) / math.sqrt(math.pi) * sigma ** (2 * p) * math.gamma(p + 0.5)
+        want = prefactor * kummer_1f1(-p, 0.5, -(radius**2) / (2 * sigma**2))
+        assert upsilon_constant(p, sigma, PointMass(radius)) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_series_terminates_at_p(self):
         # moments beyond k = p never enter: poisoning them must not change the value

@@ -81,10 +81,10 @@ def mixture_quantiles_by_bisection(v, sigma, levels):
 
 
 def mmd_exact_route(x, y, bw):
-    """The exact route of mmd_sq: three blocked kernel sums, combined in this order."""
-    ks = divergences._kernel_sum
-    n, m = x.size, y.size
-    return ks(x, x, bw) / (n * n) - 2.0 * ks(x, y, bw) / (n * m) + ks(y, y, bw) / (m * m)
+    """mmd_sq on its exact route, the signed kernel sum: the two rules it checks are made to disagree."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divergences, "_quadrature_pair", lambda *args: (0.0, 1.0))
+        return mmd_sq(x, y, bw)
 
 
 def wasserstein_quantile_exact(x, y, p):
@@ -282,7 +282,7 @@ class TestMmdSq:
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_blockwise_matches_dense(self):
-        # sizes above the block edge exercise the tiled kernel accumulation
+        # the rule and, over 500 blocks of 11 rows, the exact route
         rng = np.random.default_rng(8)
         x = rng.normal(size=3000)
         y = rng.normal(size=2500) + 0.3
@@ -292,7 +292,8 @@ class TestMmdSq:
             - 2 * np.exp(-0.5 * ((x[:, None] - y[None, :]) / bw) ** 2).sum() / (x.size * y.size)
             + np.exp(-0.5 * ((y[:, None] - y[None, :]) / bw) ** 2).sum() / y.size**2
         )
-        assert mmd_sq(x, y, bw) == pytest.approx(float(dense), rel=1e-12)
+        for got in (mmd_sq(x, y, bw), mmd_exact_route(x, y, bw)):
+            assert got == pytest.approx(float(dense), rel=1e-12)
 
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):
@@ -358,8 +359,19 @@ class TestMmdRoutes:
         x, y = sweep_slice(1.0)
         with counting("_kernel_sum") as calls, counting("_quadrature_pair") as rules:
             got = mmd_sq(x, y, 1e-3)
-        assert len(calls) == 3 and rules == []
+        assert len(calls) == 1 and rules == []
         assert got == mmd_exact_route(x, y, 1e-3)
+
+    def test_exact_route_holds_one_block_of_rows(self):
+        # the (n + m)^2 kernel values would take 99 MiB; a block of rows is one 2^16-float buffer, 0.5 MiB
+        x, y = sweep_slice(1.0)
+        tracemalloc.start()
+        try:
+            mmd_sq(x, y, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, 10.0, 100.0, 1000.0])
     def test_both_rules_resolve_the_highest_frequency(self, ratio):
@@ -413,7 +425,7 @@ class TestMmdRoutes:
         assert got == (mmd_exact_route(x, y, bw) if exact else 0.01 * (1.0 + rel_gap))
 
     def test_quadrature_route_allocates_a_few_mib(self):
-        # one block of the exact route is 2048 x 2048 floats, 32 MiB, and it holds three at once
+        # the rule's two work buffers hold 2^16 floats each, 1 MiB together
         x, y = sweep_slice(1.0)
         bw = bandwidth_mean_pairwise(x, y)
         tracemalloc.start()
@@ -702,7 +714,7 @@ class TestSmoothedWassersteinOracle:
         vx, vy = rng.normal(size=300), 1.5 * rng.normal(size=300) + 0.4
         want = smoothed_wasserstein_oracle(vx, vy, 1.0, 2, grid=1000)  # the default block: 218 levels of 300 points
         for rows in (1, 7):
-            monkeypatch.setattr(divergences, "_LEVEL_BLOCK", rows * 300)
+            monkeypatch.setattr(divergences, "_BLOCK", rows * 300)
             assert smoothed_wasserstein_oracle(vx, vy, 1.0, 2, grid=1000) == want
 
     def test_memory_does_not_grow_with_grid_times_n(self):

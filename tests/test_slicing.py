@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -174,6 +176,21 @@ class TestMixturePdf:
         v = np.array([-1.3, 1.3])
         t = np.linspace(0.0, 6.0, 101)
         assert np.allclose(mixture_pdf(v, 0.8, t), mixture_pdf(v, 0.8, -t), atol=1e-15)
+
+    def test_memory_does_not_grow_with_points_times_atoms(self):
+        # 2000 points of a 5000-atom mixture are 76 MiB as one matrix; a block of points holds 2^16 floats
+        rng = np.random.default_rng(0)
+        v, t = rng.normal(size=5000), np.linspace(-4.0, 4.0, 2000).reshape(40, 50)
+        tracemalloc.start()
+        try:
+            dens = mixture_pdf(v, 0.5, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert dens.shape == t.shape
+        want = [np.exp(-0.5 * ((p - v) / 0.5) ** 2).mean() / (0.5 * np.sqrt(2 * np.pi)) for p in t.flat[::199]]
+        assert dens.flat[::199] == pytest.approx(want, rel=1e-13)
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
