@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import dawsn, gammaln
 from scipy.special import gamma as gamma_fn
 
@@ -68,31 +67,33 @@ def gaussian_abs_moment(q: float, s: float) -> float:
     return s**q * 2.0 ** (q / 2.0) * gamma_fn((q + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-_KUMMER_RTOL = 1e-12
+_KUMMER_RTOL = 2.0**-53  # the tail left off is below half an ulp of the sum
 _KUMMER_MAX_TERMS = 10_000
 
 
 def kummer_1f1(a: float, gamma: float, z: float) -> float:
     """Confluent hypergeometric series sum_k (a)_k / (gamma)_k * z^k / k!.
 
-    If a is a non-positive integer the series terminates exactly at k = -a.
-    Otherwise terms are accumulated until |term| < _KUMMER_RTOL * |partial sum|,
-    for at most _KUMMER_MAX_TERMS terms.
+    If a is a non-positive integer the series terminates exactly at k = -a.  Otherwise, once
+    k > -a and k > -gamma, rho_k = max(1, (a + k) / (gamma + k)) * |z| / (k + 1) bounds every later
+    term ratio and only falls with k; the sum stops when rho_k < 1 and the tail bound
+    |term_k| * rho_k / (1 - rho_k) is below _KUMMER_RTOL * |partial sum|, within _KUMMER_MAX_TERMS terms.
     """
     if gamma <= 0 and float(gamma).is_integer():
         raise ValueError("gamma must not be a non-positive integer (series pole)")
-    terminal = None
-    if a <= 0 and float(a).is_integer():
-        terminal = int(-a)
+    terminal = int(-a) if a <= 0 and float(a).is_integer() else None
     total = 0.0
     for k, term in enumerate(_kummer_terms(a, gamma, z)):
         total += term
         if not (math.isfinite(term) and math.isfinite(total)):
             raise RuntimeError(f"hypergeometric series overflowed at term {k}; partial value {total!r}")
-        if terminal is not None and k >= terminal:
-            return total
-        if terminal is None and k > 0 and abs(term) < _KUMMER_RTOL * abs(total):
-            return total
+        if terminal is not None:
+            if k >= terminal:
+                return total
+        elif k + a > 0 and k + gamma > 0:
+            rho = max(1.0, (a + k) / (gamma + k)) * abs(z) / (k + 1)
+            if rho < 1.0 and abs(term) * rho <= _KUMMER_RTOL * (1.0 - rho) * abs(total):
+                return total
         if k >= _KUMMER_MAX_TERMS:
             raise RuntimeError(
                 f"hypergeometric series did not converge in {_KUMMER_MAX_TERMS} terms; partial value {total!r}"
@@ -117,6 +118,10 @@ class PointMass:
     """X at distance ``radius`` from the origin."""
 
     radius: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.radius < math.inf:
+            raise ValueError("radius must be finite and >= 0")
 
     def moment(self, k: int) -> float:
         """M_{2k} = radius^{2k}."""
@@ -144,8 +149,11 @@ class SphericalGaussian:
             raise ValueError("omega must be positive")
 
     def moment(self, k: int) -> float:
-        """M_{2k} = omega^{2k} 2^k Gamma(d/2 + k) / Gamma(d/2) (chi-square moments)."""
-        return float(self.omega ** (2 * k) * 2.0**k * math.exp(gammaln(self.d / 2.0 + k) - gammaln(self.d / 2.0)))
+        """M_{2k} = omega^{2k} 2^k (d/2)(d/2 + 1)...(d/2 + k - 1) (chi-square moments).
+
+        Each 2 (d/2 + j) = d + 2j is an integer, so the product is exact while it stays below 2^53.
+        """
+        return float(self.omega ** (2 * k) * math.prod(self.d + 2.0 * j for j in range(k)))
 
     def tail_integral(self, a: float) -> float:
         """T = E[F_a(omega R)] for R ~ chi_d, a quadrature over the chi density in log space.
@@ -155,6 +163,9 @@ class SphericalGaussian:
         """
         if not a * self.omega**2 < 0.5:
             raise ValueError(_NOT_INTEGRABLE)
+        # imported here, its one use: scipy.integrate would double the time and memory of `import gssd`
+        from scipy.integrate import quad
+
         # u = c R turns exp(a omega^2 R^2) of F_a times exp(-R^2 / 2) of the density into exp(-u^2 / 2),
         # which keeps the peak near u = sqrt(d - 1) however close a omega^2 is to 1/2
         d = self.d

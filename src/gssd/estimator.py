@@ -6,11 +6,12 @@ stream ("noisex", l) / ("noisey", l), and evaluates the base divergence's
 order-p value on the pair (``divergences.slice_values``).  The estimate is the
 mean of the L per-projection values, with its Monte Carlo error (``GssdEstimate.from_values``).
 
-One slice pipeline serves every base divergence and mode: ``_slice_tile``
-draws the keyed streams of up to ``_TILE`` projections at once and returns
-directions, both projections and the *standard* noise, each row bit-identical
-to ``sample_direction``, ``project`` and ``smooth_double`` on the same
-streams.  Base divergences consume whole rows.
+One slice pipeline serves every base divergence and mode: each worker cuts
+its block of projections into tiles of ``_TILE`` rows, and
+``slicing._slice_tile`` draws a tile's directions, both projections and the
+*standard* noise, each row bit-identical to ``sample_direction``, ``project``
+and ``smooth_double`` on the same streams.  No row depends on the others of
+its tile, so tile edges move no bit.  Base divergences consume whole rows.
 
 Because every projection is keyed by its index, the result is a pure function
 of (seed, data, config): independent of evaluation order, worker count and of
@@ -29,8 +30,8 @@ import numpy as np
 
 from .bounds import mc_error_bound
 from .divergences import ORACLE_GRID, DivergenceSpec, check_oracle_grid, slice_values, smoothed_wasserstein_oracle
-from .rng import RngRoot, keyed_normals
-from .slicing import SampleSet, sample_direction
+from .rng import RngRoot
+from .slicing import SampleSet, _slice_tile
 
 __all__ = ["GssdConfig", "GssdEstimate", "TwoSigmaReport", "estimate", "sweep_sigma", "two_sigma_check"]
 
@@ -103,31 +104,7 @@ class GssdEstimate:
         }
 
 
-_TILE = 64  # projections whose streams are drawn together; tiles start at its multiples
-
-
-def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool):
-    """Directions, projections of X and Y, and their standard noise (None unless
-    ``noise``) for the projections in ``ls``, one row per projection."""
-    d, n, m = X.d, X.n, Y.n
-    streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
-    G = keyed_normals(root, streams, ls)
-    U = np.empty((len(ls), d))
-    px = np.empty((len(ls), n))
-    py = np.empty((len(ls), m))
-    for k, l in enumerate(ls):
-        # sample_direction and project row by row: a norm and a matrix-vector
-        # product per direction keep each row bit-identical to those functions
-        z = G[k, :d]
-        norm = float(np.linalg.norm(z))
-        if norm > 1e-150:
-            np.divide(z, norm, out=U[k])
-        else:  # a zero draw: sample_direction redraws from the stream
-            U[k] = sample_direction(d, root.stream("proj", l)).coords
-        np.matmul(X.data, U[k], out=px[k])
-        np.matmul(Y.data, U[k], out=py[k])
-    zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
-    return U, px, py, zx, zy
+_TILE = 64  # projections whose streams are drawn together
 
 
 def _tile_values(px, py, zx, zy, cfg: GssdConfig) -> tuple[np.ndarray, int]:
@@ -164,8 +141,8 @@ def _sweep(X: SampleSet, Y: SampleSet, cfgs: list[GssdConfig], workers: int) -> 
 
     def run_block(ls: range) -> np.ndarray:
         bad = np.zeros(len(cfgs), dtype=np.int64)
-        edges = [ls.start, *range((ls.start // _TILE + 1) * _TILE, ls.stop, _TILE), ls.stop]
-        for a, b in zip(edges, edges[1:]):
+        for a in range(ls.start, ls.stop, _TILE):
+            b = min(a + _TILE, ls.stop)
             _, *tile = _slice_tile(X, Y, first.seed, range(a, b), noise)
             for k, cfg in enumerate(cfgs):
                 vals[k, a:b], n_bad = _tile_values(*tile, cfg)

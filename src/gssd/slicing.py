@@ -15,16 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import _mixture_cdf_pdf
-from .rng import RngStream
+from .rng import RngRoot, RngStream, keyed_normals
 
-__all__ = [
-    "SampleSet",
-    "Direction",
-    "sample_direction",
-    "project",
-    "smooth_double",
-    "mixture_pdf",
-]
+__all__ = ["SampleSet", "sample_direction", "project", "smooth_double", "mixture_pdf"]
 
 _UNIT_NORM_TOL = 1e-12
 _MAX_DIRECTION_RETRIES = 8
@@ -55,42 +48,27 @@ class SampleSet:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Unit vector on S^{d-1}."""
-
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.coords, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("direction must be a non-empty 1-D vector")
-        if abs(float(np.linalg.norm(arr)) - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError("direction is not unit-norm within 1e-12")
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def d(self) -> int:
-        return self.coords.size
-
-
-def sample_direction(d: int, stream: RngStream) -> Direction:
-    """Uniform direction on S^{d-1} by normalizing a standard Gaussian vector."""
+def sample_direction(d: int, stream: RngStream) -> np.ndarray:
+    """Uniform unit vector on S^{d-1}: a standard Gaussian vector over its norm."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     for _ in range(_MAX_DIRECTION_RETRIES):
         z = stream.normals(d)
         norm = float(np.linalg.norm(z))
         if norm > 1e-150:
-            return Direction(z / norm)
+            return z / norm
     raise RuntimeError("degenerate Gaussian draw persisted; cannot sample a direction")
 
 
-def project(samples: SampleSet, u: Direction) -> np.ndarray:
-    """Radon slice: entry i is u'X_i."""
-    if u.d != samples.d:
-        raise ValueError(f"direction dimension {u.d} != sample dimension {samples.d}")
-    return samples.data @ u.coords
+def project(samples: SampleSet, u: np.ndarray) -> np.ndarray:
+    """Radon slice: entry i is u'X_i, for a unit vector u of shape (d,)."""
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    if u.shape != (samples.d,):
+        raise ValueError(f"direction must have shape ({samples.d},), got {u.shape}")
+    # written so that a non-finite norm fails too
+    if not abs(float(np.linalg.norm(u)) - 1.0) <= _UNIT_NORM_TOL:
+        raise ValueError("direction is not a finite unit-norm vector within 1e-12")
+    return samples.data @ u
 
 
 def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> np.ndarray:
@@ -103,6 +81,31 @@ def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> np.nda
     if sigma > 0:
         vals = vals + sigma * stream.normals(vals.size)
     return vals
+
+
+def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool):
+    """Directions, projections of X and Y, and their standard noise (None unless ``noise``) for the
+    projections in ``ls``, one row per projection, each bit-identical to ``sample_direction``,
+    ``project`` and the noise of ``smooth_double`` on that projection's keyed streams."""
+    d, n, m = X.d, X.n, Y.n
+    streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
+    G = keyed_normals(root, streams, ls)
+    U = np.empty((len(ls), d))
+    px = np.empty((len(ls), n))
+    py = np.empty((len(ls), m))
+    for k, l in enumerate(ls):
+        # sample_direction and project row by row: a norm and a matrix-vector
+        # product per direction keep each row bit-identical to those functions
+        z = G[k, :d]
+        norm = float(np.linalg.norm(z))
+        if norm > 1e-150:
+            np.divide(z, norm, out=U[k])
+        else:  # a zero draw: sample_direction redraws from the stream
+            U[k] = sample_direction(d, root.stream("proj", l))
+        np.matmul(X.data, U[k], out=px[k])
+        np.matmul(Y.data, U[k], out=py[k])
+    zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
+    return U, px, py, zx, zy
 
 
 def mixture_pdf(values: np.ndarray, sigma: float, t):

@@ -58,6 +58,15 @@ def test_exact_routes_oracle_matches_the_reference(workloads, tmp_path):
     assert est.per_projection[0] == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
+def test_swd_proj_job_is_worker_invariant_and_passes_its_output_checks(workloads, tmp_path):
+    # with 2 workers the second block starts mid-tile, so its tile edges differ from those of 1 worker
+    inputs = workloads.swd_inputs(1, str(tmp_path))
+    (print1, result), (print2, _) = (workloads.WORKLOADS["swd-proj"].job(inputs, w) for w in (1, 2))
+    assert print1 == print2
+    checks = workloads.swd_checks(inputs, result)
+    assert checks and [(label, detail) for label, ok, detail in checks if not ok] == []
+
+
 def test_sweep_mmd_job_passes_its_output_checks(workloads, tmp_path):
     inputs = workloads.sweep_inputs(1, str(tmp_path))
     _, result = workloads.WORKLOADS["sweep-mmd"].job(inputs, 1)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
+import gssd
 from gssd import bounds
 from gssd.bounds import (
     PointMass,
@@ -85,6 +90,18 @@ class TestKummer:
     def test_nonconvergence_raises(self):
         with pytest.raises(RuntimeError):
             kummer_1f1(1.0, 2.0, 900.0)
+
+    @pytest.mark.parametrize("a, g, z", [
+        (1e-14, 1.0, 60.0), (1e-20, 1.0, 100.0), (0.5, 1.5, 40.0), (0.5, 0.5, 1.0), (1.5, 0.8, 2.0),
+        (3.0, 0.5, 10.0), (0.3, -1.5, 2.0), (-0.5, 0.5, -3.0), (-3.7, 0.5, 8.0), (1.0, 2.0, 600.0),
+    ])
+    def test_matches_mpmath(self, a, g, z):
+        # a first term far below the sum (a = 1e-14) must not stop a series whose terms still grow
+        import mpmath
+
+        with mpmath.workdps(30):
+            want = mpmath.hyp1f1(a, g, z)
+        assert kummer_1f1(a, g, z) == pytest.approx(float(want), rel=2e-15, abs=0.0)
 
 
 class TestXiConstant:
@@ -188,6 +205,24 @@ class TestSources:
         want, _ = quad(lambda xi: math.exp(a * xi * xi), 0, radius, epsabs=0, epsrel=1e-12)
         assert PointMass(radius).tail_integral(a) == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+    def test_point_mass_radius_validated(self, radius):
+        # unchecked, a negative radius fails inside tail_integral with "math domain error"
+        # and a NaN one gives NaN moments and tail integrals
+        with pytest.raises(ValueError, match="radius"):
+            PointMass(radius)
+
+    @pytest.mark.parametrize("d", [1600, 6400])
+    @pytest.mark.parametrize("omega", [1.0, 0.3])
+    def test_gaussian_moments_match_mpmath_at_large_d(self, d, omega):
+        import mpmath
+
+        m = SphericalGaussian(d, omega).moment
+        with mpmath.workdps(30):
+            for k in range(5):
+                want = mpmath.mpf(omega) ** (2 * k) * 2**k * mpmath.rf(mpmath.mpf(d) / 2, k)
+                assert m(k) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
 
 class TestUpsilonConstant:
     def test_hand_expanded_p1(self):
@@ -236,6 +271,14 @@ class TestUpsilonConstant:
     def test_point_mass_moments(self):
         m = PointMass(2.0).moment
         assert m(0) == 1.0 and m(1) == 4.0 and m(2) == 16.0
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only SphericalGaussian.tail_integral integrates; loading scipy.integrate at import doubles its cost
+    src = str(Path(gssd.__file__).resolve().parents[1])
+    code = "import sys, gssd, gssd.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSampleBound:

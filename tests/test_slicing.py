@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from gssd.rng import RngRoot
 from gssd.slicing import (
-    Direction,
     SampleSet,
     mixture_pdf,
     project,
@@ -35,23 +34,16 @@ class TestSampleSet:
             SampleSet(np.array([[1.0, np.nan]]))
 
 
-class TestDirection:
-    def test_unit_norm_enforced(self):
-        Direction(np.array([0.6, 0.8]))
-        with pytest.raises(ValueError):
-            Direction(np.array([0.6, 0.81]))
-
-
 class TestSampleDirection:
     def test_d1_is_sign(self):
         for i in range(10):
             u = sample_direction(1, _stream("d1", i))
-            assert u.coords[0] in (-1.0, 1.0)
+            assert u[0] in (-1.0, 1.0)
 
     def test_unit_norm(self):
         for i in range(20):
             u = sample_direction(3, _stream("d3", i))
-            assert abs(np.linalg.norm(u.coords) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
 
     def test_coordinate_means_vanish(self):
         # coordinate variance on the sphere is 1/d, so the mean of 1e5 draws
@@ -60,7 +52,7 @@ class TestSampleDirection:
         n = 10**5
         s = _stream("unif-sphere")
         for _ in range(n):
-            total += sample_direction(3, s).coords
+            total += sample_direction(3, s)
         assert np.all(np.abs(total / n) < 0.02)
 
     def test_invalid_dimension(self):
@@ -71,20 +63,20 @@ class TestSampleDirection:
 class TestProject:
     def test_axis_projection_gives_column(self):
         X = SampleSet(np.arange(12.0).reshape(4, 3))
-        u = Direction(np.array([1.0, 0.0, 0.0]))
+        u = np.array([1.0, 0.0, 0.0])
         assert np.array_equal(project(X, u), X.data[:, 0])
 
     def test_diagonal_projection(self):
         X = SampleSet(np.array([[1.0, 1.0]]))
-        u = Direction(np.array([1.0, 1.0]) / np.sqrt(2))
+        u = np.array([1.0, 1.0]) / np.sqrt(2)
         assert project(X, u)[0] == pytest.approx(np.sqrt(2), abs=1e-15)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(0)
         X = SampleSet(rng.normal(size=(5, 4)))
         z = rng.normal(size=4)
-        u = Direction(z / np.linalg.norm(z))
-        expected = np.array([sum(X.data[i, j] * u.coords[j] for j in range(4)) for i in range(5)])
+        u = z / np.linalg.norm(z)
+        expected = np.array([sum(X.data[i, j] * u[j] for j in range(4)) for i in range(5)])
         assert np.allclose(project(X, u), expected, atol=1e-12)
 
     def test_linearity(self):
@@ -92,16 +84,27 @@ class TestProject:
         A = rng.normal(size=(6, 3))
         B = rng.normal(size=(6, 3))
         z = rng.normal(size=3)
-        u = Direction(z / np.linalg.norm(z))
+        u = z / np.linalg.norm(z)
         left = project(SampleSet(2.5 * A + 0.5 * B), u)
         right = 2.5 * project(SampleSet(A), u) + 0.5 * project(SampleSet(B), u)
         assert np.allclose(left, right, atol=1e-12)
 
-    def test_dimension_mismatch(self):
-        X = SampleSet(np.ones((2, 3)))
-        u = Direction(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            project(X, u)
+    def test_unit_norm_accepted(self):
+        assert np.array_equal(project(SampleSet(np.eye(2)), np.array([0.6, 0.8])), [0.6, 0.8])
+
+    @pytest.mark.parametrize(
+        "u, match",
+        [
+            (np.array([1.0, 0.0, 0.0]), "shape"),
+            (np.ones((1, 2)) / np.sqrt(2), "shape"),
+            (np.array([0.6, 0.81]), "unit-norm"),
+            (np.array([np.nan, 0.0]), "finite"),  # a NaN norm must fail, not slip past |norm - 1| > tol
+            (np.array([np.inf, 0.0]), "finite"),
+        ],
+    )
+    def test_rejects_wrong_shape_non_unit_and_non_finite(self, u, match):
+        with pytest.raises(ValueError, match=match):
+            project(SampleSet(np.ones((2, 2))), u)
 
 
 class TestSmoothDouble:
