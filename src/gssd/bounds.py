@@ -183,7 +183,8 @@ class SphericalGaussian:
             return density * dawsn(root_a * self.omega * u / c) / root_a
 
         # split at the peak: over [0, inf) in one piece quad misses a peak far from 0 (T = 2e-22 at d = 1600);
-        # a T beyond the double range makes math.exp in the density factor raise OverflowError
+        # a T beyond the double range makes math.exp in the density factor raise OverflowError (``_xi_and_tail``
+        # turns it into a ValueError)
         pieces = ((0.0, root_d), (root_d, math.inf))
         return sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in pieces)
 
@@ -218,7 +219,12 @@ def _xi_and_tail(p: float, sigma: float, vartheta: float, source: Source) -> tup
     _check_sigma(sigma)
     if not _SQRT2 < vartheta < math.inf:
         raise ValueError("vartheta must be finite and exceed sqrt(2)")
-    tail_integral = source.tail_integral(2.0 / (sigma**2 * vartheta**2))
+    try:
+        tail_integral = source.tail_integral(2.0 / (sigma**2 * vartheta**2))
+    except OverflowError:
+        raise ValueError(
+            f"the tail integral of {source} at sigma={sigma!r}, vartheta={vartheta!r} exceeds the double range"
+        ) from None
     gauss_term = math.sqrt(4.0 * math.pi * sigma**2 * vartheta**2 / (vartheta**2 - 2.0))
     prefactor = (
         2.0 ** (2.5 * p - 1.25)

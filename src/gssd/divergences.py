@@ -127,22 +127,41 @@ def wasserstein_pp(x, y, p: float) -> float:
     sizes integrate |F_x^{-1}(t) - F_y^{-1}(t)|^p exactly over the merged
     quantile breakpoints (both quantile functions are piecewise constant).
     """
-    if not 1 <= p < math.inf:
-        raise ValueError("order p must be finite and >= 1")
     return float(wasserstein_pp_rows(_as_samples(x, "x")[None], _as_samples(y, "y")[None], p)[0])
 
 
 def wasserstein_pp_rows(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     """``wasserstein_pp`` of row k of X against row k of Y, for every row at once.
 
+    X and Y must be 2-D with equal row counts, non-empty rows and finite values.
     Each row is reduced on its own contiguous run, so row k is bit-identical to
     ``wasserstein_pp(X[k], Y[k], p)`` however many rows there are.
     """
-    xs = np.sort(X, axis=1)
-    ys = np.sort(Y, axis=1)
+    if not 1 <= p < math.inf:
+        raise ValueError("order p must be finite and >= 1")
+    xs, ys = np.array(X, dtype=np.float64), np.array(Y, dtype=np.float64)  # copies: the rows are sorted in place
+    if xs.ndim != 2 or ys.ndim != 2:
+        raise ValueError(f"X and Y must be 2-D, got shapes {xs.shape} and {ys.shape}")
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError(f"X and Y must have equal row counts, got {xs.shape[0]} and {ys.shape[0]}")
+    if xs.shape[1] == 0 or ys.shape[1] == 0:
+        raise ValueError("rows of X and Y must be non-empty")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("X or Y contains non-finite values")
+    return _wasserstein_rows(xs, ys, p)
+
+
+def _wasserstein_rows(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
+    """``wasserstein_pp_rows`` on rows it may overwrite: each row of xs and ys is sorted in place, and
+    for equal sizes the differences are formed in xs; unequal sizes take a block of rows at a time."""
+    xs.sort(axis=1)
+    ys.sort(axis=1)
     n, m = xs.shape[1], ys.shape[1]
     if n == m:
-        return np.mean(np.abs(xs - ys) ** p, axis=1)
+        np.subtract(xs, ys, out=xs)
+        np.abs(xs, out=xs)
+        xs **= p  # the same fast path as xs ** p
+        return xs.mean(axis=1)
     qx = np.arange(1, n + 1) / n
     qy = np.arange(1, m + 1) / m
     ts = np.concatenate([qx, qy])
@@ -151,8 +170,18 @@ def wasserstein_pp_rows(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     mids = ts - 0.5 * widths
     ix = np.searchsorted(qx, mids, side="left")
     iy = np.searchsorted(qy, mids, side="left")
-    # take() keeps rows contiguous, so each row sums in the order of a 1-D array
-    return np.sum(widths * np.abs(xs.take(ix, axis=1) - ys.take(iy, axis=1)) ** p, axis=1)
+    out = np.empty(xs.shape[0])
+    # take() keeps rows contiguous, so each row sums in the order of a 1-D array whatever the block's height;
+    # every index is in range, and mode "clip" lets take() write into the buffer without one of its own
+    for rows, (a, b) in _row_blocks(xs.shape[0], ts.size, 2):
+        np.take(xs[rows], ix, axis=1, out=a, mode="clip")
+        np.take(ys[rows], iy, axis=1, out=b, mode="clip")
+        np.subtract(a, b, out=a)
+        np.abs(a, out=a)
+        a **= p
+        np.multiply(widths, a, out=a)
+        out[rows] = a.sum(axis=1)
+    return out
 
 
 def _row_blocks(count: int, width: int, buffers: int):
@@ -378,18 +407,20 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     )
 
 
-def _mixture_cdf_pdf(v: np.ndarray, sigma: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CDF and density of (1/n) sum_i N(v_i, sigma^2) at each point of t, a block of points at a time.
+def _mixture_cdf_pdf(v: np.ndarray, sigma: float, t: np.ndarray, with_cdf: bool = True):
+    """CDF (None unless ``with_cdf``) and density of (1/n) sum_i N(v_i, sigma^2) at each point of t,
+    a block of points at a time.
 
     Each point's values are the means of its own row of a block of points, so
     their bits do not depend on how many rows a block holds.
     """
-    cdf = np.empty(t.size)
+    cdf = np.empty(t.size) if with_cdf else None
     pdf = np.empty(t.size)
-    for rows, (a, work) in _row_blocks(t.size, v.size, 2):
+    for rows, (a, *work) in _row_blocks(t.size, v.size, 1 + with_cdf):
         np.subtract(t[rows, None], v, out=a)
         np.divide(a, sigma, out=a)
-        cdf[rows] = ndtr(a, out=work).mean(axis=1)
+        if with_cdf:
+            cdf[rows] = ndtr(a, out=work[0]).mean(axis=1)
         np.multiply(a, a, out=a)
         np.multiply(a, -0.5, out=a)
         pdf[rows] = np.exp(a, out=a).mean(axis=1)
@@ -473,9 +504,17 @@ def slice_values(TX: np.ndarray, TY: np.ndarray, spec: DivergenceSpec) -> tuple[
     are used directly; squared MMD is the square of the RKHS metric, so the
     order-p quantity is mmd_sq^{p/2}, at the fixed bandwidth or else at the
     mean-pairwise bandwidth of its own row.  Only Sinkhorn rows can fail to converge.
+    TX and TY are left as they are.
     """
     if spec.kind == "wasserstein":
         return wasserstein_pp_rows(TX, TY, spec.p), 0
+    return _slice_values(TX, TY, spec)
+
+
+def _slice_values(TX: np.ndarray, TY: np.ndarray, spec: DivergenceSpec) -> tuple[np.ndarray, int]:
+    """``slice_values`` on finite rows it may overwrite: Wasserstein sorts each row of TX and TY in place."""
+    if spec.kind == "wasserstein":
+        return _wasserstein_rows(TX, TY, spec.p), 0
     if spec.kind == "mmd":
         m2 = [mmd_sq(x, y, spec.bandwidth or bandwidth_mean_pairwise(x, y)) for x, y in zip(TX, TY)]
         return np.array([max(v, 0.0) ** (spec.p / 2.0) for v in m2]), 0

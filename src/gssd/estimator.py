@@ -12,6 +12,9 @@ its block of projections into tiles of ``_TILE`` rows, and
 *standard* noise, each row bit-identical to ``sample_direction``, ``project``
 and ``smooth_double`` on the same streams.  No row depends on the others of
 its tile, so tile edges move no bit.  Base divergences consume whole rows.
+A worker allocates its tile buffers once (``slicing._tile_work`` and the
+smoothed slices) and reuses them for every tile of its block, and the
+Wasserstein rows are sorted and reduced in place in those buffers.
 
 Because every projection is keyed by its index, the result is a pure function
 of (seed, data, config): independent of evaluation order, worker count and of
@@ -29,9 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import mc_error_bound
-from .divergences import ORACLE_GRID, DivergenceSpec, check_oracle_grid, slice_values, smoothed_wasserstein_oracle
+from .divergences import ORACLE_GRID, DivergenceSpec, _slice_values, check_oracle_grid, smoothed_wasserstein_oracle
 from .rng import RngRoot
-from .slicing import SampleSet, _slice_tile
+from .slicing import SampleSet, _slice_tile, _tile_work
 
 __all__ = ["GssdConfig", "GssdEstimate", "TwoSigmaReport", "estimate", "sweep_sigma", "two_sigma_check"]
 
@@ -107,14 +110,21 @@ class GssdEstimate:
 _TILE = 64  # projections whose streams are drawn together
 
 
-def _tile_values(px, py, zx, zy, cfg: GssdConfig) -> tuple[np.ndarray, int]:
-    """Order-p values of a tile's projections at ``cfg.sigma``, and how many did not converge."""
+def _tile_values(px, py, zx, zy, tx, ty, cfg: GssdConfig) -> tuple[np.ndarray, int]:
+    """Order-p values of a tile's projections at ``cfg.sigma``, and how many did not converge.
+
+    tx and ty, buffers of px's and py's shape, receive the smoothed slices, P + sigma Z
+    (a copy of P at sigma 0: the base divergence may overwrite them, and the next sigma reads P).
+    """
     if cfg.mode == "mixture_oracle":
         vals = [smoothed_wasserstein_oracle(x, y, cfg.sigma, cfg.divergence.p, cfg.oracle_grid) for x, y in zip(px, py)]
         return np.array(vals), 0
-    tx = px if cfg.sigma == 0 else px + cfg.sigma * zx
-    ty = py if cfg.sigma == 0 else py + cfg.sigma * zy
-    return slice_values(tx, ty, cfg.divergence)
+    for t, v, z in ((tx, px, zx), (ty, py, zy)):
+        if cfg.sigma == 0:
+            np.copyto(t, v)
+        else:  # the two roundings of v + sigma * z
+            np.add(v, np.multiply(z, cfg.sigma, out=t), out=t)
+    return _slice_values(tx, ty, cfg.divergence)
 
 
 def _chunks(L: int, parts: int) -> list[range]:
@@ -140,12 +150,18 @@ def _sweep(X: SampleSet, Y: SampleSet, cfgs: list[GssdConfig], workers: int) -> 
     noise = first.mode == "double_empirical" and any(c.sigma > 0 for c in cfgs)
 
     def run_block(ls: range) -> np.ndarray:
+        # one workspace per block, reused by every tile: tile-sized arrays, each above glibc's mmap
+        # threshold, would map and fault in fresh pages on every tile
+        rows = min(_TILE, len(ls))
+        work = _tile_work(rows, X, Y, noise)
+        smoothed = np.empty((rows, X.n)), np.empty((rows, Y.n))
         bad = np.zeros(len(cfgs), dtype=np.int64)
         for a in range(ls.start, ls.stop, _TILE):
             b = min(a + _TILE, ls.stop)
-            _, *tile = _slice_tile(X, Y, first.seed, range(a, b), noise)
+            _, *tile = _slice_tile(X, Y, first.seed, range(a, b), noise, work)
+            tx, ty = (buf[: b - a] for buf in smoothed)
             for k, cfg in enumerate(cfgs):
-                vals[k, a:b], n_bad = _tile_values(*tile, cfg)
+                vals[k, a:b], n_bad = _tile_values(*tile, tx, ty, cfg)
                 bad[k] += n_bad
         return bad
 

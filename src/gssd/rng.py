@@ -12,12 +12,17 @@ drawn (no rejection loops).
 ``keyed_normals`` draws the leading variates of many streams into one array:
 Philox is counter-based, so one generator re-keyed per stream yields the words
 of a generator built per stream, without the OS entropy each build pulls.
+Each label's hash prefix is fed once and copied per index.  The re-keying loop
+holds the interpreter lock between calls that release it for microseconds, so
+threads that run it at once mostly trade the lock; ``_KEYING`` lets one thread
+key at a time while the others run code that releases the lock for longer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,21 +34,29 @@ __all__ = ["RngRoot", "RngStream", "keyed_words", "keyed_normals"]
 
 _MASK64 = (1 << 64) - 1
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+_INDEX = struct.Struct("<Q")
+_KEYING = threading.Lock()  # held by the thread running keyed_words' re-keying loop
 
 
-def _stream_key(seed: int, label: str, index: int) -> np.ndarray:
-    """128-bit Philox key as a pure function of (seed, label, index); index is an unsigned 64-bit integer."""
+def _key_prefix(seed: int, label: str):
+    """blake2b fed with a stream key's message up to the index: the seed, the label's UTF-8 byte length
+    and the label.  A copy finished with the packed index gives the key of (seed, label, index)."""
+    raw = label.encode("utf-8")
+    return hashlib.blake2b(struct.pack("<QI", seed, len(raw)) + raw, digest_size=16)
+
+
+def _index_bytes(index: int) -> bytes:
+    """``index`` packed as the last 8 bytes of a key's hash message; ValueError unless an unsigned 64-bit integer."""
     if not 0 <= index <= _MASK64:
         raise ValueError("stream index must be an unsigned 64-bit integer")
-    raw = label.encode("utf-8")
-    msg = (
-        struct.pack("<Q", seed)
-        + struct.pack("<I", len(raw))
-        + raw
-        + struct.pack("<Q", index)
-    )
-    digest = hashlib.blake2b(msg, digest_size=16).digest()
-    return np.frombuffer(digest, dtype=np.uint64).copy()
+    return _INDEX.pack(index)
+
+
+def _stream_key(seed: int, label: str, index: int) -> tuple[int, int]:
+    """128-bit Philox key as a pure function of (seed, label, index); index is an unsigned 64-bit integer."""
+    h = _key_prefix(seed, label)
+    h.update(_index_bytes(index))
+    return struct.unpack("<QQ", h.digest())
 
 
 @dataclass(frozen=True)
@@ -58,7 +71,7 @@ class RngRoot:
 
     def child(self, label: str, index: int = 0) -> RngRoot:
         """Derive a sub-root (e.g. one per run) without consuming draws."""
-        return RngRoot(int(_stream_key(self.seed, label, index)[0]))
+        return RngRoot(_stream_key(self.seed, label, index)[0])
 
     def stream(self, label: str, index: int) -> RngStream:
         """The stream identified by (self, label, index); equal arguments give equal sequences."""
@@ -75,7 +88,7 @@ class RngStream:
         self.root = root
         self.label = label
         self.index = index
-        self._bitgen = Philox(key=_stream_key(root.seed, label, index))
+        self._bitgen = Philox(key=np.array(_stream_key(root.seed, label, index), dtype=np.uint64))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.root.seed}, label={self.label!r}, index={self.index})"
@@ -91,45 +104,68 @@ class RngStream:
 
     def normals(self, n: int) -> np.ndarray:
         """n i.i.d. standard normal draws via the inverse normal CDF."""
-        return ndtri(self.uniforms(n))
+        u = self.uniforms(n)
+        return ndtri(u, out=u)
 
 
-def _uniforms(raw: np.ndarray) -> np.ndarray:
-    """Map words to (k + 0.5) * 2^-53, k their top 53 bits, in the open interval (0, 1).
+def _uniforms(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map words to (k + 0.5) * 2^-53, k their top 53 bits, in the open interval (0, 1), into ``out`` if given.
 
-    For k >= 2^52, k + 0.5 rounds to an even integer, so the 2^11 highest words
-    would give 1.0 (ndtri: +inf); they are clamped to the largest double below 1.
+    The words are shifted to k in place.  For k >= 2^52, k + 0.5 rounds to an even
+    integer, so the 2^11 highest words would give 1.0 (ndtri: +inf); they are
+    clamped to the largest double below 1.
     """
-    u = (raw >> np.uint64(11)).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return np.minimum(u, _BELOW_ONE, out=u)
+    np.right_shift(raw, np.uint64(11), out=raw)
+    if out is None:
+        out = np.empty(raw.shape)
+    np.copyto(out, raw, casting="unsafe")
+    out += 0.5
+    out *= 2.0**-53
+    return np.minimum(out, _BELOW_ONE, out=out)
 
 
-def keyed_words(root: RngRoot, streams: Sequence[tuple[str, int]], indices: Sequence[int]) -> np.ndarray:
-    """Leading raw words of many streams, one row per index.
+def keyed_words(
+    root: RngRoot, streams: Sequence[tuple[str, int]], indices: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Leading raw words of many streams, one row per index, into ``out`` if given.
 
     Row k holds, side by side for each (label, count) in ``streams``, the first
     ``count`` words of ``root.stream(label, indices[k])``.  One Philox is
     re-keyed for each stream (counter 0, empty buffer) instead of built.
     """
     width = sum(count for _, count in streams)
-    out = np.empty((len(indices), width), dtype=np.uint64)
+    if out is None:
+        out = np.empty((len(indices), width), dtype=np.uint64)
+    prefixes = [(_key_prefix(root.seed, label), count) for label, count in streams]
     bitgen = Philox(0)  # a fixed seed skips the OS entropy; every stream below sets its own key
     state = bitgen.state  # counter 0 and an empty buffer (buffer_pos 4), as a new Philox has
     state["state"]["counter"] = state["buffer"] = [0, 0, 0, 0]  # lists load faster than arrays
-    for k, index in enumerate(indices):
-        col = 0
-        for label, count in streams:
-            state["state"]["key"] = _stream_key(root.seed, label, index)
-            bitgen.state = state
-            out[k, col : col + count] = bitgen.random_raw(count)
-            col += count
+    with _KEYING:
+        for k, index in enumerate(indices):
+            packed = _index_bytes(index)
+            col = 0
+            for prefix, count in prefixes:
+                h = prefix.copy()  # _stream_key's hash, with the prefix fed once per label
+                h.update(packed)
+                state["state"]["key"] = struct.unpack("<QQ", h.digest())
+                bitgen.state = state
+                out[k, col : col + count] = bitgen.random_raw(count)
+                col += count
     return out
 
 
-def keyed_normals(root: RngRoot, streams: Sequence[tuple[str, int]], indices: Sequence[int]) -> np.ndarray:
+def keyed_normals(
+    root: RngRoot,
+    streams: Sequence[tuple[str, int]],
+    indices: Sequence[int],
+    words: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """``keyed_words`` mapped to standard normals: row k, block (label, count) equals
-    ``root.stream(label, indices[k]).normals(count)`` bit for bit."""
-    u = _uniforms(keyed_words(root, streams, indices))
+    ``root.stream(label, indices[k]).normals(count)`` bit for bit.
+
+    ``words`` and ``out``, when given, are the buffers of the words (left holding their
+    top 53 bits) and of the normals.
+    """
+    u = _uniforms(keyed_words(root, streams, indices, words), out)
     return ndtri(u, out=u)

@@ -10,6 +10,7 @@ for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ def sample_direction(d: int, stream: RngStream) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     for _ in range(_MAX_DIRECTION_RETRIES):
         z = stream.normals(d)
-        norm = float(np.linalg.norm(z))
+        norm = math.sqrt(z.dot(z))  # np.linalg.norm's arithmetic on a 1-D vector, without its call overhead
         if norm > 1e-150:
             return z / norm
     raise RuntimeError("degenerate Gaussian draw persisted; cannot sample a direction")
@@ -83,21 +84,33 @@ def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> np.nda
     return vals
 
 
-def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool):
+def _tile_work(rows: int, X: SampleSet, Y: SampleSet, noise: bool) -> tuple[np.ndarray, ...]:
+    """Buffers for ``_slice_tile`` on tiles of up to ``rows`` projections: the keyed words, their normals,
+    the directions and the projections of X and Y, one row per projection."""
+    width = X.d + (X.n + Y.n if noise else 0)
+    words = np.empty((rows, width), dtype=np.uint64)
+    return words, np.empty((rows, width)), np.empty((rows, X.d)), np.empty((rows, X.n)), np.empty((rows, Y.n))
+
+
+def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool, work=None):
     """Directions, projections of X and Y, and their standard noise (None unless ``noise``) for the
     projections in ``ls``, one row per projection, each bit-identical to ``sample_direction``,
-    ``project`` and the noise of ``smooth_double`` on that projection's keyed streams."""
+    ``project`` and the noise of ``smooth_double`` on that projection's keyed streams.
+
+    The rows are views of ``work``, a ``_tile_work`` of at least len(ls) rows, which a
+    worker allocates once and reuses from tile to tile; new buffers when it is None.
+    """
     d, n, m = X.d, X.n, Y.n
+    if work is None:
+        work = _tile_work(len(ls), X, Y, noise)
+    words, G, U, px, py = (buf[: len(ls)] for buf in work)
     streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
-    G = keyed_normals(root, streams, ls)
-    U = np.empty((len(ls), d))
-    px = np.empty((len(ls), n))
-    py = np.empty((len(ls), m))
+    keyed_normals(root, streams, ls, words, G)
     for k, l in enumerate(ls):
         # sample_direction and project row by row: a norm and a matrix-vector
         # product per direction keep each row bit-identical to those functions
         z = G[k, :d]
-        norm = float(np.linalg.norm(z))
+        norm = math.sqrt(z.dot(z))
         if norm > 1e-150:
             np.divide(z, norm, out=U[k])
         else:  # a zero draw: sample_direction redraws from the stream
@@ -113,7 +126,8 @@ def mixture_pdf(values: np.ndarray, sigma: float, t):
 
     Accepts scalar or array ``t``; requires sigma > 0 (the sigma = 0 slice is
     purely atomic and has no density).  The density is the mixture oracle's,
-    evaluated a block of points at a time, so memory does not grow with t.size * n.
+    evaluated a block of points at a time without the CDF, so memory does not
+    grow with t.size * n.
     """
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be finite and positive for the mixture density")
@@ -121,5 +135,5 @@ def mixture_pdf(values: np.ndarray, sigma: float, t):
     if v.ndim != 1 or v.size < 1 or not np.isfinite(v).all():
         raise ValueError("values must be a non-empty 1-D vector of finite values")
     t_arr = np.asarray(t, dtype=np.float64)
-    dens = _mixture_cdf_pdf(v, sigma, t_arr.ravel())[1].reshape(t_arr.shape)
+    dens = _mixture_cdf_pdf(v, sigma, t_arr.ravel(), with_cdf=False)[1].reshape(t_arr.shape)
     return float(dens) if np.isscalar(t) or t_arr.ndim == 0 else dens

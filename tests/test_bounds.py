@@ -127,6 +127,13 @@ class TestXiConstant:
         )
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("source, name", [(SphericalGaussian(200), "d=200"), (PointMass(1e3), "radius=1000.0")])
+    def test_tail_integral_beyond_the_double_range_names_its_point(self, source, name):
+        # both tail integrals are finite but exceed the largest double, where math.exp raises OverflowError
+        with pytest.raises(ValueError, match="double range") as info:
+            xi_constant(2, 1.0001, 2.0, source)
+        assert name in str(info.value) and "sigma=1.0001" in str(info.value) and "vartheta=2.0" in str(info.value)
+
     def test_subgaussian_source_is_finite(self):
         # omega below sigma * vartheta / 2 keeps the reweighted tail integrable
         sigma, vartheta, d = 1.0, 2.0, 5

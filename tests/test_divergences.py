@@ -203,6 +203,43 @@ class TestWassersteinPP:
         for k in range(rows):
             assert got[k] == pytest.approx(wasserstein_quantile_exact(X[k], Y[k], p), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("X, Y, message", [
+        (np.zeros(3), np.zeros((1, 3)), "2-D"),
+        (np.zeros((2, 3, 1)), np.zeros((2, 3)), "2-D"),
+    ])
+    def test_rows_reject_arrays_that_are_not_2d(self, X, Y, message):
+        with pytest.raises(ValueError, match=message):
+            wasserstein_pp_rows(X, Y, 2.0)
+
+    def test_rows_reject_unequal_row_counts(self):
+        with pytest.raises(ValueError, match="row counts"):
+            wasserstein_pp_rows(np.zeros((2, 3)), np.zeros((3, 3)), 2.0)
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (3, 0)])
+    def test_rows_reject_empty_rows(self, n, m):
+        with pytest.raises(ValueError, match="non-empty"):
+            wasserstein_pp_rows(np.zeros((2, n)), np.zeros((2, m)), 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rows_reject_non_finite_values(self, bad):
+        for X, Y in ((np.array([[0.0, bad]]), np.zeros((1, 2))), (np.zeros((1, 2)), np.array([[bad, 0.0]]))):
+            with pytest.raises(ValueError, match="non-finite"):
+                wasserstein_pp_rows(X, Y, 2.0)
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.inf, math.nan])
+    def test_rows_reject_order_outside_one_to_inf(self, p):
+        with pytest.raises(ValueError, match="order p"):
+            wasserstein_pp_rows(np.zeros((1, 2)), np.ones((1, 2)), p)
+
+    @pytest.mark.parametrize("n, m", [(6, 6), (6, 4)])
+    def test_rows_and_slice_values_leave_their_arguments_as_they_are(self, n, m):
+        # the rows are sorted and reduced in place on copies
+        X, Y = _slice_rows(n, m, rows=3)
+        X0, Y0 = X.copy(), Y.copy()
+        wasserstein_pp_rows(X, Y, 2.0)
+        slice_values(X, Y, DivergenceSpec("wasserstein", p=2.0))
+        assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+
     def test_bruteforce_equivalence_up_to_six(self):
         rng = np.random.default_rng(7)
         for n in (2, 3, 4, 5, 6):
@@ -739,7 +776,8 @@ def _slice_rows(n, m, rows=5, seed=0):
 
 
 class TestSliceValues:
-    @pytest.mark.parametrize("n, m", [(7, 7), (7, 5)])
+    # (9000, 8000): 17 000 breakpoints, so the unequal-size rows are reduced in blocks of 3 and 2 rows
+    @pytest.mark.parametrize("n, m", [(7, 7), (7, 5), (9000, 8000)])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
     def test_wasserstein_rows_are_wpp(self, n, m, p):
         TX, TY = _slice_rows(n, m)

@@ -1,9 +1,14 @@
+import hashlib
 import math
+import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
 from scipy.special import gammaln
 
 from gssd import estimator, slicing
@@ -26,6 +31,14 @@ def wcfg(seed, sigma=1.0, L=32, p=2.0, **kw):
         seed=RngRoot(seed),
         **kw,
     )
+
+
+def reference_words(seed, label, index, count):
+    """The first ``count`` words of stream (seed, label, index), keyed from its hash message written out."""
+    raw = label.encode("utf-8")
+    msg = struct.pack("<Q", seed) + struct.pack("<I", len(raw)) + raw + struct.pack("<Q", index)
+    key = np.frombuffer(hashlib.blake2b(msg, digest_size=16).digest(), dtype="<u8").astype(np.uint64)
+    return Philox(key=key).random_raw(count)
 
 
 def sphere_abs_moment(p, d):
@@ -89,16 +102,42 @@ class TestEstimateBasics:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("kind", ["wasserstein", "mmd", "sinkhorn"])
+    @pytest.mark.parametrize("kind", ["wasserstein", "mmd", "sinkhorn", "oracle"])
     def test_workers_do_not_change_bits(self, kind):
-        spec = DivergenceSpec(kind, p=2, sinkhorn_max_iter=100)
+        # the mixture oracle draws no noise, so its tiles run the buffers without the noise columns
+        oracle = kind == "oracle"
+        spec = DivergenceSpec("wasserstein" if oracle else kind, p=2, sinkhorn_max_iter=100)
         X = gauss_set(4, "x", 60, 5)
         Y = gauss_set(4, "y", 60, 5)
-        cfg = GssdConfig(sigma=1.5, num_projections=16, divergence=spec, seed=RngRoot(11))
+        mode = dict(mode="mixture_oracle", oracle_grid=1000) if oracle else {}
+        cfg = GssdConfig(sigma=1.5, num_projections=16, divergence=spec, seed=RngRoot(11), **mode)
         seq = estimate(X, Y, cfg, workers=1)
         par = estimate(X, Y, cfg, workers=8)
         assert np.array_equal(seq.per_projection, par.per_projection)
         assert seq.mean_pow == par.mean_pow
+
+    def test_threads_switching_every_microsecond_keep_every_bit(self):
+        # more threads than cores, switching as often as the interpreter allows: the keying
+        # lock and the per-block workspaces must lose no update
+        X = gauss_set(9, "sw-x", 40, 4)
+        Y = gauss_set(9, "sw-y", 30, 4, mean=0.2)
+        cfg = wcfg(19, L=200)
+        streams = [("proj", 4), ("noisex", 40)]
+        blocks = [range(8 * i, 8 * i + 8) for i in range(8)]
+        want_words = [keyed_words(cfg.seed, streams, ls) for ls in blocks]
+        want = estimate(X, Y, cfg, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=9) as pool:
+                words = [pool.submit(keyed_words, cfg.seed, streams, ls) for ls in blocks]
+                est = pool.submit(estimate, X, Y, cfg, 8)
+                got_words = [f.result(timeout=120) for f in words]
+                got = est.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(got_words, want_words))
+        assert np.array_equal(got.per_projection, want.per_projection)
 
     def test_repeat_run_identical(self):
         X = gauss_set(6, "x", 25, 3)
@@ -167,7 +206,8 @@ class TestSlicePipeline:
         X = gauss_set(24, "se-x", n, 4)
         Y = gauss_set(24, "se-y", m, 4, mean=0.5)
         cfg = kind_cfg(kind, 34, L=L)
-        sigmas = [0.0, 0.5, 3.0]
+        # sigma 0 after a smoothed row: its slices must be P itself, not what the last sigma left in the buffers
+        sigmas = [0.5, 0.0, 3.0]
         for s, est in zip(sigmas, sweep_sigma(X, Y, sigmas, cfg, workers=2)):
             single = estimate(X, Y, kind_cfg(kind, 34, sigma=s, L=L))
             assert np.array_equal(est.per_projection, single.per_projection)
@@ -207,8 +247,8 @@ class TestSlicePipeline:
         # such a direction draw and check the row redraws as sample_direction does
         real = slicing.keyed_normals
 
-        def zero_first_direction(root, streams, indices):
-            G = real(root, streams, indices)
+        def zero_first_direction(root, streams, indices, words=None, out=None):
+            G = real(root, streams, indices, words, out)
             if indices.start == 0:
                 G[0, : streams[0][1]] = 0.0
             return G
@@ -223,14 +263,16 @@ class TestSlicePipeline:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
-        labels=st.lists(st.sampled_from(["proj", "noisex", "noisey", "data", ""]), min_size=1, max_size=3),
+        labels=st.lists(st.sampled_from(["proj", "noisex", "noisey", "data", "", "噪声"]), min_size=1, max_size=3),
         counts=st.lists(st.integers(0, 9), min_size=3, max_size=3),
-        start=st.integers(0, 2**63),
+        start=st.integers(0, 2**64 - 1),
         size=st.integers(1, 5),
     )
     def test_keyed_words_equal_streams(self, seed, labels, counts, start, size):
+        # a non-ASCII label's key prefix packs its UTF-8 byte length; the indices reach 2^64 - 1
         root = RngRoot(seed)
         streams = list(zip(labels, counts))
+        start = min(start, 2**64 - size)
         indices = range(start, start + size)
         W = keyed_words(root, streams, indices)
         G = keyed_normals(root, streams, indices)
@@ -238,6 +280,7 @@ class TestSlicePipeline:
             col = 0
             for label, count in streams:
                 assert np.array_equal(W[k, col : col + count], root.stream(label, l).raw_uint64(count))
+                assert np.array_equal(W[k, col : col + count], reference_words(seed, label, l, count))
                 assert np.array_equal(G[k, col : col + count], root.stream(label, l).normals(count))
                 col += count
 

@@ -505,6 +505,15 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_emit_bound_overflow_names_d_sigma_and_vartheta(self, capsys):
+        # the tail integral at d = 200, sigma = 1.0001 is finite but beyond the double range
+        rc = cli_main(["sample-complexity", "--emit-bound", "--dim", "200", "--sigmas", "1.0001", "--sizes", "20",
+                       "--runs", "1", "--projections", "4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "math range error" not in err
+        assert all(name in err for name in ("d=200", "sigma=1.0001", "vartheta=2.0"))
+
     @pytest.mark.parametrize("flags", [
         ["--sigmas", "nan"],
         ["--sigmas", "inf"],

@@ -73,7 +73,9 @@ def test_top_words_clamp_below_one_and_others_keep_their_bits():
     assert np.all(u == np.nextafter(1.0, 0.0))
     assert np.all(np.isfinite(ndtri(u)))
     half = np.array([2**52 << 11], dtype=np.uint64)
-    assert _uniforms(half)[0] == 0.5 and ndtri(_uniforms(half))[0] == 0.0
+    u_half = _uniforms(half)
+    assert u_half[0] == 0.5 and ndtri(u_half)[0] == 0.0
+    assert half[0] == 2**52  # the words are shifted in place
     below = np.array([0xFFFFFFFFFFFFF7FF, 0, 1, 2**63 - 1, 2**63 + 2**11], dtype=np.uint64)
     raw = np.concatenate([below, RngRoot(3).stream("words", 0).raw_uint64(10**4)])
     unclamped = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gssd import divergences
 from gssd.rng import RngRoot
 from gssd.slicing import (
     SampleSet,
@@ -198,3 +199,16 @@ class TestMixturePdf:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             mixture_pdf(np.array([0.0]), 0.0, 0.0)
+
+    def test_density_pass_skips_the_cdf_and_keeps_its_bits(self, monkeypatch):
+        # the density of the pass that also evaluates the CDF, then the same points with ndtr unavailable
+        rng = np.random.default_rng(3)
+        v, t = rng.normal(size=3000), np.linspace(-5.0, 5.0, 101)
+        want = divergences._mixture_cdf_pdf(v, 0.7, t)[1]
+
+        def no_cdf(*args, **kwargs):
+            raise AssertionError("mixture_pdf evaluated the mixture CDF")
+
+        monkeypatch.setattr(divergences, "ndtr", no_cdf)
+        assert np.array_equal(mixture_pdf(v, 0.7, t), want)
+        assert mixture_pdf(v, 0.7, t[52]) == want[52]
