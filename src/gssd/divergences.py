@@ -198,16 +198,24 @@ def _row_blocks(count: int, width: int, buffers: int):
 
 
 def _kernel_sum(v: np.ndarray, s: np.ndarray, bandwidth: float) -> float:
-    """s^T K s with K_ij = exp(-(v_i - v_j)^2 / (2 bw^2)): each block of rows adds s[rows] @ (K[rows] @ s)."""
-    total = 0.0
+    """s^T K s with K_ij = exp(-(v_i - v_j)^2 / (2 bw^2)), evaluating each value of the symmetric K once.
+
+    Each block of rows evaluates K against its own and the later columns only.  Those values add to
+    the block's rows of r = K s and, read as columns, to the later rows of r; then s^T K s = s @ r.
+    Each r_i is the small difference of two kernel means, so s @ r cancels no large terms.
+    """
+    r = np.zeros(v.size)
     with np.errstate(over="ignore"):  # a pair far apart on the scale of bw overflows to z = inf, kernel value 0
         for rows, (z,) in _row_blocks(v.size, v.size, 1):
-            np.subtract(v[rows, None], v, out=z)
+            z = z[:, : v.size - rows.start]  # the columns from the block's first row on
+            np.subtract(v[rows, None], v[rows.start :], out=z)
             np.divide(z, bandwidth, out=z)
             np.multiply(z, z, out=z)
             np.multiply(z, -0.5, out=z)
-            total += float(s[rows] @ (np.exp(z, out=z) @ s))
-    return total
+            np.exp(z, out=z)
+            r[rows] += z @ s[rows.start :]
+            r[rows.stop :] += s[rows] @ z[:, rows.stop - rows.start :]
+    return float(s @ r)
 
 
 def _quadrature_pair(u: np.ndarray, s: np.ndarray, tau: float, K: int) -> tuple[float, float]:

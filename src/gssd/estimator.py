@@ -41,6 +41,12 @@ __all__ = ["GssdConfig", "GssdEstimate", "TwoSigmaReport", "estimate", "sweep_si
 MODES = ("double_empirical", "mixture_oracle")
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GssdConfig:
     """Estimator settings: noise level, projection budget, base divergence (which carries the order p)."""
@@ -55,8 +61,7 @@ class GssdConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.sigma < np.inf:
             raise ValueError("sigma must be finite and non-negative")
-        if self.num_projections < 1:
-            raise ValueError("num_projections must be >= 1")
+        _check_count("num_projections", self.num_projections)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.mode == "mixture_oracle":
@@ -142,8 +147,7 @@ def _sweep(X: SampleSet, Y: SampleSet, cfgs: list[GssdConfig], workers: int) -> 
     """
     if X.d != Y.d:
         raise ValueError(f"dimension mismatch: X has d={X.d}, Y has d={Y.d}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_count("workers", workers)
     first = cfgs[0]
     L = first.num_projections
     vals = np.empty((len(cfgs), L))

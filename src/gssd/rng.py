@@ -7,7 +7,10 @@ other stream.
 
 Normal variates use the inverse-CDF transform of fixed-width uniforms: exactly
 one 64-bit word per variate, so the counter advance never depends on the values
-drawn (no rejection loops).
+drawn (no rejection loops).  ``Generator.random`` writes k * 2^-53, k a word's
+top 53 bits, straight into the output, and adding 2^-54 (``_open_interval``)
+makes it (k + 0.5) * 2^-53, in the open interval (0, 1) once the highest words
+are clamped below 1.
 
 ``keyed_normals`` draws the leading variates of many streams into one array:
 Philox is counter-based, so one generator re-keyed per stream yields the words
@@ -27,15 +30,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-__all__ = ["RngRoot", "RngStream", "keyed_words", "keyed_normals"]
+__all__ = ["RngRoot", "RngStream", "keyed_normals"]
 
 _MASK64 = (1 << 64) - 1
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _INDEX = struct.Struct("<Q")
-_KEYING = threading.Lock()  # held by the thread running keyed_words' re-keying loop
+_KEYING = threading.Lock()  # held by the thread running keyed_normals' re-keying loop
 
 
 def _key_prefix(seed: int, label: str):
@@ -88,19 +91,14 @@ class RngStream:
         self.root = root
         self.label = label
         self.index = index
-        self._bitgen = Philox(key=np.array(_stream_key(root.seed, label, index), dtype=np.uint64))
+        self._gen = Generator(Philox(key=np.array(_stream_key(root.seed, label, index), dtype=np.uint64)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.root.seed}, label={self.label!r}, index={self.index})"
 
-    def raw_uint64(self, n: int) -> np.ndarray:
-        """n raw 64-bit words; the counter advances by exactly n words."""
-        out = self._bitgen.random_raw(n)
-        return np.atleast_1d(np.asarray(out, dtype=np.uint64))
-
     def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms in the open interval (0, 1), one word each; see ``_uniforms``."""
-        return _uniforms(self.raw_uint64(n))
+        """n uniforms in the open interval (0, 1), one word each; see ``_open_interval``."""
+        return _open_interval(self._gen.random(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n i.i.d. standard normal draws via the inverse normal CDF."""
@@ -108,36 +106,33 @@ class RngStream:
         return ndtri(u, out=u)
 
 
-def _uniforms(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Map words to (k + 0.5) * 2^-53, k their top 53 bits, in the open interval (0, 1), into ``out`` if given.
+def _open_interval(u: np.ndarray) -> np.ndarray:
+    """Map ``Generator.random``'s k * 2^-53, k a word's top 53 bits, to (k + 0.5) * 2^-53 in place.
 
-    The words are shifted to k in place.  For k >= 2^52, k + 0.5 rounds to an even
-    integer, so the 2^11 highest words would give 1.0 (ndtri: +inf); they are
-    clamped to the largest double below 1.
+    Scaling by a power of two is exact, so adding 2^-54 rounds as k + 0.5 does.  For
+    k >= 2^52 that sum rounds to an even integer, so the 2^11 highest words would give
+    1.0 (ndtri: +inf); they are clamped to the largest double below 1.
     """
-    np.right_shift(raw, np.uint64(11), out=raw)
-    if out is None:
-        out = np.empty(raw.shape)
-    np.copyto(out, raw, casting="unsafe")
-    out += 0.5
-    out *= 2.0**-53
-    return np.minimum(out, _BELOW_ONE, out=out)
+    u += 2.0**-54
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def keyed_words(
+def keyed_normals(
     root: RngRoot, streams: Sequence[tuple[str, int]], indices: Sequence[int], out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Leading raw words of many streams, one row per index, into ``out`` if given.
+    """Leading standard normals of many streams, one row per index, into ``out`` if given.
 
-    Row k holds, side by side for each (label, count) in ``streams``, the first
-    ``count`` words of ``root.stream(label, indices[k])``.  One Philox is
-    re-keyed for each stream (counter 0, empty buffer) instead of built.
+    Row k holds, side by side for each (label, count) in ``streams``, the first ``count``
+    variates of ``root.stream(label, indices[k])``, equal to its ``normals(count)`` bit for
+    bit.  One Philox is re-keyed for each stream (counter 0, empty buffer) instead of built,
+    and its generator writes the uniforms straight into the row.
     """
     width = sum(count for _, count in streams)
     if out is None:
-        out = np.empty((len(indices), width), dtype=np.uint64)
+        out = np.empty((len(indices), width))
     prefixes = [(_key_prefix(root.seed, label), count) for label, count in streams]
     bitgen = Philox(0)  # a fixed seed skips the OS entropy; every stream below sets its own key
+    fill = Generator(bitgen).random
     state = bitgen.state  # counter 0 and an empty buffer (buffer_pos 4), as a new Philox has
     state["state"]["counter"] = state["buffer"] = [0, 0, 0, 0]  # lists load faster than arrays
     with _KEYING:
@@ -149,23 +144,7 @@ def keyed_words(
                 h.update(packed)
                 state["state"]["key"] = struct.unpack("<QQ", h.digest())
                 bitgen.state = state
-                out[k, col : col + count] = bitgen.random_raw(count)
+                fill(out=out[k, col : col + count])
                 col += count
-    return out
-
-
-def keyed_normals(
-    root: RngRoot,
-    streams: Sequence[tuple[str, int]],
-    indices: Sequence[int],
-    words: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``keyed_words`` mapped to standard normals: row k, block (label, count) equals
-    ``root.stream(label, indices[k]).normals(count)`` bit for bit.
-
-    ``words`` and ``out``, when given, are the buffers of the words (left holding their
-    top 53 bits) and of the normals.
-    """
-    u = _uniforms(keyed_words(root, streams, indices, words), out)
+    u = _open_interval(out)
     return ndtri(u, out=u)

@@ -85,11 +85,10 @@ def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> np.nda
 
 
 def _tile_work(rows: int, X: SampleSet, Y: SampleSet, noise: bool) -> tuple[np.ndarray, ...]:
-    """Buffers for ``_slice_tile`` on tiles of up to ``rows`` projections: the keyed words, their normals,
-    the directions and the projections of X and Y, one row per projection."""
+    """Buffers for ``_slice_tile`` on tiles of up to ``rows`` projections: the keyed normals, the
+    directions and the projections of X and Y, one row per projection."""
     width = X.d + (X.n + Y.n if noise else 0)
-    words = np.empty((rows, width), dtype=np.uint64)
-    return words, np.empty((rows, width)), np.empty((rows, X.d)), np.empty((rows, X.n)), np.empty((rows, Y.n))
+    return np.empty((rows, width)), np.empty((rows, X.d)), np.empty((rows, X.n)), np.empty((rows, Y.n))
 
 
 def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool, work=None):
@@ -103,20 +102,21 @@ def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: boo
     d, n, m = X.d, X.n, Y.n
     if work is None:
         work = _tile_work(len(ls), X, Y, noise)
-    words, G, U, px, py = (buf[: len(ls)] for buf in work)
+    G, U, px, py = (buf[: len(ls)] for buf in work)
     streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
-    keyed_normals(root, streams, ls, words, G)
-    for k, l in enumerate(ls):
-        # sample_direction and project row by row: a norm and a matrix-vector
-        # product per direction keep each row bit-identical to those functions
-        z = G[k, :d]
-        norm = math.sqrt(z.dot(z))
-        if norm > 1e-150:
-            np.divide(z, norm, out=U[k])
-        else:  # a zero draw: sample_direction redraws from the stream
-            U[k] = sample_direction(d, root.stream("proj", l))
-        np.matmul(X.data, U[k], out=px[k])
-        np.matmul(Y.data, U[k], out=py[k])
+    keyed_normals(root, streams, ls, G)
+    # stacked matmuls make one BLAS call per row with the arguments of sample_direction's
+    # z.dot(z) and project's X.data @ u (a ddot, then two dgemv), so every row keeps their
+    # bits; one GEMM per tile would not, as its rows' bits depend on the tile's height
+    Z = G[:, :d]
+    norms = np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0, 0])
+    zero = np.flatnonzero(~(norms > 1e-150))
+    norms[zero] = 1.0  # so that the divide below does not warn on a zero row
+    np.divide(Z, norms[:, None], out=U)
+    for k in zero:  # a zero draw: sample_direction redraws from the stream
+        U[k] = sample_direction(d, root.stream("proj", ls[k]))
+    np.matmul(X.data, U[:, :, None], out=px[:, :, None])
+    np.matmul(Y.data, U[:, :, None], out=py[:, :, None])
     zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
     return U, px, py, zx, zy
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 
 from gssd import estimator, slicing
 from gssd.divergences import DivergenceSpec, bandwidth_mean_pairwise, mmd_sq, wasserstein_pp
 from gssd.estimator import GssdConfig, estimate, sweep_sigma, two_sigma_check
-from gssd.rng import RngRoot, keyed_normals, keyed_words
+from gssd.rng import RngRoot, keyed_normals
 from gssd.slicing import SampleSet, project, sample_direction, smooth_double
 
 
@@ -39,6 +39,12 @@ def reference_words(seed, label, index, count):
     msg = struct.pack("<Q", seed) + struct.pack("<I", len(raw)) + raw + struct.pack("<Q", index)
     key = np.frombuffer(hashlib.blake2b(msg, digest_size=16).digest(), dtype="<u8").astype(np.uint64)
     return Philox(key=key).random_raw(count)
+
+
+def reference_normals(seed, label, index, count):
+    """ndtri of (k + 0.5) * 2^-53, k the top 53 bits of ``reference_words``, clamped below 1."""
+    k = (reference_words(seed, label, index, count) >> np.uint64(11)).astype(np.float64)
+    return ndtri(np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0)))
 
 
 def sphere_abs_moment(p, d):
@@ -74,6 +80,22 @@ class TestEstimateBasics:
             estimate(X, X, wcfg(9), workers=workers)
         with pytest.raises(ValueError, match="workers"):
             sweep_sigma(X, X, [0.0, 1.0], wcfg(9), workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, True, "4"])
+    def test_workers_must_be_an_integer(self, workers):
+        # a bool or a float is no worker count: True would run as 1 worker, 2.5 would fail deep inside
+        X = gauss_set(3, "x", 10, 3)
+        with pytest.raises(ValueError, match="workers"):
+            estimate(X, X, wcfg(9), workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sweep_sigma(X, X, [0.0, 1.0], wcfg(9), workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            two_sigma_check(X, X, 0.5, 1.0, wcfg(9), workers=workers)
+
+    @pytest.mark.parametrize("L", [2.5, True, "4"])
+    def test_num_projections_must_be_an_integer(self, L):
+        with pytest.raises(ValueError, match="num_projections"):
+            wcfg(1, L=L)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -124,19 +146,19 @@ class TestDeterminism:
         cfg = wcfg(19, L=200)
         streams = [("proj", 4), ("noisex", 40)]
         blocks = [range(8 * i, 8 * i + 8) for i in range(8)]
-        want_words = [keyed_words(cfg.seed, streams, ls) for ls in blocks]
+        want_rows = [keyed_normals(cfg.seed, streams, ls) for ls in blocks]
         want = estimate(X, Y, cfg, workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=9) as pool:
-                words = [pool.submit(keyed_words, cfg.seed, streams, ls) for ls in blocks]
+                rows = [pool.submit(keyed_normals, cfg.seed, streams, ls) for ls in blocks]
                 est = pool.submit(estimate, X, Y, cfg, 8)
-                got_words = [f.result(timeout=120) for f in words]
+                got_rows = [f.result(timeout=120) for f in rows]
                 got = est.result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert all(np.array_equal(a, b) for a, b in zip(got_words, want_words))
+        assert all(np.array_equal(a, b) for a, b in zip(got_rows, want_rows))
         assert np.array_equal(got.per_projection, want.per_projection)
 
     def test_repeat_run_identical(self):
@@ -227,38 +249,50 @@ class TestSlicePipeline:
             want = rebuilt_value(X, Y, cfg, l)
             assert est.per_projection[l] == want
 
-    def test_tile_rows_equal_public_functions(self):
-        X = gauss_set(27, "tr-x", 30, 5)
-        Y = gauss_set(27, "tr-y", 20, 5)
+    @pytest.mark.parametrize("d, n, m, rows", [
+        (5, 30, 20, 10), (1, 7, 3, 5), (3, 1, 1, 1), (50, 2000, 1600, 63), (200, 300, 257, 64), (10, 1000, 800, 2),
+        (50, 500, 500, 64),  # a full tile of the projection-complexity job
+    ])
+    def test_tile_rows_equal_public_functions(self, d, n, m, rows):
+        X = gauss_set(27, "tr-x", n, d)
+        Y = gauss_set(27, "tr-y", m, d)
         root = RngRoot(37)
-        ls = range(60, 70)
+        ls = range(60, 60 + rows)
         U, px, py, zx, zy = slicing._slice_tile(X, Y, root, ls, noise=True)
         for k, l in enumerate(ls):
-            u = sample_direction(5, root.stream("proj", l))
+            u = sample_direction(d, root.stream("proj", l))
             assert np.array_equal(U[k], u)
             assert np.array_equal(px[k], project(X, u))
             assert np.array_equal(py[k], project(Y, u))
-            assert np.array_equal(zx[k], root.stream("noisex", l).normals(30))
-            assert np.array_equal(zy[k], root.stream("noisey", l).normals(20))
+            assert np.array_equal(zx[k], root.stream("noisex", l).normals(n))
+            assert np.array_equal(zy[k], root.stream("noisey", l).normals(m))
         assert slicing._slice_tile(X, Y, root, ls, noise=False)[3:] == (None, None)
 
     def test_zero_direction_draw_falls_back_to_sample_direction(self, monkeypatch):
-        # a word whose top 53 bits are 2^52 maps to u = 0.5, i.e. z = 0; force
-        # such a direction draw and check the row redraws as sample_direction does
+        # a word whose top 53 bits are 2^52 maps to u = 0.5, i.e. z = 0; force such direction
+        # draws, first and later in a tile, and check each row redraws as sample_direction does
+        # (which reads the stream's real draw, so the estimate is the unpatched one), without a warning
         real = slicing.keyed_normals
+        zeroed = []
 
-        def zero_first_direction(root, streams, indices, words=None, out=None):
-            G = real(root, streams, indices, words, out)
-            if indices.start == 0:
-                G[0, : streams[0][1]] = 0.0
+        def zero_directions(root, streams, indices, out=None):
+            G = real(root, streams, indices, out)
+            for k, l in enumerate(indices):
+                if l in (0, 2, 65):
+                    G[k, : streams[0][1]] = 0.0
+                    zeroed.append(l)
             return G
 
-        monkeypatch.setattr(slicing, "keyed_normals", zero_first_direction)
-        X = gauss_set(26, "zd-x", 20, 1)
-        Y = gauss_set(26, "zd-y", 20, 1, mean=1.0)
-        cfg = wcfg(36, sigma=0.0, L=3)
+        X = gauss_set(26, "zd-x", 20, 3)
+        Y = gauss_set(26, "zd-y", 20, 3, mean=1.0)
+        cfg = wcfg(36, sigma=0.0, L=70)
+        want = estimate(X, Y, cfg)
+        monkeypatch.setattr(slicing, "keyed_normals", zero_directions)
         est = estimate(X, Y, cfg)
-        assert est.per_projection[0] == rebuilt_value(X, Y, cfg, 0)
+        assert sorted(zeroed) == [0, 2, 65]
+        assert np.array_equal(est.per_projection, want.per_projection)
+        for l in (0, 2, 65):
+            assert est.per_projection[l] == rebuilt_value(X, Y, cfg, l)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -268,20 +302,18 @@ class TestSlicePipeline:
         start=st.integers(0, 2**64 - 1),
         size=st.integers(1, 5),
     )
-    def test_keyed_words_equal_streams(self, seed, labels, counts, start, size):
+    def test_keyed_normals_equal_streams(self, seed, labels, counts, start, size):
         # a non-ASCII label's key prefix packs its UTF-8 byte length; the indices reach 2^64 - 1
         root = RngRoot(seed)
         streams = list(zip(labels, counts))
         start = min(start, 2**64 - size)
         indices = range(start, start + size)
-        W = keyed_words(root, streams, indices)
         G = keyed_normals(root, streams, indices)
         for k, l in enumerate(indices):
             col = 0
             for label, count in streams:
-                assert np.array_equal(W[k, col : col + count], root.stream(label, l).raw_uint64(count))
-                assert np.array_equal(W[k, col : col + count], reference_words(seed, label, l, count))
                 assert np.array_equal(G[k, col : col + count], root.stream(label, l).normals(count))
+                assert np.array_equal(G[k, col : col + count], reference_normals(seed, label, l, count))
                 col += count
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy.special import ndtri
 
-from gssd.rng import RngRoot, RngStream, _uniforms, keyed_words
+from gssd.rng import RngRoot, RngStream, _open_interval, _stream_key, keyed_normals
 
 
 def test_same_triple_reproduces_sequence():
@@ -66,21 +67,29 @@ def test_child_roots_are_distinct_and_stable():
 
 
 def test_top_words_clamp_below_one_and_others_keep_their_bits():
-    # top 53 bits k = 2^53 - 1 give (k + 0.5) * 2^-53 == 1.0 before the clamp;
-    # k = 2^52 gives exactly 0.5
-    top = np.array([0xFFFFFFFFFFFFF800, 0xFFFFFFFFFFFFFC00, 2**64 - 1], dtype=np.uint64)
-    u = _uniforms(top)
-    assert np.all(u == np.nextafter(1.0, 0.0))
+    # Generator.random gives k * 2^-53 for a word's top 53 bits k; the 2^11 words with
+    # k = 2^53 - 1 give (k + 0.5) * 2^-53 == 1.0 before the clamp, and k = 2^52 gives exactly 0.5
+    u = _open_interval(np.array([(2**53 - 1) * 2.0**-53]))
+    assert u[0] == np.nextafter(1.0, 0.0)
     assert np.all(np.isfinite(ndtri(u)))
-    half = np.array([2**52 << 11], dtype=np.uint64)
-    u_half = _uniforms(half)
+    u_half = np.array([0.5])
+    assert _open_interval(u_half) is u_half  # mapped in place
     assert u_half[0] == 0.5 and ndtri(u_half)[0] == 0.0
-    assert half[0] == 2**52  # the words are shifted in place
     below = np.array([0xFFFFFFFFFFFFF7FF, 0, 1, 2**63 - 1, 2**63 + 2**11], dtype=np.uint64)
-    raw = np.concatenate([below, RngRoot(3).stream("words", 0).raw_uint64(10**4)])
-    unclamped = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    words = np.concatenate([below, Philox(3).random_raw(10**4)])
+    k = (words >> np.uint64(11)).astype(np.float64)
+    unclamped = (k + 0.5) * 2.0**-53
     assert unclamped.max() < 1.0
-    assert np.array_equal(_uniforms(raw), unclamped)
+    assert np.array_equal(_open_interval(k * 2.0**-53), unclamped)
+
+
+def test_uniforms_are_the_words_top_bits_plus_a_half():
+    # a stream's uniforms are (k + 0.5) * 2^-53 of its Philox words, clamped below 1, and
+    # chunked draws continue the word sequence
+    words = Philox(key=np.array(_stream_key(3, "words", 0), dtype=np.uint64)).random_raw(10**4)
+    want = np.minimum(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
+    stream = RngRoot(3).stream("words", 0)
+    assert np.array_equal(np.concatenate([stream.uniforms(4000), stream.uniforms(6000)]), want)
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "42", True, False])
@@ -103,13 +112,13 @@ def test_out_of_range_stream_index_rejected(bad):
     with pytest.raises(ValueError):
         root.child("x", bad)
     with pytest.raises(ValueError):
-        keyed_words(root, [("proj", 2)], [0, bad])
+        keyed_normals(root, [("proj", 2)], [0, bad])
 
 
 def test_largest_stream_index_accepted():
     top = 2**64 - 1
     root = RngRoot(5)
-    words = root.stream("proj", top).raw_uint64(2)
-    assert np.array_equal(keyed_words(root, [("proj", 2)], [top])[0], words)
-    assert not np.array_equal(words, root.stream("proj", 0).raw_uint64(2))
+    z = root.stream("proj", top).normals(2)
+    assert np.array_equal(keyed_normals(root, [("proj", 2)], [top])[0], z)
+    assert not np.array_equal(z, root.stream("proj", 0).normals(2))
     assert root.child("x", top) != root.child("x", 0)
