@@ -8,10 +8,12 @@ Three families are provided:
   breakpoints otherwise).
 * ``mmd_sq`` -- the squared maximum mean discrepancy as the biased V-statistic
   of a Gaussian kernel, (1/n^2) sum k(x_i, x_j) - (2/nm) sum k(x_i, y_j)
-  + (1/m^2) sum k(y_i, y_j), by an O((n + m) (range/h)) trapezoid rule in
-  the kernel's Gaussian frequency, checked against the same rule on every
-  other node, or else by the exact O((n + m)^2) signed kernel sum over the
-  pooled slice, a block of rows at a time.
+  + (1/m^2) sum k(y_i, y_j), by a trapezoid rule on O(range/h) nodes in
+  the kernel's Gaussian frequency, whose node sums come from anchor and
+  offset phasors, O((n + m) sqrt(range/h)) cos and sin values, checked
+  against the same rule on every other node, or else by the exact
+  O((n + m)^2) signed kernel sum over the pooled slice, a block of rows at a
+  time.
 * ``sinkhorn_div`` -- the debiased entropic divergence
   S_eps = OT_eps(x, y) - OT_eps(x, x)/2 - OT_eps(y, y)/2 for cost |s - t|^p,
   where OT_eps is the entropic optimal transport value (transport cost plus
@@ -58,6 +60,7 @@ _QUAD_MARGIN = 8.7
 _QUAD_CUT = 9.0
 _QUAD_RTOL = 1e-13
 _QUAD_ATOL = 2.0**-52
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: splits a double into two halves of 26 significant bits
 ORACLE_GRID = 2000  # the mixture-quantile oracle's default number of midpoint quantile levels
 _ORACLE_MIN_GRID = 1000
 # The oracle's quantiles start from the inverse of the CDF tabulated at _QUANTILE_KNOTS points, then take Newton
@@ -218,22 +221,83 @@ def _kernel_sum(v: np.ndarray, s: np.ndarray, bandwidth: float) -> float:
     return float(s @ r)
 
 
+def _phasors(k: np.ndarray, parts: tuple, c: np.ndarray, s: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """cos and sin of the phases k (hh + hl) into c and s, rows of k against columns of the parts.
+
+    k is a column of integers below 2^27 and hh, hl have 26 significant bits, so k hh and k hl are exact
+    and their sum splits exactly into hi + lo (Fast2Sum): the phase is exact.  Then cos(hi + lo) =
+    cos(hi) - sin(hi) lo and sin(hi + lo) = sin(hi) + cos(hi) lo, whose neglected terms are below lo^2 / 2,
+    so each value is good to about an ulp of 1 however large the phase.  a and b are scratch of c's shape.
+    """
+    hh, hl = parts
+    np.multiply(k, hh, out=a)
+    np.multiply(k, hl, out=b)
+    np.add(a, b, out=c)
+    np.subtract(c, a, out=a)
+    np.subtract(b, a, out=b)
+    np.sin(c, out=s)
+    np.cos(c, out=c)
+    np.multiply(s, b, out=a)
+    np.multiply(c, b, out=b)
+    np.subtract(c, a, out=c)
+    np.add(s, b, out=s)
+
+
 def _quadrature_pair(u: np.ndarray, s: np.ndarray, tau: float, K: int) -> tuple[float, float]:
     """E_Z |sum_i s_i exp(i Z u_i)|^2 by the trapezoid rule on z_k = k tau, k = 0..K (K even),
     and by the same rule on the even k alone, with step 2 tau: (coarse, fine).
 
-    The integrand is even, so the weights tau phi(z_k) are doubled for k >= 1.  At each node it is one
-    cos, one sin and two matrix-vector products over the pooled values, a block of nodes at a time.
+    The integrand is even, so the weights tau phi(z_k) are doubled for k >= 1.  Node k is taken as
+    c_j + r with anchors c_j = R + jB, B = 2R + 1 ~ sqrt(2 (K + 1)), and offsets |r| <= R, so
+    sum_i s_i exp(i z_k u_i) = sum_i (s_i e^{i c_j tau u_i}) e^{i r tau u_i}: the anchors' and the
+    offsets' phasors are evaluated once each, about sqrt(2 (K + 1)) rows of cos and sin in all, not
+    K + 1.  The offsets' cos and sin rows for r = 0..R stack into one matrix M, and an anchor's two
+    products with M (one dgemv each, of its weighted real and imaginary parts) give the sums at
+    c_j + r and, by conjugation, at c_j - r.  The offsets, then the anchors, come a block of phasor
+    rows at a time; each dgemv has the same arguments whatever the block, so no bit depends on it.
+    tau u_i is rounded once, a shift of u_i below the rounding it already carries, and every phase
+    k fl(tau u_i) is then formed exactly (``_phasors``), so an anchor passes no rounding of its phase
+    on to its nodes: each node's sum errs by a few ulps of sum |s_i|, whatever the frequency.  (The
+    phases are exact for nodes below 2^27; the route test in ``mmd_sq`` keeps them there for any
+    slice of fewer than 2^26 points.)
     """
+    n = u.size
+    R = math.isqrt((K + 1) // 2)
+    B = 2 * R + 1
+    J = -(-(K + 1) // B)
+    # tau u = hh + hl by Veltkamp's split, each half of 26 significant bits
+    c = tau * u
+    t = c * _SPLIT
+    hh = t - (t - c)
+    parts = (hh, c - hh)
+    # the offsets 0..R, then the anchors, a block of rows at a time: each phasor row is cos, then sin
+    mult = np.concatenate([np.arange(R + 1.0), R + B * np.arange(J, dtype=float)])
+    M = np.empty((R + 1, 2, n))
+    M2 = M.reshape(2 * (R + 1), n)
+    acc = np.empty((J, 2, R + 1, 2))  # per anchor: M @ (s re), then M @ (s im), re + i im its phasor
+    for rows, (a, t) in _row_blocks(mult.size, 2 * n, 2):
+        k = a.shape[0]
+        a3, t = a.reshape(k, 2, n), t.reshape(k, 2, n)
+        _phasors(mult[rows, None], parts, a3[:, 0], a3[:, 1], t[:, 0], t[:, 1])
+        off = min(k, max(0, R + 1 - rows.start))  # this block's offset rows, which come first
+        M[rows.start : rows.start + off] = a3[:off]
+        if off < k:  # every offset is in M by now
+            j = rows.start + off - (R + 1)
+            np.multiply(a3[off:], s, out=a3[off:])
+            # a dgemv per row, so no bit depends on the block; np.dot releases the GIL, np.matmul does not
+            for row, out in zip(a[off:].reshape(-1, n), acc[j : j + k - off].reshape(-1, 2 * (R + 1))):
+                np.dot(M2, row, out=out)
+    cr, sr = acc[:, 0, :, 0], acc[:, 0, :, 1]
+    ci, si = acc[:, 1, :, 0], acc[:, 1, :, 1]
+    power = np.empty((J, B))  # row j holds the nodes c_j - R .. c_j + R; r = 0 is written twice, alike
+    re, im = cr + si, ci - sr
+    power[:, R::-1] = re * re + im * im
+    re, im = cr - si, sr + ci
+    power[:, R:] = re * re + im * im
+    power = power.ravel()[: K + 1]
     z = tau * np.arange(K + 1)
     w = tau / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * z * z)
     w[1:] *= 2.0
-    power = np.empty(z.size)
-    for rows, (a, t) in _row_blocks(z.size, u.size, 2):
-        np.multiply(z[rows, None], u, out=a)
-        re = np.cos(a, out=t) @ s
-        im = np.sin(a, out=a) @ s
-        power[rows] = re * re + im * im
     return 2.0 * float(power[::2] @ w[::2]), float(power @ w)
 
 
@@ -244,9 +308,11 @@ def mmd_sq(x, y, bandwidth: float) -> float:
     V-statistic is the quadratic form s^T K s of the kernel matrix.  By
     k_h(a - b) = E cos(Z (a - b) / h), Z ~ N(0, 1), it is also
     E |sum_i s_i exp(i Z v_i / h)|^2.  The trapezoid rule with step
-    tau = pi / (range/h + _QUAD_MARGIN) on 0 <= z <= _QUAD_CUT sums that; its
-    value is returned when the rule on every other node agrees with it to
-    _QUAD_RTOL relative, plus _QUAD_ATOL (the exact sum's own rounding).
+    tau = pi / (range/h + _QUAD_MARGIN) on 0 <= z <= _QUAD_CUT sums that, its
+    K + 1 node sums made from about sqrt(2 (K + 1)) rows of cos and sin
+    (``_quadrature_pair``); its value is returned when the rule on every other
+    node agrees with it to _QUAD_RTOL relative, plus _QUAD_ATOL (the exact
+    sum's own rounding).
     Otherwise, and straight away when the K + 1 nodes would evaluate more
     terms than the exact sum has kernel pairs, the exact signed kernel sum
     s^T K s runs, a block of rows at a time.

@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .bounds import C_P, VARTHETA, SphericalGaussian, TheoryBound
 from .divergences import DivergenceSpec
-from .estimator import GssdConfig, GssdEstimate, estimate, sweep_sigma
+from .estimator import GssdConfig, GssdEstimate, _check_count, estimate, sweep_sigma
 from .rng import RngRoot
 from .slicing import SampleSet
 
@@ -113,8 +113,7 @@ class ExperimentConfig:
         for name in ("dimensions", "sample_sizes", "sigmas", "divergences", "l_grid", "s_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-        if self.num_runs < 1:
-            raise ValueError("num_runs must be >= 1")
+        _check_count("num_runs", self.num_runs)
         if self.pair not in PAIR_MODES:
             raise ValueError(f"pair must be one of {tuple(PAIR_MODES)}")
         bad = [d for d in self.divergences if d not in DIVERGENCE_ALIASES]
@@ -122,6 +121,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown divergence names {bad}; expected swd, mmd or skd")
         if self.command == "projection-complexity" and not all(1 <= L <= self.num_projections for L in self.l_grid):
             raise ValueError(f"projection grid entries must lie in [1, num_projections = {self.num_projections}]")
+        for name in ("dimensions", "sample_sizes", "l_grid"):
+            for value in getattr(self, name):
+                _check_count(f"each entry of {name}", value)
 
     def divergence_spec(self, name: str) -> DivergenceSpec:
         return DivergenceSpec(

@@ -410,10 +410,11 @@ class TestMmdRoutes:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    @pytest.mark.parametrize("ratio", [0.0, 1.0, 10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 10.0, 100.0, 1000.0, *np.geomspace(1.0, 1000.0, 152)[1:-1].tolist()])
     def test_both_rules_resolve_the_highest_frequency(self, ratio):
         # v = (-t/2, t/2), s = (1, -1): the integrand is 2 - 2 cos(Z t / h), whose frequency t / h is the
-        # largest a slice of range t can have, and E = 2 - 2 exp(-(t / h)^2 / 2)
+        # largest a slice of range t can have, and E = 2 - 2 exp(-(t / h)^2 / 2); the phases reach 9 t / (2 h),
+        # 4500 at t / h = 1000, where one rounding of a phase to a double moves it by up to 4.5e-13
         band = ratio + divergences._QUAD_MARGIN
         K = 2 * math.ceil(0.5 * divergences._QUAD_CUT * band / math.pi)
         u, s = np.array([-0.5 * ratio, 0.5 * ratio]), np.array([1.0, -1.0])
@@ -443,6 +444,34 @@ class TestMmdRoutes:
                 tracemalloc.stop()
         assert calls == [] and peak <= 4 * 2**20
         assert got == pytest.approx(mmd_exact_route(x, y, 0.1), rel=1e-12)
+
+    @pytest.mark.parametrize("bandwidth", ["mean-pairwise", 0.1])
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_rule_bits_do_not_depend_on_the_block(self, monkeypatch, bandwidth, rows):
+        # blocks of one, three or 64 rows of 2 (n + m) floats against the default nine: the offsets and
+        # anchors (5 + 5 rows at the mean-pairwise bandwidth, 13 + 12 at h = 0.1) come a few at a time or
+        # all in one block; one GEMM per block instead of a dgemv per row fails at 64 rows
+        x, y = sweep_slice(1.0)
+        h = bandwidth_mean_pairwise(x, y) if bandwidth == "mean-pairwise" else bandwidth
+        with counting("_kernel_sum") as calls:
+            want = mmd_sq(x, y, h)
+            monkeypatch.setattr(divergences, "_BLOCK", rows * 2 * (x.size + y.size))
+            got = mmd_sq(x, y, h)
+        assert calls == [] and got == want
+
+    def test_largest_rule_at_the_sweep_size_stays_in_a_few_mib(self):
+        # range / h is about 933 here: a 2701-node rule, next to the route's limit of 2711 nodes at
+        # n = 2000, m = 1600; the offsets' 74 cos and sin rows take 2 MiB, the two block buffers 1 MiB
+        x, y = sweep_slice(15.0)
+        with counting("_kernel_sum") as calls, counting("_quadrature_pair") as rules:
+            tracemalloc.start()
+            try:
+                got = mmd_sq(x, y, 0.111)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert calls == [] and rules[0][3] == 2700 and peak <= 4 * 2**20
+        assert got == pytest.approx(mmd_exact_route(x, y, 0.111), rel=1e-12)
 
     def test_subnormal_bandwidth_gives_the_exact_value(self):
         # range / h overflows to inf; every distinct pair is then infinitely far apart and its kernel is 0
@@ -568,7 +597,8 @@ class TestSinkhornDiv:
            eps=st.sampled_from([0.02, 0.1, 0.5]), gap=st.integers(6, 9))
     def test_newton_finish_converges_on_weakly_coupled_clusters(self, data, n, m, p, eps, gap):
         # two groups about gap * eps apart in cost, each on a grid of three points so that points tie; the
-        # alternating update needs 10^3 to 10^5 sweeps on such sets, which the dense oracle still affords
+        # alternating update needs 10^3 to a few 10^5 sweeps on such sets, which the dense oracle still affords
+        # (at eps 0.02, gap 9, a group of four points at 0 and two at 1.1 span takes about 2 * 10^5)
         assume(n != m)
         span = (gap * eps) ** (1.0 / p)
 
@@ -582,7 +612,7 @@ class TestSinkhornDiv:
         for u, v in ((x, y), (x, x), (y, y)):
             value, converged, _, err = _entropic_ot(u, v, p, eps, spec.sinkhorn_tol, spec.sinkhorn_max_iter)
             assert converged and err < spec.sinkhorn_tol
-            assert value == pytest.approx(sinkhorn_dense_oracle(u, v, p, eps), rel=1e-9, abs=1e-12)
+            assert value == pytest.approx(sinkhorn_dense_oracle(u, v, p, eps, iters=2_000_000), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("n, m, eps", [(9, 14, 0.5), (31, 17, 0.05), (20, 20, 0.05)])

@@ -23,11 +23,11 @@ def gauss_set(seed, label, n, d, mean=0.0, scale=1.0):
     return SampleSet(mean + scale * z)
 
 
-def wcfg(seed, sigma=1.0, L=32, p=2.0, **kw):
+def wcfg(seed, sigma=1.0, L=32, p=2.0, divergence=None, **kw):
     return GssdConfig(
         sigma=sigma,
         num_projections=L,
-        divergence=DivergenceSpec("wasserstein", p=p),
+        divergence=divergence or DivergenceSpec("wasserstein", p=p),
         seed=RngRoot(seed),
         **kw,
     )
@@ -124,11 +124,14 @@ class TestEstimateBasics:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("kind", ["wasserstein", "mmd", "sinkhorn", "oracle"])
+    @pytest.mark.parametrize("kind", ["wasserstein", "mmd", "mmd-fixed", "sinkhorn", "oracle"])
     def test_workers_do_not_change_bits(self, kind):
-        # the mixture oracle draws no noise, so its tiles run the buffers without the noise columns
+        # the mixture oracle draws no noise, so its tiles run the buffers without the noise columns;
+        # at the fixed bandwidth 0.7 every slice's trapezoid rule has 58 to 78 nodes on 6 or 7 anchors
         oracle = kind == "oracle"
-        spec = DivergenceSpec("wasserstein" if oracle else kind, p=2, sinkhorn_max_iter=100)
+        bandwidth = 0.7 if kind == "mmd-fixed" else None
+        spec = DivergenceSpec("wasserstein" if oracle else kind.removesuffix("-fixed"), p=2, bandwidth=bandwidth,
+                              sinkhorn_max_iter=100)
         X = gauss_set(4, "x", 60, 5)
         Y = gauss_set(4, "y", 60, 5)
         mode = dict(mode="mixture_oracle", oracle_grid=1000) if oracle else {}
@@ -378,11 +381,16 @@ class TestEstimatorProperties:
         slope = np.polyfit(np.log(Ls), np.log(mean_err), 1)[0]
         assert -0.7 <= slope <= -0.3
 
-    def test_prefix_consistency_is_exact(self):
+    @pytest.mark.parametrize("spec", [
+        DivergenceSpec("wasserstein", p=2.0),
+        # every slice's trapezoid rule has 50 to 66 nodes on 5 to 7 anchors
+        DivergenceSpec("mmd", p=2.0, bandwidth=0.7),
+    ], ids=["wasserstein", "mmd-fixed"])
+    def test_prefix_consistency_is_exact(self, spec):
         X = gauss_set(41, "pf-x", 64, 4)
         Y = gauss_set(41, "pf-y", 64, 4)
-        big = estimate(X, Y, wcfg(50, sigma=1.0, L=40))
-        small = estimate(X, Y, wcfg(50, sigma=1.0, L=12))
+        big = estimate(X, Y, wcfg(50, sigma=1.0, L=40, divergence=spec))
+        small = estimate(X, Y, wcfg(50, sigma=1.0, L=12, divergence=spec))
         assert np.array_equal(big.per_projection[:12], small.per_projection)
         assert small.mean_pow == float(np.mean(big.per_projection[:12]))
 

@@ -302,6 +302,23 @@ class TestGrid:
         with pytest.raises(ValueError, match="unknown command"):
             small_cfg("sample_complexity")
 
+    @pytest.mark.parametrize("command", ["sample-complexity", "projection-complexity"])
+    @pytest.mark.parametrize("field, value", [
+        ("num_runs", 2.5), ("num_runs", True), ("num_runs", 0), ("num_runs", np.float64(2.0)),
+        ("dimensions", (2.5,)), ("dimensions", (4, True)), ("dimensions", (4, 0)),
+        ("sample_sizes", (20.0,)), ("sample_sizes", (False,)), ("sample_sizes", (20, -3)),
+        ("l_grid", (2.5, 8)), ("l_grid", (True, 8)),
+    ])
+    def test_counts_must_be_integers_of_at_least_one(self, command, field, value):
+        # a float or a bool used to construct and then fail late with a TypeError, or run once without a word
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            small_cfg(command, **{"l_grid": (4, 16), field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = small_cfg("projection-complexity", num_runs=np.int64(1), dimensions=(np.int32(3),),
+                        sample_sizes=(np.int64(20),), l_grid=(np.int64(4), 16))
+        assert len(run_experiment(cfg)) == 2
+
 
 # ---------------------------------------------------------------- compare
 
@@ -532,6 +549,19 @@ class TestCli:
         assert cli_main(args + flags) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--dim", "0"], ["--sizes", "20,0"], ["--sizes", "-3"]])
+    def test_counts_below_one_exit_2(self, capsys, flags):
+        args = ["sample-complexity", "--dim", "3", "--sizes", "20", "--runs", "1", "--projections", "4"]
+        assert cli_main(args + flags) == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--runs", "2.5"], ["--dim", "2.5"], ["--sizes", "20,2.5"]])
+    def test_non_integer_counts_exit_2(self, capsys, flags):
+        args = ["sample-complexity", "--dim", "3", "--sizes", "20", "--runs", "1", "--projections", "4"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(args + flags)
+        assert exc.value.code == 2
 
     def test_workers_flag_reproduces_values(self, tmp_path):
         args = [
