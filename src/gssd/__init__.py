@@ -31,7 +31,7 @@ from .divergences import (
 from .estimator import GssdConfig, GssdEstimate, TwoSigmaReport, estimate, sweep_sigma, two_sigma_check
 from .experiments import ExperimentConfig, ResultRow, compare, fit_loglog_slope
 from .rng import RngRoot, RngStream
-from .slicing import SampleSet, mixture_pdf, project, sample_direction, smooth_double
+from .slicing import SampleSet, project, sample_direction, smooth_double
 
 __all__ = [
     "__version__",
@@ -41,7 +41,6 @@ __all__ = [
     "sample_direction",
     "project",
     "smooth_double",
-    "mixture_pdf",
     "DivergenceSpec",
     "SinkhornResult",
     "wasserstein_pp",

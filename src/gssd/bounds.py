@@ -41,6 +41,8 @@ import numpy as np
 from scipy.special import dawsn, gammaln
 from scipy.special import gamma as gamma_fn
 
+from .divergences import _check_count
+
 __all__ = [
     "TheoryBound",
     "PointMass",
@@ -143,10 +145,9 @@ class SphericalGaussian:
     omega: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        _check_count("dimension d", self.d)
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be finite and positive")
 
     def moment(self, k: int) -> float:
         """M_{2k} = omega^{2k} 2^k (d/2)(d/2 + 1)...(d/2 + k - 1) (chi-square moments).

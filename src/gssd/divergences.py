@@ -1,5 +1,6 @@
-"""Base 1D divergences between empirical measures on the line, and ``slice_values``,
-their order-p value on each row of two matrices of slices: the one dispatch on the kind.
+"""Base 1D divergences between empirical measures on the line, and ``_slice_values``,
+their order-p value on each row of two matrices of slices that the caller owns: the one
+dispatch on the kind.
 
 Three families are provided:
 
@@ -40,12 +41,10 @@ __all__ = [
     "DivergenceSpec",
     "SinkhornResult",
     "wasserstein_pp",
-    "wasserstein_pp_rows",
     "mmd_sq",
     "bandwidth_mean_pairwise",
     "sinkhorn_div",
     "smoothed_wasserstein_oracle",
-    "slice_values",
 ]
 
 KINDS = ("wasserstein", "mmd", "sinkhorn")
@@ -110,8 +109,13 @@ class DivergenceSpec:
             raise ValueError("fixed bandwidth must be finite and positive")
         if not 0 <= self.sinkhorn_tol < math.inf:
             raise ValueError("sinkhorn_tol must be finite and >= 0 (0 runs to the iteration cap)")
-        if self.sinkhorn_max_iter < 1:
-            raise ValueError("sinkhorn_max_iter must be >= 1")
+        _check_count("sinkhorn_max_iter", self.sinkhorn_max_iter)
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _as_samples(x, name: str) -> np.ndarray:
@@ -130,33 +134,18 @@ def wasserstein_pp(x, y, p: float) -> float:
     sizes integrate |F_x^{-1}(t) - F_y^{-1}(t)|^p exactly over the merged
     quantile breakpoints (both quantile functions are piecewise constant).
     """
-    return float(wasserstein_pp_rows(_as_samples(x, "x")[None], _as_samples(y, "y")[None], p)[0])
-
-
-def wasserstein_pp_rows(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
-    """``wasserstein_pp`` of row k of X against row k of Y, for every row at once.
-
-    X and Y must be 2-D with equal row counts, non-empty rows and finite values.
-    Each row is reduced on its own contiguous run, so row k is bit-identical to
-    ``wasserstein_pp(X[k], Y[k], p)`` however many rows there are.
-    """
+    xs, ys = _as_samples(x, "x"), _as_samples(y, "y")
     if not 1 <= p < math.inf:
         raise ValueError("order p must be finite and >= 1")
-    xs, ys = np.array(X, dtype=np.float64), np.array(Y, dtype=np.float64)  # copies: the rows are sorted in place
-    if xs.ndim != 2 or ys.ndim != 2:
-        raise ValueError(f"X and Y must be 2-D, got shapes {xs.shape} and {ys.shape}")
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError(f"X and Y must have equal row counts, got {xs.shape[0]} and {ys.shape[0]}")
-    if xs.shape[1] == 0 or ys.shape[1] == 0:
-        raise ValueError("rows of X and Y must be non-empty")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("X or Y contains non-finite values")
-    return _wasserstein_rows(xs, ys, p)
+    # copies: _as_samples returns a contiguous float64 argument itself, and the rows are sorted in place
+    return float(_wasserstein_rows(xs[None].copy(), ys[None].copy(), p)[0])
 
 
 def _wasserstein_rows(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
-    """``wasserstein_pp_rows`` on rows it may overwrite: each row of xs and ys is sorted in place, and
-    for equal sizes the differences are formed in xs; unequal sizes take a block of rows at a time."""
+    """``wasserstein_pp`` of row k of xs against row k of ys, for every row at once, on finite rows it may
+    overwrite: each row is sorted in place, and for equal sizes the differences are formed in xs; unequal
+    sizes take a block of rows at a time.  Each row is reduced on its own contiguous run, so row k is
+    bit-identical to ``wasserstein_pp(xs[k], ys[k], p)`` however many rows there are."""
     xs.sort(axis=1)
     ys.sort(axis=1)
     n, m = xs.shape[1], ys.shape[1]
@@ -481,20 +470,17 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     )
 
 
-def _mixture_cdf_pdf(v: np.ndarray, sigma: float, t: np.ndarray, with_cdf: bool = True):
-    """CDF (None unless ``with_cdf``) and density of (1/n) sum_i N(v_i, sigma^2) at each point of t,
-    a block of points at a time.
+def _mixture_cdf_pdf(v: np.ndarray, sigma: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CDF and density of (1/n) sum_i N(v_i, sigma^2) at each point of t, a block of points at a time.
 
     Each point's values are the means of its own row of a block of points, so
     their bits do not depend on how many rows a block holds.
     """
-    cdf = np.empty(t.size) if with_cdf else None
-    pdf = np.empty(t.size)
-    for rows, (a, *work) in _row_blocks(t.size, v.size, 1 + with_cdf):
+    cdf, pdf = np.empty(t.size), np.empty(t.size)
+    for rows, (a, c) in _row_blocks(t.size, v.size, 2):
         np.subtract(t[rows, None], v, out=a)
         np.divide(a, sigma, out=a)
-        if with_cdf:
-            cdf[rows] = ndtr(a, out=work[0]).mean(axis=1)
+        cdf[rows] = ndtr(a, out=c).mean(axis=1)
         np.multiply(a, a, out=a)
         np.multiply(a, -0.5, out=a)
         pdf[rows] = np.exp(a, out=a).mean(axis=1)
@@ -542,12 +528,6 @@ def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray) -> np.nd
     return q
 
 
-def check_oracle_grid(grid) -> None:
-    """Raise ValueError unless the oracle's quantile grid is an integer (not a bool) of at least 1000 levels."""
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < _ORACLE_MIN_GRID:
-        raise ValueError(f"oracle quantile grid must be an integer >= {_ORACLE_MIN_GRID}, got {grid!r}")
-
-
 def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = ORACLE_GRID) -> float:
     """W_p^p between the mixtures (1/n) sum N(vx_i, s^2) and (1/m) sum N(vy_j, s^2).
 
@@ -560,7 +540,7 @@ def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = ORAC
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be finite and positive in oracle mode")
-    check_oracle_grid(grid)
+    _check_count("oracle quantile grid", grid, _ORACLE_MIN_GRID)
     if not 1 <= p < math.inf:
         raise ValueError("order p must be finite and >= 1")
     ax = _as_samples(vx, "vx")
@@ -571,22 +551,16 @@ def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = ORAC
     return float(np.mean(np.abs(qx - qy) ** p))
 
 
-def slice_values(TX: np.ndarray, TY: np.ndarray, spec: DivergenceSpec) -> tuple[np.ndarray, int]:
+def _slice_values(TX: np.ndarray, TY: np.ndarray, spec: DivergenceSpec) -> tuple[np.ndarray, int]:
     """The per-slice quantity D^p of row k of TX against row k of TY, and how many rows did not converge.
 
     Wasserstein and Sinkhorn values already live on the |s-t|^p cost scale and
     are used directly; squared MMD is the square of the RKHS metric, so the
     order-p quantity is mmd_sq^{p/2}, at the fixed bandwidth or else at the
     mean-pairwise bandwidth of its own row.  Only Sinkhorn rows can fail to converge.
-    TX and TY are left as they are.
+    The rows must be finite and belong to the caller, who gives them up: Wasserstein
+    sorts each row of TX and TY in place and overwrites TX.
     """
-    if spec.kind == "wasserstein":
-        return wasserstein_pp_rows(TX, TY, spec.p), 0
-    return _slice_values(TX, TY, spec)
-
-
-def _slice_values(TX: np.ndarray, TY: np.ndarray, spec: DivergenceSpec) -> tuple[np.ndarray, int]:
-    """``slice_values`` on finite rows it may overwrite: Wasserstein sorts each row of TX and TY in place."""
     if spec.kind == "wasserstein":
         return _wasserstein_rows(TX, TY, spec.p), 0
     if spec.kind == "mmd":

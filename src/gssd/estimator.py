@@ -3,7 +3,7 @@
 For each projection index l the estimator draws a direction from stream
 ("proj", l), projects both sample sets, smooths each slice with its own noise
 stream ("noisex", l) / ("noisey", l), and evaluates the base divergence's
-order-p value on the pair (``divergences.slice_values``).  The estimate is the
+order-p value on the pair (``divergences._slice_values``).  The estimate is the
 mean of the L per-projection values, with its Monte Carlo error (``GssdEstimate.from_values``).
 
 One slice pipeline serves every base divergence and mode: each worker cuts
@@ -32,19 +32,15 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import mc_error_bound
-from .divergences import ORACLE_GRID, DivergenceSpec, _slice_values, check_oracle_grid, smoothed_wasserstein_oracle
+from .divergences import (
+    _ORACLE_MIN_GRID, ORACLE_GRID, DivergenceSpec, _check_count, _slice_values, smoothed_wasserstein_oracle,
+)
 from .rng import RngRoot
 from .slicing import SampleSet, _slice_tile, _tile_work
 
 __all__ = ["GssdConfig", "GssdEstimate", "TwoSigmaReport", "estimate", "sweep_sigma", "two_sigma_check"]
 
 MODES = ("double_empirical", "mixture_oracle")
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ class GssdConfig:
                 raise ValueError("mixture_oracle mode requires the Wasserstein base divergence")
             if self.sigma <= 0:
                 raise ValueError("mixture_oracle mode requires sigma > 0")
-            check_oracle_grid(self.oracle_grid)
+            _check_count("oracle quantile grid", self.oracle_grid, _ORACLE_MIN_GRID)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import C_P, VARTHETA, SphericalGaussian, TheoryBound
-from .divergences import DivergenceSpec
-from .estimator import GssdConfig, GssdEstimate, _check_count, estimate, sweep_sigma
+from .divergences import DivergenceSpec, _check_count
+from .estimator import GssdConfig, GssdEstimate, estimate, sweep_sigma
 from .rng import RngRoot
 from .slicing import SampleSet
 

@@ -4,8 +4,7 @@ A slice of an empirical measure is the vector of projections u'X_i onto a unit
 direction u.  Smoothing adds one independent N(0, sigma^2) draw per projected
 sample, which is exactly one sample from the Gaussian mixture that the
 convolved slice is in law: conditionally on the data, the smoothed slice has
-density (1/n) * sum_i phi_sigma(t - u'X_i), exposed here as ``mixture_pdf``
-for diagnostics.
+density (1/n) * sum_i phi_sigma(t - u'X_i).  The module depends on ``rng`` alone.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _mixture_cdf_pdf
 from .rng import RngRoot, RngStream, keyed_normals
 
-__all__ = ["SampleSet", "sample_direction", "project", "smooth_double", "mixture_pdf"]
+__all__ = ["SampleSet", "sample_direction", "project", "smooth_double"]
 
 _UNIT_NORM_TOL = 1e-12
 _MAX_DIRECTION_RETRIES = 8
@@ -120,20 +118,3 @@ def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: boo
     zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
     return U, px, py, zx, zy
 
-
-def mixture_pdf(values: np.ndarray, sigma: float, t):
-    """Density of the exact smoothed slice, (1/n) * sum_i N(v_i, sigma^2) at t.
-
-    Accepts scalar or array ``t``; requires sigma > 0 (the sigma = 0 slice is
-    purely atomic and has no density).  The density is the mixture oracle's,
-    evaluated a block of points at a time without the CDF, so memory does not
-    grow with t.size * n.
-    """
-    if not 0 < sigma < np.inf:
-        raise ValueError("sigma must be finite and positive for the mixture density")
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1 or not np.isfinite(v).all():
-        raise ValueError("values must be a non-empty 1-D vector of finite values")
-    t_arr = np.asarray(t, dtype=np.float64)
-    dens = _mixture_cdf_pdf(v, sigma, t_arr.ravel(), with_cdf=False)[1].reshape(t_arr.shape)
-    return float(dens) if np.isscalar(t) or t_arr.ndim == 0 else dens

@@ -219,6 +219,21 @@ class TestSources:
         with pytest.raises(ValueError, match="radius"):
             PointMass(radius)
 
+    @pytest.mark.parametrize("d", [2.5, np.float64(3.0), True, 0, -1])
+    def test_gaussian_dimension_validated(self, d):
+        # unchecked, d = 2.5 and d = True gave moment(1) = 2.5 and 1.0
+        with pytest.raises(ValueError, match="dimension d"):
+            SphericalGaussian(d)
+
+    def test_gaussian_takes_a_numpy_integer_dimension(self):
+        assert SphericalGaussian(np.int64(4)).moment(1) == 4.0
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
+    def test_gaussian_omega_validated(self, omega):
+        # unchecked, omega = inf gave moment(1) = inf and a misleading "not integrable" tail integral
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            SphericalGaussian(3, omega)
+
     @pytest.mark.parametrize("d", [1600, 6400])
     @pytest.mark.parametrize("omega", [1.0, 0.3])
     def test_gaussian_moments_match_mpmath_at_large_d(self, d, omega):

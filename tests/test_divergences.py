@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from gssd import divergences
@@ -17,10 +18,8 @@ from gssd.divergences import (
     bandwidth_mean_pairwise,
     mmd_sq,
     sinkhorn_div,
-    slice_values,
     smoothed_wasserstein_oracle,
     wasserstein_pp,
-    wasserstein_pp_rows,
 )
 from gssd.rng import RngRoot
 
@@ -199,46 +198,23 @@ class TestWassersteinPP:
             return scale * np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
 
         X, Y = sets(n), sets(m)
-        got = wasserstein_pp_rows(X, Y, p)
+        got = divergences._wasserstein_rows(X.copy(), Y.copy(), p)
         for k in range(rows):
             assert got[k] == pytest.approx(wasserstein_quantile_exact(X[k], Y[k], p), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("X, Y, message", [
-        (np.zeros(3), np.zeros((1, 3)), "2-D"),
-        (np.zeros((2, 3, 1)), np.zeros((2, 3)), "2-D"),
-    ])
-    def test_rows_reject_arrays_that_are_not_2d(self, X, Y, message):
-        with pytest.raises(ValueError, match=message):
-            wasserstein_pp_rows(X, Y, 2.0)
-
-    def test_rows_reject_unequal_row_counts(self):
-        with pytest.raises(ValueError, match="row counts"):
-            wasserstein_pp_rows(np.zeros((2, 3)), np.zeros((3, 3)), 2.0)
-
-    @pytest.mark.parametrize("n, m", [(0, 3), (3, 0)])
-    def test_rows_reject_empty_rows(self, n, m):
-        with pytest.raises(ValueError, match="non-empty"):
-            wasserstein_pp_rows(np.zeros((2, n)), np.zeros((2, m)), 2.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rows_reject_non_finite_values(self, bad):
-        for X, Y in ((np.array([[0.0, bad]]), np.zeros((1, 2))), (np.zeros((1, 2)), np.array([[bad, 0.0]]))):
-            with pytest.raises(ValueError, match="non-finite"):
-                wasserstein_pp_rows(X, Y, 2.0)
-
     @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.inf, math.nan])
-    def test_rows_reject_order_outside_one_to_inf(self, p):
+    def test_rejects_order_outside_one_to_inf(self, p):
         with pytest.raises(ValueError, match="order p"):
-            wasserstein_pp_rows(np.zeros((1, 2)), np.ones((1, 2)), p)
+            wasserstein_pp(np.zeros(2), np.ones(2), p)
 
     @pytest.mark.parametrize("n, m", [(6, 6), (6, 4)])
-    def test_rows_and_slice_values_leave_their_arguments_as_they_are(self, n, m):
-        # the rows are sorted and reduced in place on copies
-        X, Y = _slice_rows(n, m, rows=3)
-        X0, Y0 = X.copy(), Y.copy()
-        wasserstein_pp_rows(X, Y, 2.0)
-        slice_values(X, Y, DivergenceSpec("wasserstein", p=2.0))
-        assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+    def test_leaves_contiguous_float64_arguments_as_they_are(self, n, m):
+        # such arguments reach the in-place reducer without a conversion, so only its copy keeps them
+        rng = np.random.default_rng(n + m)
+        x, y = rng.normal(size=n), rng.normal(size=m)
+        x0, y0 = x.copy(), y.copy()
+        assert wasserstein_pp(x, y, 2.0) > 0.0
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
 
     def test_bruteforce_equivalence_up_to_six(self):
         rng = np.random.default_rng(7)
@@ -748,6 +724,11 @@ class TestSmoothedWassersteinOracle:
         with pytest.raises(ValueError, match="grid"):
             smoothed_wasserstein_oracle([0.0], [1.0], 1.0, 2, grid=grid)
 
+    def test_grid_message_names_the_rule_and_the_value(self):
+        message = "oracle quantile grid must be an integer >= 1000, got 999"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            smoothed_wasserstein_oracle([0.0], [1.0], 1.0, 2, grid=999)
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
@@ -797,6 +778,55 @@ class TestSmoothedWassersteinOracle:
         assert peak < 8 * 2**20
 
 
+class TestMixtureCdfPdf:
+    @staticmethod
+    def pdf(v, sigma, t):
+        return divergences._mixture_cdf_pdf(np.asarray(v, dtype=float), sigma, np.asarray(t, dtype=float))[1]
+
+    def test_single_standard_component_at_origin(self):
+        assert self.pdf([0.0], 1.0, [0.0])[0] == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
+        # quadrature oracle: same density integrates to the CDF step
+        integral, _ = quad(lambda t: self.pdf([0.0], 1.0, [t])[0], -8, 8)
+        assert integral == pytest.approx(1.0, abs=1e-9)
+
+    def test_normalization_by_trapezoid(self):
+        v = np.array([-2.0, 0.3, 5.0])
+        sigma = 1.7
+        t = np.linspace(v.min() - 10 * sigma, v.max() + 10 * sigma, 200_001)
+        dens = self.pdf(v, sigma, t)
+        assert np.all(dens >= 0)
+        assert np.trapezoid(dens, t) == pytest.approx(1.0, abs=1e-6)
+
+    def test_symmetry_for_symmetric_atoms(self):
+        v = np.array([-1.3, 1.3])
+        t = np.linspace(0.0, 6.0, 101)
+        assert np.allclose(self.pdf(v, 0.8, t), self.pdf(v, 0.8, -t), atol=1e-15)
+
+    def test_memory_does_not_grow_with_points_times_atoms(self):
+        # 2000 points of a 5000-atom mixture are 76 MiB as one matrix; a block of points holds 2^16 floats
+        rng = np.random.default_rng(0)
+        v, t = rng.normal(size=5000), np.linspace(-4.0, 4.0, 2000)
+        tracemalloc.start()
+        try:
+            cdf, dens = divergences._mixture_cdf_pdf(v, 0.5, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        want = [np.exp(-0.5 * ((p - v) / 0.5) ** 2).mean() / (0.5 * np.sqrt(2 * np.pi)) for p in t[::199]]
+        assert dens[::199] == pytest.approx(want, rel=1e-13)
+        assert cdf[::199] == pytest.approx(mixture_cdf(v, 0.5, t[::199]), rel=1e-13)
+
+    def test_bits_do_not_depend_on_the_point_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        v, t = rng.normal(size=3000), np.linspace(-5.0, 5.0, 101)
+        want = divergences._mixture_cdf_pdf(v, 0.7, t)  # the default block: 21 points of 3000 atoms
+        for rows in (1, 7):
+            monkeypatch.setattr(divergences, "_BLOCK", rows * 3000)
+            got = divergences._mixture_cdf_pdf(v, 0.7, t)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 # ---------------------------------------------------------------- slice values
 
 
@@ -806,12 +836,13 @@ def _slice_rows(n, m, rows=5, seed=0):
 
 
 class TestSliceValues:
+    # the rows go in as copies: _slice_values may overwrite the rows it is given
     # (9000, 8000): 17 000 breakpoints, so the unequal-size rows are reduced in blocks of 3 and 2 rows
     @pytest.mark.parametrize("n, m", [(7, 7), (7, 5), (9000, 8000)])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
     def test_wasserstein_rows_are_wpp(self, n, m, p):
         TX, TY = _slice_rows(n, m)
-        vals, bad = slice_values(TX, TY, DivergenceSpec("wasserstein", p=p))
+        vals, bad = divergences._slice_values(TX.copy(), TY.copy(), DivergenceSpec("wasserstein", p=p))
         assert bad == 0
         assert [float(v) for v in vals] == [wasserstein_pp(x, y, p) for x, y in zip(TX, TY)]
 
@@ -819,7 +850,7 @@ class TestSliceValues:
     @pytest.mark.parametrize("p", [2.0, 1.0])
     def test_mmd_rows_are_squared_mmd_to_the_power_p_over_2(self, p, bandwidth):
         TX, TY = _slice_rows(6, 4)
-        vals, bad = slice_values(TX, TY, DivergenceSpec("mmd", p=p, bandwidth=bandwidth))
+        vals, bad = divergences._slice_values(TX.copy(), TY.copy(), DivergenceSpec("mmd", p=p, bandwidth=bandwidth))
         # None: the mean-pairwise bandwidth of each row on its own; the rows' bandwidths all differ
         bws = [bandwidth or bandwidth_mean_pairwise(x, y) for x, y in zip(TX, TY)]
         assert bandwidth is not None or len(set(bws)) == len(bws)
@@ -828,9 +859,9 @@ class TestSliceValues:
 
     def test_sinkhorn_counts_every_unconverged_row(self):
         TX, TY = _slice_rows(5, 4, rows=3)
-        vals, bad = slice_values(TX, TY, _spec(max_iter=1))
+        vals, bad = divergences._slice_values(TX.copy(), TY.copy(), _spec(max_iter=1))
         assert bad == 3 and vals.shape == (3,)
-        vals, bad = slice_values(TX, TY, _spec(eps=1.0))
+        vals, bad = divergences._slice_values(TX.copy(), TY.copy(), _spec(eps=1.0))
         assert bad == 0
         assert list(vals) == [sinkhorn_div(x, y, _spec(eps=1.0)).value for x, y in zip(TX, TY)]
 
@@ -871,6 +902,14 @@ class TestInputRanges:
     def test_non_finite_settings_raise(self, name, bad):
         with pytest.raises(ValueError, match="finite"):
             _SETTINGS[name](bad)
+
+    @pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, 0, -1])
+    def test_sinkhorn_max_iter_must_be_an_integer_of_at_least_1(self, bad):
+        with pytest.raises(ValueError, match="sinkhorn_max_iter"):
+            DivergenceSpec("sinkhorn", sinkhorn_max_iter=bad)
+
+    def test_sinkhorn_max_iter_takes_a_numpy_integer(self):
+        assert DivergenceSpec("sinkhorn", sinkhorn_max_iter=np.int64(5)).sinkhorn_max_iter == 5
 
     def test_zero_sinkhorn_tol_runs_to_the_cap(self):
         res = sinkhorn_div([0.0, 1.0], [0.5, 2.0], _spec(tol=0.0, max_iter=30))

@@ -1,14 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from gssd import divergences
 from gssd.rng import RngRoot
 from gssd.slicing import (
     SampleSet,
-    mixture_pdf,
     project,
     sample_direction,
     smooth_double,
@@ -144,71 +139,13 @@ class TestSmoothDouble:
     def test_non_finite_sigma_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             smooth_double(np.zeros(3), bad, _stream("nan"))
-        with pytest.raises(ValueError, match="finite"):
-            mixture_pdf(np.zeros(3), bad, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             smooth_double(np.array([0.0, bad]), 1.0, _stream("nan-values"))
-        with pytest.raises(ValueError, match="finite"):
-            mixture_pdf(np.array([0.0, bad]), 1.0, 0.0)
 
     @pytest.mark.parametrize("values", [np.zeros(0), np.zeros((2, 3))])
     def test_values_must_be_a_non_empty_vector(self, values):
         with pytest.raises(ValueError):
             smooth_double(values, 1.0, _stream("shape"))
-
-
-class TestMixturePdf:
-    def test_single_standard_component_at_origin(self):
-        val = mixture_pdf(np.array([0.0]), 1.0, 0.0)
-        assert val == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
-        # quadrature oracle: same density integrates to the CDF step
-        integral, _ = quad(lambda t: mixture_pdf(np.array([0.0]), 1.0, t), -8, 8)
-        assert integral == pytest.approx(1.0, abs=1e-9)
-
-    def test_normalization_by_trapezoid(self):
-        v = np.array([-2.0, 0.3, 5.0])
-        sigma = 1.7
-        t = np.linspace(v.min() - 10 * sigma, v.max() + 10 * sigma, 200_001)
-        dens = mixture_pdf(v, sigma, t)
-        assert np.all(dens >= 0)
-        assert np.trapezoid(dens, t) == pytest.approx(1.0, abs=1e-6)
-
-    def test_symmetry_for_symmetric_atoms(self):
-        v = np.array([-1.3, 1.3])
-        t = np.linspace(0.0, 6.0, 101)
-        assert np.allclose(mixture_pdf(v, 0.8, t), mixture_pdf(v, 0.8, -t), atol=1e-15)
-
-    def test_memory_does_not_grow_with_points_times_atoms(self):
-        # 2000 points of a 5000-atom mixture are 76 MiB as one matrix; a block of points holds 2^16 floats
-        rng = np.random.default_rng(0)
-        v, t = rng.normal(size=5000), np.linspace(-4.0, 4.0, 2000).reshape(40, 50)
-        tracemalloc.start()
-        try:
-            dens = mixture_pdf(v, 0.5, t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
-        assert dens.shape == t.shape
-        want = [np.exp(-0.5 * ((p - v) / 0.5) ** 2).mean() / (0.5 * np.sqrt(2 * np.pi)) for p in t.flat[::199]]
-        assert dens.flat[::199] == pytest.approx(want, rel=1e-13)
-
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            mixture_pdf(np.array([0.0]), 0.0, 0.0)
-
-    def test_density_pass_skips_the_cdf_and_keeps_its_bits(self, monkeypatch):
-        # the density of the pass that also evaluates the CDF, then the same points with ndtr unavailable
-        rng = np.random.default_rng(3)
-        v, t = rng.normal(size=3000), np.linspace(-5.0, 5.0, 101)
-        want = divergences._mixture_cdf_pdf(v, 0.7, t)[1]
-
-        def no_cdf(*args, **kwargs):
-            raise AssertionError("mixture_pdf evaluated the mixture CDF")
-
-        monkeypatch.setattr(divergences, "ndtr", no_cdf)
-        assert np.array_equal(mixture_pdf(v, 0.7, t), want)
-        assert mixture_pdf(v, 0.7, t[52]) == want[52]
