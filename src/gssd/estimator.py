@@ -43,6 +43,12 @@ __all__ = ["GssdConfig", "GssdEstimate", "TwoSigmaReport", "estimate", "sweep_si
 MODES = ("double_empirical", "mixture_oracle")
 
 
+def _check_sigma(sigma) -> None:
+    """Raise ValueError unless the noise level sigma is finite and non-negative."""
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class GssdConfig:
     """Estimator settings: noise level, projection budget, base divergence (which carries the order p)."""
@@ -55,8 +61,7 @@ class GssdConfig:
     oracle_grid: int = ORACLE_GRID
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be finite and non-negative")
+        _check_sigma(self.sigma)
         _check_count("num_projections", self.num_projections)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")

@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .bounds import C_P, VARTHETA, SphericalGaussian, TheoryBound
 from .divergences import DivergenceSpec, _check_count
-from .estimator import GssdConfig, GssdEstimate, estimate, sweep_sigma
+from .estimator import GssdConfig, GssdEstimate, _check_sigma, estimate, sweep_sigma
 from .rng import RngRoot
 from .slicing import SampleSet
 
@@ -119,6 +119,10 @@ class ExperimentConfig:
         bad = [d for d in self.divergences if d not in DIVERGENCE_ALIASES]
         if bad:
             raise ValueError(f"unknown divergence names {bad}; expected swd, mmd or skd")
+        for name in self.divergences:
+            self.divergence_spec(name)  # checks order, epsilon, bandwidth and the Sinkhorn settings
+        for sigma in self.sigmas:
+            _check_sigma(sigma)
         if self.command == "projection-complexity" and not all(1 <= L <= self.num_projections for L in self.l_grid):
             raise ValueError(f"projection grid entries must lie in [1, num_projections = {self.num_projections}]")
         for name in ("dimensions", "sample_sizes", "l_grid"):

@@ -58,6 +58,29 @@ def test_exact_routes_oracle_matches_the_reference(workloads, tmp_path):
     assert est.per_projection[0] == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
+def test_exact_routes_oracle_makes_no_pass_beyond_its_knots(workloads, tmp_path, monkeypatch):
+    # every Newton step of this instance reads the expansions at the 512 knots: its span is below 20.4 sigma
+    inputs = workloads.exact_inputs(1, str(tmp_path))
+    px, py = workloads.projections(inputs["OX"], inputs["OY"], inputs["oracle"].seed, 0)
+    points, inner = [], divergences._mixture_taylor
+
+    def counted(v, sigma, t):
+        points.append(t.size)
+        return inner(v, sigma, t)
+
+    monkeypatch.setattr(divergences, "_mixture_taylor", counted)
+    gssd.smoothed_wasserstein_oracle(px, py, 1.0, workloads.P, workloads.ORACLE_GRID)
+    assert points == [divergences._QUANTILE_KNOTS] * 2
+
+
+def test_exact_routes_job_passes_its_output_checks(workloads, tmp_path):
+    inputs = workloads.exact_inputs(1, str(tmp_path))
+    (print1, result), (print2, _) = (workloads.WORKLOADS["exact-routes"].job(inputs, w) for w in (1, 2))
+    assert print1 == print2
+    checks = workloads.exact_checks(inputs, result)
+    assert checks and [(label, detail) for label, ok, detail in checks if not ok] == []
+
+
 def test_swd_proj_job_is_worker_invariant_and_passes_its_output_checks(workloads, tmp_path):
     # with 2 workers the second block starts mid-tile, so its tile edges differ from those of 1 worker
     inputs = workloads.swd_inputs(1, str(tmp_path))

@@ -679,6 +679,28 @@ class TestSinkhornDiv:
 # ---------------------------------------------------------------- mixture oracle
 
 
+_MIXTURE_SHAPES = st.sampled_from(["atom", "ties", "clusters", "spread"])
+_MIXTURE_SCALES = st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])
+
+
+def draw_mixture(data, shape, scale):
+    """Atoms and sigma of one mixture shape, both times scale.  ties: atoms a quarter (250 sigma) apart;
+    clusters: two groups 50 apart at sigma 0.02, where the CDF is flat between them to far below rounding."""
+
+    def points(elements, lo=2):
+        return np.array(data.draw(st.lists(elements, min_size=lo, max_size=12)), dtype=float)
+
+    if shape == "atom":
+        v, sigma = np.array([data.draw(st.floats(-3, 3))]), data.draw(st.sampled_from([0.02, 1.0]))
+    elif shape == "ties":
+        v, sigma = points(_QUARTERS), 1e-3
+    elif shape == "clusters":
+        v, sigma = np.concatenate([0.1 * points(_QUARTERS, lo=1), 50.0 + 0.1 * points(_QUARTERS, lo=1)]), 0.02
+    else:
+        v, sigma = points(st.floats(-3, 3)), data.draw(st.sampled_from([0.3, 1.0, 3.0]))
+    return scale * v, scale * sigma
+
+
 class TestSmoothedWassersteinOracle:
     def test_identical_mixture_is_zero(self):
         v = np.array([0.0, 1.0, 2.5])
@@ -730,27 +752,11 @@ class TestSmoothedWassersteinOracle:
             smoothed_wasserstein_oracle([0.0], [1.0], 1.0, 2, grid=999)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        data=st.data(),
-        shape=st.sampled_from(["atom", "ties", "clusters", "spread"]),
-        scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]),
-    )
+    @given(data=st.data(), shape=_MIXTURE_SHAPES, scale=_MIXTURE_SCALES)
     def test_quantiles_match_bisection(self, data, shape, scale):
-        # ties: atoms a quarter (250 sigma) apart; clusters: two groups 50 apart at sigma 0.02, where the CDF is
-        # flat between them to far below rounding; each level must sit at a CDF residual of rounding size, or
-        # else (where the CDF is that flat) as close to the bisected quantile as the two stopping widths allow
-        def points(elements, lo=2):
-            return np.array(data.draw(st.lists(elements, min_size=lo, max_size=12)), dtype=float)
-
-        if shape == "atom":
-            v, sigma = np.array([data.draw(st.floats(-3, 3))]), data.draw(st.sampled_from([0.02, 1.0]))
-        elif shape == "ties":
-            v, sigma = points(_QUARTERS), 1e-3
-        elif shape == "clusters":
-            v, sigma = np.concatenate([0.1 * points(_QUARTERS, lo=1), 50.0 + 0.1 * points(_QUARTERS, lo=1)]), 0.02
-        else:
-            v, sigma = points(st.floats(-3, 3)), data.draw(st.sampled_from([0.3, 1.0, 3.0]))
-        v, sigma = scale * v, scale * sigma
+        # each level must sit at a CDF residual of rounding size, or else (where the CDF is that flat) as close to
+        # the bisected quantile as the two stopping widths allow
+        v, sigma = draw_mixture(data, shape, scale)
         levels = (np.arange(1000) + 0.5) / 1000
         got = divergences._mixture_quantiles(v, sigma, levels)
         want, span = mixture_quantiles_by_bisection(v, sigma, levels)
@@ -779,9 +785,10 @@ class TestSmoothedWassersteinOracle:
 
 
 class TestMixtureCdfPdf:
+    # rows 0 and 1 of _mixture_taylor are the CDF and sigma times the density
     @staticmethod
     def pdf(v, sigma, t):
-        return divergences._mixture_cdf_pdf(np.asarray(v, dtype=float), sigma, np.asarray(t, dtype=float))[1]
+        return divergences._mixture_taylor(np.asarray(v, dtype=float), sigma, np.asarray(t, dtype=float))[1] / sigma
 
     def test_single_standard_component_at_origin(self):
         assert self.pdf([0.0], 1.0, [0.0])[0] == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
@@ -808,23 +815,40 @@ class TestMixtureCdfPdf:
         v, t = rng.normal(size=5000), np.linspace(-4.0, 4.0, 2000)
         tracemalloc.start()
         try:
-            cdf, dens = divergences._mixture_cdf_pdf(v, 0.5, t)
+            rows = divergences._mixture_taylor(v, 0.5, t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         want = [np.exp(-0.5 * ((p - v) / 0.5) ** 2).mean() / (0.5 * np.sqrt(2 * np.pi)) for p in t[::199]]
-        assert dens[::199] == pytest.approx(want, rel=1e-13)
-        assert cdf[::199] == pytest.approx(mixture_cdf(v, 0.5, t[::199]), rel=1e-13)
+        assert rows[1, ::199] / 0.5 == pytest.approx(want, rel=1e-13)
+        assert rows[0, ::199] == pytest.approx(mixture_cdf(v, 0.5, t[::199]), rel=1e-13)
 
     def test_bits_do_not_depend_on_the_point_block(self, monkeypatch):
         rng = np.random.default_rng(3)
         v, t = rng.normal(size=3000), np.linspace(-5.0, 5.0, 101)
-        want = divergences._mixture_cdf_pdf(v, 0.7, t)  # the default block: 21 points of 3000 atoms
+        want = divergences._mixture_taylor(v, 0.7, t)  # the default block: 21 points of 3000 atoms
         for rows in (1, 7):
             monkeypatch.setattr(divergences, "_BLOCK", rows * 3000)
-            got = divergences._mixture_cdf_pdf(v, 0.7, t)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(divergences._mixture_taylor(v, 0.7, t), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shape=_MIXTURE_SHAPES, scale=_MIXTURE_SCALES)
+    def test_expansion_matches_direct_means_within_the_radius(self, data, shape, scale):
+        # The Newton steps read CDF and density at c + d sigma, |d| <= rho, from the rows at c.  Bounds: the
+        # Lagrange remainders, 9.0e-18 for the CDF and 3.6e-15 for sigma times the density, plus 32 ulps of 1 for
+        # rounding: on each side, 23 half-ulps to sum up to 24 atoms, 2 ulps for ndtr or exp and 1 for the
+        # arguments' roundings (|x Phi'(x)| and |x phi'(x)| are below 1/2), and 2 ulps for Horner.
+        v, sigma = draw_mixture(data, shape, scale)
+        rho, ulp = divergences._TAYLOR_RADIUS, 2.0**-52
+        c = v[data.draw(st.integers(0, v.size - 1))] + sigma * data.draw(st.floats(-6, 6))
+        rows = divergences._mixture_taylor(v, sigma, np.array([c]))
+        for d in (-rho, rho, data.draw(st.floats(-rho, rho))):
+            t = c + d * sigma
+            cdf, pdf = divergences._taylor_cdf_pdf(rows, np.array([(t - c) / sigma]), sigma)
+            x = (t - v) / sigma
+            assert abs(cdf[0] - ndtr(x).mean()) <= 9.0e-18 + 32 * ulp
+            assert abs(sigma * pdf[0] - np.exp(-0.5 * x * x).mean() / math.sqrt(2 * math.pi)) <= 3.6e-15 + 32 * ulp
 
 
 # ---------------------------------------------------------------- slice values

@@ -314,6 +314,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             small_cfg(command, **{"l_grid": (4, 16), field: value})
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("epsilon", -1.0, "epsilon"), ("bandwidth", -1.0, "bandwidth"), ("sinkhorn_max_iter", 2.5, "sinkhorn_max_iter"),
+        ("sinkhorn_max_iter", True, "sinkhorn_max_iter"), ("order", 0.5, "order p"), ("sigmas", (-1.0,), "sigma"),
+        ("sigmas", (math.nan,), "sigma"),
+    ])
+    def test_divergence_settings_and_sigmas_are_checked_at_construction(self, field, value, match):
+        # these used to construct and fail only inside run_experiment, after the first cell's data were drawn
+        with pytest.raises(ValueError, match=match):
+            small_cfg("sample-complexity", **{field: value})
+
     def test_numpy_integer_counts_are_accepted(self):
         cfg = small_cfg("projection-complexity", num_runs=np.int64(1), dimensions=(np.int32(3),),
                         sample_sizes=(np.int64(20),), l_grid=(np.int64(4), 16))
