@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import dawsn, gammaln
 from scipy.special import gamma as gamma_fn
 
-from .divergences import _check_count
+from ._checks import _check_count, _check_real
 
 __all__ = [
     "TheoryBound",
@@ -62,10 +62,8 @@ C_P = 1.0  # the envelope's default calibration factor of the log(n)/n term
 
 def gaussian_abs_moment(q: float, s: float) -> float:
     """E|N(0, s^2)|^q = s^q * 2^{q/2} * Gamma((q+1)/2) / sqrt(pi), for q >= 0."""
-    if q < 0:
-        raise ValueError("moment order q must be >= 0")
-    if s <= 0:
-        raise ValueError("scale s must be positive")
+    _check_real("moment order q", q)
+    _check_real("scale s", s, strict=True)
     return s**q * 2.0 ** (q / 2.0) * gamma_fn((q + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
@@ -81,6 +79,8 @@ def kummer_1f1(a: float, gamma: float, z: float) -> float:
     term ratio and only falls with k; the sum stops when rho_k < 1 and the tail bound
     |term_k| * rho_k / (1 - rho_k) is below _KUMMER_RTOL * |partial sum|, within _KUMMER_MAX_TERMS terms.
     """
+    for name, value in (("a", a), ("gamma", gamma), ("z", z)):
+        _check_real(name, value, -math.inf)
     if gamma <= 0 and float(gamma).is_integer():
         raise ValueError("gamma must not be a non-positive integer (series pole)")
     terminal = int(-a) if a <= 0 and float(a).is_integer() else None
@@ -122,15 +122,16 @@ class PointMass:
     radius: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.radius < math.inf:
-            raise ValueError("radius must be finite and >= 0")
+        _check_real("radius", self.radius)
 
     def moment(self, k: int) -> float:
         """M_{2k} = radius^{2k}."""
+        _check_count("moment index k", k, 0)
         return self.radius ** (2 * k)
 
     def tail_integral(self, a: float) -> float:
         """T = F_a(radius) = radius * exp(a radius^2) * dawsn(x) / x with x = sqrt(a) radius, in closed form."""
+        _check_real("a", a)
         x = math.sqrt(a) * self.radius
         if x == 0.0:  # radius 0, or so small that F_a(radius) = radius to double precision
             return float(self.radius)
@@ -146,14 +147,14 @@ class SphericalGaussian:
 
     def __post_init__(self) -> None:
         _check_count("dimension d", self.d)
-        if not 0 < self.omega < math.inf:
-            raise ValueError("omega must be finite and positive")
+        _check_real("omega", self.omega, strict=True)
 
     def moment(self, k: int) -> float:
         """M_{2k} = omega^{2k} 2^k (d/2)(d/2 + 1)...(d/2 + k - 1) (chi-square moments).
 
         Each 2 (d/2 + j) = d + 2j is an integer, so the product is exact while it stays below 2^53.
         """
+        _check_count("moment index k", k, 0)
         return float(self.omega ** (2 * k) * math.prod(self.d + 2.0 * j for j in range(k)))
 
     def tail_integral(self, a: float) -> float:
@@ -162,6 +163,7 @@ class SphericalGaussian:
         The log density is centred at its peak, so its rounding does not grow
         with d log d; what is left grows with d |log c|, from c^-d below.
         """
+        _check_real("a", a)
         if not a * self.omega**2 < 0.5:
             raise ValueError(_NOT_INTEGRABLE)
         # imported here, its one use: scipy.integrate would double the time and memory of `import gssd`
@@ -215,11 +217,9 @@ def xi_constant(p: float, sigma: float, vartheta: float, source: Source) -> floa
 
 def _xi_and_tail(p: float, sigma: float, vartheta: float, source: Source) -> tuple[float, float]:
     """Xi and the tail integral inside it, which is computed once."""
-    if not p >= 1:
-        raise ValueError("order p must be >= 1")
-    _check_sigma(sigma)
-    if not _SQRT2 < vartheta < math.inf:
-        raise ValueError("vartheta must be finite and exceed sqrt(2)")
+    _check_real("order p", p, 1)
+    _check_real("sigma", sigma, strict=True)
+    _check_real("vartheta", vartheta, _SQRT2, strict=True)
     try:
         tail_integral = source.tail_integral(2.0 / (sigma**2 * vartheta**2))
     except OverflowError:
@@ -237,20 +237,15 @@ def _xi_and_tail(p: float, sigma: float, vartheta: float, source: Source) -> tup
     return prefactor * math.sqrt(gauss_term + 4.0 * tail_integral), tail_integral
 
 
-def _check_sigma(sigma: float) -> None:
-    if not 0.0 < sigma < math.inf:
-        raise ValueError("sigma must be finite and positive")
-
-
 def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = C_P) -> float:
     """The log(n)/n-rate constant Upsilon of ``source`` for integer order p.
 
     Only the moments M_{2k} for k = 0..p enter: the series terminates at k = p.
     """
-    _check_sigma(sigma)
-    if not 0.0 <= c_p < math.inf:
-        raise ValueError("c_p must be finite and >= 0")
-    if not float(p).is_integer() or p < 1:
+    _check_real("sigma", sigma, strict=True)
+    _check_real("c_p", c_p)
+    _check_real("order p", p, 1)
+    if not float(p).is_integer():
         raise ValueError("upsilon is defined for positive integer p (terminating series)")
     p = int(p)
     # the k-th term of 1F1(-p; 1/2; -1/(2 sigma^2)), times M_2k
@@ -261,8 +256,9 @@ def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = C_P) -> 
 
 def sample_bound(n: int, xi: float, upsilon: float) -> float:
     """Envelope Xi / sqrt(n) + Upsilon * log(n) / n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n)
+    _check_real("xi", xi)
+    _check_real("upsilon", upsilon)
     return xi / math.sqrt(n) + upsilon * math.log(n) / n
 
 
@@ -289,24 +285,11 @@ class TheoryBound:
 
     @classmethod
     def evaluate(
-        cls,
-        p: int,
-        sigma: float,
-        source: Source,
-        vartheta: float = VARTHETA,
-        c_p: float = C_P,
+        cls, p: int, sigma: float, source: Source, vartheta: float = VARTHETA, c_p: float = C_P
     ) -> TheoryBound:
         xi, tail_integral = _xi_and_tail(p, sigma, vartheta, source)
         upsilon = upsilon_constant(p, sigma, source, c_p)
-        return cls(
-            p=float(p),
-            sigma=float(sigma),
-            vartheta=float(vartheta),
-            xi=xi,
-            upsilon=upsilon,
-            c_p=float(c_p),
-            tail_integral=tail_integral,
-        )
+        return cls(float(p), float(sigma), float(vartheta), xi, upsilon, float(c_p), tail_integral)
 
     def at(self, n: int) -> float:
         return sample_bound(n, self.xi, self.upsilon)

@@ -36,7 +36,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.hermite_e import herme2poly
 from scipy.special import ndtr, ndtri
+
+from ._checks import _check_count, _check_real
 
 __all__ = [
     "DivergenceSpec",
@@ -111,21 +114,12 @@ class DivergenceSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown divergence kind {self.kind!r}; expected one of {KINDS}")
-        if not 1 <= self.p < math.inf:
-            raise ValueError("order p must be finite and >= 1")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("sinkhorn epsilon must be finite and positive")
-        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
-            raise ValueError("fixed bandwidth must be finite and positive")
-        if not 0 <= self.sinkhorn_tol < math.inf:
-            raise ValueError("sinkhorn_tol must be finite and >= 0 (0 runs to the iteration cap)")
+        _check_real("order p", self.p, 1)
+        _check_real("sinkhorn epsilon", self.epsilon, strict=True)
+        if self.bandwidth is not None:
+            _check_real("fixed bandwidth", self.bandwidth, strict=True)
+        _check_real("sinkhorn_tol", self.sinkhorn_tol)  # 0 runs to the iteration cap
         _check_count("sinkhorn_max_iter", self.sinkhorn_max_iter)
-
-
-def _check_count(name: str, value, least: int = 1) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _as_samples(x, name: str) -> np.ndarray:
@@ -145,8 +139,7 @@ def wasserstein_pp(x, y, p: float) -> float:
     quantile breakpoints (both quantile functions are piecewise constant).
     """
     xs, ys = _as_samples(x, "x"), _as_samples(y, "y")
-    if not 1 <= p < math.inf:
-        raise ValueError("order p must be finite and >= 1")
+    _check_real("order p", p, 1)
     # copies: _as_samples returns a contiguous float64 argument itself, and the rows are sorted in place
     return float(_wasserstein_rows(xs[None].copy(), ys[None].copy(), p)[0])
 
@@ -316,8 +309,7 @@ def mmd_sq(x, y, bandwidth: float) -> float:
     terms than the exact sum has kernel pairs, the exact signed kernel sum
     s^T K s runs, a block of rows at a time.
     """
-    if not 0 < bandwidth < math.inf:
-        raise ValueError("bandwidth must be finite and positive")
+    _check_real("bandwidth", bandwidth, strict=True)
     xs = _as_samples(x, "x")
     ys = _as_samples(y, "y")
     n, m = xs.size, ys.size
@@ -480,19 +472,8 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     )
 
 
-def _hermite_powers(K: int) -> np.ndarray:
-    """Row j, j < K: the coefficients of the Hermite polynomial He_j in powers 0..K-1, by the recurrence
-    He_j = x He_{j-1} - (j - 1) He_{j-2}."""
-    he = np.zeros((K, K))
-    he[0, 0] = 1.0
-    for j in range(1, K):
-        he[j, 1:] = he[j - 1, :-1]
-        if j > 1:
-            he[j] -= (j - 1) * he[j - 2]
-    return he
-
-
-_HERMITE = _hermite_powers(_TAYLOR_ORDER)
+# row j, j < K = _TAYLOR_ORDER: the coefficients of the Hermite polynomial He_j in powers 0..K-1
+_HERMITE = np.array([np.pad(herme2poly(e), (0, _TAYLOR_ORDER - 1 - j)) for j, e in enumerate(np.eye(_TAYLOR_ORDER))])
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(_TAYLOR_ORDER + 1)])
 
 
@@ -608,11 +589,9 @@ def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = ORAC
     grid + n, not grid * n: a pass takes a block of points at a time.
     Deterministic.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be finite and positive in oracle mode")
+    _check_real("oracle sigma", sigma, strict=True)
     _check_count("oracle quantile grid", grid, _ORACLE_MIN_GRID)
-    if not 1 <= p < math.inf:
-        raise ValueError("order p must be finite and >= 1")
+    _check_real("order p", p, 1)
     ax = _as_samples(vx, "vx")
     ay = _as_samples(vy, "vy")
     levels = (np.arange(grid) + 0.5) / grid

@@ -31,22 +31,15 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import _check_count, _check_real
 from .bounds import mc_error_bound
-from .divergences import (
-    _ORACLE_MIN_GRID, ORACLE_GRID, DivergenceSpec, _check_count, _slice_values, smoothed_wasserstein_oracle,
-)
+from .divergences import _ORACLE_MIN_GRID, ORACLE_GRID, DivergenceSpec, _slice_values, smoothed_wasserstein_oracle
 from .rng import RngRoot
 from .slicing import SampleSet, _slice_tile, _tile_work
 
 __all__ = ["GssdConfig", "GssdEstimate", "TwoSigmaReport", "estimate", "sweep_sigma", "two_sigma_check"]
 
 MODES = ("double_empirical", "mixture_oracle")
-
-
-def _check_sigma(sigma) -> None:
-    """Raise ValueError unless the noise level sigma is finite and non-negative."""
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -61,15 +54,14 @@ class GssdConfig:
     oracle_grid: int = ORACLE_GRID
 
     def __post_init__(self) -> None:
-        _check_sigma(self.sigma)
+        _check_real("sigma", self.sigma)
         _check_count("num_projections", self.num_projections)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.mode == "mixture_oracle":
             if self.divergence.kind != "wasserstein":
                 raise ValueError("mixture_oracle mode requires the Wasserstein base divergence")
-            if self.sigma <= 0:
-                raise ValueError("mixture_oracle mode requires sigma > 0")
+            _check_real("sigma in mixture_oracle mode", self.sigma, strict=True)
             _check_count("oracle quantile grid", self.oracle_grid, _ORACLE_MIN_GRID)
 
 
@@ -202,7 +194,7 @@ def sweep_sigma(
     """
     if len(sigmas) == 0:
         raise ValueError("sigmas must be non-empty")
-    return _sweep(X, Y, [replace(cfg, sigma=float(s)) for s in sigmas], workers)
+    return _sweep(X, Y, [replace(cfg, sigma=s) for s in sigmas], workers)
 
 
 @dataclass(frozen=True)
@@ -217,12 +209,7 @@ class TwoSigmaReport:
 
 
 def two_sigma_check(
-    X: SampleSet,
-    Y: SampleSet,
-    sigma1: float,
-    sigma2: float,
-    cfg: GssdConfig,
-    workers: int = 1,
+    X: SampleSet, Y: SampleSet, sigma1: float, sigma2: float, cfg: GssdConfig, workers: int = 1
 ) -> TwoSigmaReport:
     """Check estimate(sigma1) <= 2^{p-1} estimate(sigma2) + 2^{5p/2}(s2^2-s1^2)^p.
 
@@ -231,8 +218,8 @@ def two_sigma_check(
     """
     if cfg.divergence.kind != "wasserstein":
         raise ValueError("the two-noise-level inequality applies to the Wasserstein base")
-    if not 0 <= sigma1 <= sigma2:
-        raise ValueError("need 0 <= sigma1 <= sigma2")
+    _check_real("sigma1", sigma1)
+    _check_real("sigma2", sigma2, sigma1)
     p = cfg.divergence.p
     est_low, est_high = sweep_sigma(X, Y, [sigma1, sigma2], cfg, workers=workers)
     gap = 2.0 ** (2.5 * p) * (sigma2**2 - sigma1**2) ** p

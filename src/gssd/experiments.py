@@ -32,15 +32,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .bounds import C_P, VARTHETA, SphericalGaussian, TheoryBound
-from .divergences import DivergenceSpec, _check_count
-from .estimator import GssdConfig, GssdEstimate, _check_sigma, estimate, sweep_sigma
+from ._checks import _check_count, _check_real
+from .bounds import _SQRT2, C_P, VARTHETA, SphericalGaussian, TheoryBound
+from .divergences import DivergenceSpec
+from .estimator import GssdConfig, GssdEstimate, estimate, sweep_sigma
 from .rng import RngRoot
 from .slicing import SampleSet
 
@@ -113,7 +116,9 @@ class ExperimentConfig:
         for name in ("dimensions", "sample_sizes", "sigmas", "divergences", "l_grid", "s_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-        _check_count("num_runs", self.num_runs)
+        for name in ("num_runs", "num_projections", "workers"):
+            _check_count(name, getattr(self, name))
+        RngRoot(self.seed)  # checks the seed
         if self.pair not in PAIR_MODES:
             raise ValueError(f"pair must be one of {tuple(PAIR_MODES)}")
         bad = [d for d in self.divergences if d not in DIVERGENCE_ALIASES]
@@ -121,10 +126,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown divergence names {bad}; expected swd, mmd or skd")
         for name in self.divergences:
             self.divergence_spec(name)  # checks order, epsilon, bandwidth and the Sinkhorn settings
-        for sigma in self.sigmas:
-            _check_sigma(sigma)
-        if self.command == "projection-complexity" and not all(1 <= L <= self.num_projections for L in self.l_grid):
-            raise ValueError(f"projection grid entries must lie in [1, num_projections = {self.num_projections}]")
+        if self.command == "compare" and (len(self.divergences) > 1 or len(self.sigmas) > 1):
+            raise ValueError("compare takes one divergence and one sigma")
+        for name, low in (("sigmas", 0.0), ("s_grid", -math.inf)):
+            for value in getattr(self, name):
+                _check_real(f"each entry of {name}", value, low)
+        _check_real("vartheta", self.vartheta, _SQRT2, strict=True)
+        _check_real("c_p", self.c_p)
+        if self.command == "projection-complexity" and not all(
+            isinstance(L, numbers.Real) and 1 <= L <= self.num_projections for L in self.l_grid
+        ):
+            raise ValueError(f"each entry of l_grid must lie in [1, num_projections = {self.num_projections}]")
         for name in ("dimensions", "sample_sizes", "l_grid"):
             for value in getattr(self, name):
                 _check_count(f"each entry of {name}", value)
@@ -312,8 +324,6 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 def compare(file_x: str, file_y: str, cfg: ExperimentConfig) -> dict:
     """One estimate between two CSV matrices; returns a flat JSON-ready report."""
-    if len(cfg.divergences) > 1 or len(cfg.sigmas) > 1:
-        raise ValueError("compare takes one divergence and one sigma")
     mx = read_matrix_csv(file_x)
     my = read_matrix_csv(file_y)
     if mx.shape[1] != my.shape[1]:
@@ -334,13 +344,14 @@ def compare(file_x: str, file_y: str, cfg: ExperimentConfig) -> dict:
 
 def fit_loglog_slope(points) -> float:
     """Least-squares slope of log y on log x; requires >= 2 strictly positive points."""
-    pts = [(float(x), float(y)) for x, y in points]
+    pts = list(points)
     if len(pts) < 2:
         raise ValueError("need at least 2 points")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise ValueError("log-log fit requires strictly positive coordinates")
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
+    for x, y in pts:
+        _check_real("each point's x", x, strict=True)
+        _check_real("each point's y", y, strict=True)
+    lx = np.log([float(x) for x, _ in pts])
+    ly = np.log([float(y) for _, y in pts])
     slope, _ = np.polyfit(lx, ly, 1)
     return float(slope)
 

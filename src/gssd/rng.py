@@ -33,9 +33,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
+from ._checks import _check_count
+
 __all__ = ["RngRoot", "RngStream", "keyed_normals"]
 
-_MASK64 = (1 << 64) - 1
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _INDEX = struct.Struct("<Q")
 _KEYING = threading.Lock()  # held by the thread running keyed_normals' re-keying loop
@@ -48,15 +49,18 @@ def _key_prefix(seed: int, label: str):
     return hashlib.blake2b(struct.pack("<QI", seed, len(raw)) + raw, digest_size=16)
 
 
-def _index_bytes(index: int) -> bytes:
-    """``index`` packed as the last 8 bytes of a key's hash message; ValueError unless an unsigned 64-bit integer."""
-    if not 0 <= index <= _MASK64:
-        raise ValueError("stream index must be an unsigned 64-bit integer")
-    return _INDEX.pack(index)
+def _index_bytes(index: int, name: str = "stream index") -> bytes:
+    """``index`` packed as the last 8 bytes of a key's hash message; ValueError unless struct packs it as an
+    unsigned 64-bit integer.  A bool packs as 0 or 1: callers that take one from a user rule it out first."""
+    try:
+        return _INDEX.pack(index)
+    except struct.error:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {index!r}") from None
 
 
 def _stream_key(seed: int, label: str, index: int) -> tuple[int, int]:
     """128-bit Philox key as a pure function of (seed, label, index); index is an unsigned 64-bit integer."""
+    _check_count("stream index", index, 0)
     h = _key_prefix(seed, label)
     h.update(_index_bytes(index))
     return struct.unpack("<QQ", h.digest())
@@ -69,8 +73,8 @@ class RngRoot:
     seed: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _check_count("seed", self.seed, 0)
+        _index_bytes(self.seed, "seed")
 
     def child(self, label: str, index: int = 0) -> RngRoot:
         """Derive a sub-root (e.g. one per run) without consuming draws."""
@@ -98,6 +102,7 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms in the open interval (0, 1), one word each; see ``_open_interval``."""
+        _check_count("n", n, 0)
         return _open_interval(self._gen.random(n))
 
     def normals(self, n: int) -> np.ndarray:
@@ -127,6 +132,8 @@ def keyed_normals(
     bit.  One Philox is re-keyed for each stream (counter 0, empty buffer) instead of built,
     and its generator writes the uniforms straight into the row.
     """
+    for label, count in streams:
+        _check_count(f"count of stream {label!r}", count, 0)
     width = sum(count for _, count in streams)
     if out is None:
         out = np.empty((len(indices), width))

@@ -4,7 +4,7 @@ A slice of an empirical measure is the vector of projections u'X_i onto a unit
 direction u.  Smoothing adds one independent N(0, sigma^2) draw per projected
 sample, which is exactly one sample from the Gaussian mixture that the
 convolved slice is in law: conditionally on the data, the smoothed slice has
-density (1/n) * sum_i phi_sigma(t - u'X_i).  The module depends on ``rng`` alone.
+density (1/n) * sum_i phi_sigma(t - u'X_i).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_count, _check_real
 from .rng import RngRoot, RngStream, keyed_normals
 
 __all__ = ["SampleSet", "sample_direction", "project", "smooth_double"]
@@ -49,8 +50,7 @@ class SampleSet:
 
 def sample_direction(d: int, stream: RngStream) -> np.ndarray:
     """Uniform unit vector on S^{d-1}: a standard Gaussian vector over its norm."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_count("dimension d", d)
     for _ in range(_MAX_DIRECTION_RETRIES):
         z = stream.normals(d)
         norm = math.sqrt(z.dot(z))  # np.linalg.norm's arithmetic on a 1-D vector, without its call overhead
@@ -72,8 +72,7 @@ def project(samples: SampleSet, u: np.ndarray) -> np.ndarray:
 
 def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> np.ndarray:
     """The smoothed slice t_i = v_i + z_i, z_i ~ N(0, sigma^2) from ``stream``; sigma = 0 returns the values."""
-    if not 0 <= sigma < np.inf:
-        raise ValueError("sigma must be finite and non-negative")
+    _check_real("sigma", sigma)
     vals = np.ascontiguousarray(values, dtype=np.float64)
     if vals.ndim != 1 or vals.size < 1 or not np.isfinite(vals).all():
         raise ValueError("slice values must be a non-empty 1-D vector of finite values")
@@ -89,17 +88,15 @@ def _tile_work(rows: int, X: SampleSet, Y: SampleSet, noise: bool) -> tuple[np.n
     return np.empty((rows, width)), np.empty((rows, X.d)), np.empty((rows, X.n)), np.empty((rows, Y.n))
 
 
-def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool, work=None):
+def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool, work: tuple[np.ndarray, ...]):
     """Directions, projections of X and Y, and their standard noise (None unless ``noise``) for the
     projections in ``ls``, one row per projection, each bit-identical to ``sample_direction``,
     ``project`` and the noise of ``smooth_double`` on that projection's keyed streams.
 
     The rows are views of ``work``, a ``_tile_work`` of at least len(ls) rows, which a
-    worker allocates once and reuses from tile to tile; new buffers when it is None.
+    worker allocates once and reuses from tile to tile.
     """
     d, n, m = X.d, X.n, Y.n
-    if work is None:
-        work = _tile_work(len(ls), X, Y, noise)
     G, U, px, py = (buf[: len(ls)] for buf in work)
     streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
     keyed_normals(root, streams, ls, G)

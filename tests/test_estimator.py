@@ -261,7 +261,7 @@ class TestSlicePipeline:
         Y = gauss_set(27, "tr-y", m, d)
         root = RngRoot(37)
         ls = range(60, 60 + rows)
-        U, px, py, zx, zy = slicing._slice_tile(X, Y, root, ls, noise=True)
+        U, px, py, zx, zy = slicing._slice_tile(X, Y, root, ls, True, slicing._tile_work(len(ls), X, Y, True))
         for k, l in enumerate(ls):
             u = sample_direction(d, root.stream("proj", l))
             assert np.array_equal(U[k], u)
@@ -269,7 +269,7 @@ class TestSlicePipeline:
             assert np.array_equal(py[k], project(Y, u))
             assert np.array_equal(zx[k], root.stream("noisex", l).normals(n))
             assert np.array_equal(zy[k], root.stream("noisey", l).normals(m))
-        assert slicing._slice_tile(X, Y, root, ls, noise=False)[3:] == (None, None)
+        assert slicing._slice_tile(X, Y, root, ls, False, slicing._tile_work(len(ls), X, Y, False))[3:] == (None, None)
 
     def test_zero_direction_draw_falls_back_to_sample_direction(self, monkeypatch):
         # a word whose top 53 bits are 2^52 maps to u = 0.5, i.e. z = 0; force such direction
