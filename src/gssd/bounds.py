@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# the least sigma of Xi and Upsilon, which divide by sigma^2: below it sigma^2 is not a normal double, and from
+# about 1.5e-162 it is 0
+_SIGMA_MIN = math.sqrt(sys.float_info.min)
 VARTHETA = 2.0  # the envelope's default free parameter vartheta > sqrt(2)
 C_P = 1.0  # the envelope's default calibration factor of the log(n)/n term
 
@@ -218,7 +222,7 @@ def xi_constant(p: float, sigma: float, vartheta: float, source: Source) -> floa
 def _xi_and_tail(p: float, sigma: float, vartheta: float, source: Source) -> tuple[float, float]:
     """Xi and the tail integral inside it, which is computed once."""
     _check_real("order p", p, 1)
-    _check_real("sigma", sigma, strict=True)
+    _check_real("sigma", sigma, _SIGMA_MIN)
     _check_real("vartheta", vartheta, _SQRT2, strict=True)
     try:
         tail_integral = source.tail_integral(2.0 / (sigma**2 * vartheta**2))
@@ -242,7 +246,7 @@ def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = C_P) -> 
 
     Only the moments M_{2k} for k = 0..p enter: the series terminates at k = p.
     """
-    _check_real("sigma", sigma, strict=True)
+    _check_real("sigma", sigma, _SIGMA_MIN)
     _check_real("c_p", c_p)
     _check_real("order p", p, 1)
     if not float(p).is_integer():

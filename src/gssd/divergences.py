@@ -18,15 +18,17 @@ Three families are provided:
 * ``sinkhorn_div`` -- the debiased entropic divergence
   S_eps = OT_eps(x, y) - OT_eps(x, x)/2 - OT_eps(y, y)/2 for cost |s - t|^p,
   where OT_eps is the entropic optimal transport value (transport cost plus
-  eps * KL of the plan against the product of the marginals), found by Newton's
-  method on the semi-dual down an epsilon ladder to the target epsilon, each
-  step solved by matrix-free conjugate gradients.
+  eps * KL of the plan against the product of the marginals).  The cross term
+  is found by Newton's method on the semi-dual down an epsilon ladder to the
+  target epsilon, each step solved by matrix-free conjugate gradients; each
+  self term, whose optimum is symmetric, by averaged c-transform steps down
+  the same ladder.
 
 ``smoothed_wasserstein_oracle`` gives a deterministic high-accuracy value of
 W_p^p between two equal-bandwidth Gaussian mixtures, used as the second route
 against the double-sampling estimator: each mixture's quantiles come from a
 safeguarded Newton solve on its CDF, read from Taylor expansions about the
-nearest of 512 knots.
+nearest knot, one knot per 0.04 sigma of the span and at most 512.
 """
 
 from __future__ import annotations
@@ -79,7 +81,9 @@ _ORACLE_MIN_GRID = 1000
 # is farther.  With |d| <= rho the Lagrange remainder is at most max|Phi^(K+1)| rho^(K+1) / (K+1)! =
 # 14.18 rho^8 / 8! = 9.0e-18 for the CDF and 14.18 rho^7 / 7! = 3.6e-15 for sigma times the density
 # (max|Phi^(8)| = max|He_7 phi| = 14.18, at |x| = 0.54), below the rounding of the means themselves for the CDF.
-# Knots lie span / 511 apart, so every level of a span up to 1022 rho = 20.4 sigma takes its steps on the knots.
+# A span S gets min(_QUANTILE_KNOTS, ceil(S / (2 rho sigma)) + 1) knots, at most 2 rho sigma apart, so every level
+# of a span up to 2 rho (_QUANTILE_KNOTS - 1) = 20.4 sigma takes its steps on the knots; wider spans keep 512 knots,
+# S / 511 apart, and re-centre some levels.
 _QUANTILE_KNOTS = 512
 _QUANTILE_RTOL = 1e-10
 _QUANTILE_STEPS = 3 * 34 + 1
@@ -94,6 +98,7 @@ _CG_RTOL = 1e-3
 _LEVEL_STEPS = 2  # Newton steps on each coarse level of the epsilon ladder, a warm start for the next
 _NEWTON_RIDGE = 1e-12
 _NEWTON_SLACK = 16 * 2.0**-52
+_SYMMETRIC_CHECK = 3  # the self terms' averaged steps at the target per marginal-error check
 
 
 @dataclass(frozen=True)
@@ -347,9 +352,10 @@ def bandwidth_mean_pairwise(x, y) -> float:
 class SinkhornResult(NamedTuple):
     """The debiased value and the three solves' diagnostics.
 
-    ``iterations`` sums the Newton steps of the three solves, on every level of
-    the ladder (the halvings of a step are not counted); ``marginal_error`` is
-    the largest final max |cols - b|, inf where the ladder was cut short.
+    ``iterations`` sums the Newton steps of the cross solve and the averaged
+    steps g <- (g + T(g))/2 of the two self solves, on every level of the ladder
+    (the halvings of a Newton step are not counted); ``marginal_error`` is the
+    largest final max |cols - b|, inf where the ladder was cut short.
     """
 
     value: float
@@ -396,6 +402,16 @@ def _newton_step(R: np.ndarray, a: np.ndarray, cols: np.ndarray, grad: np.ndarra
     return s
 
 
+def _ladder(eps: float, cmax: float):
+    """The epsilon ladder of a solve with largest cost cmax, as (level, coarse): halvings from max(eps, cmax/50)
+    while above eps, then eps itself.  A solve returns on the last level, at the latest when its steps run out."""
+    e = max(eps, cmax / 50.0)
+    while e > eps * 1.0001:
+        yield e, True
+        e *= 0.5
+    yield eps, False
+
+
 def _entropic_ot(
     x: np.ndarray, y: np.ndarray, p: float, eps: float, tol: float, max_iter: int
 ) -> tuple[float, bool, int, float]:
@@ -422,10 +438,7 @@ def _entropic_ot(
     W = np.empty_like(C)
     g = np.zeros(m)
     it = 0
-    e = max(eps, cmax / 50.0)
-    while True:  # one level of the ladder; the last one is eps itself
-        coarse = e > eps * 1.0001
-        e = e if coarse else eps
+    for e, coarse in _ladder(eps, cmax):
         f = _potential(g, C, logb, e, W)
         value = float(f @ a + g @ b)
         for k in range(max_iter - it + 1):  # at most the steps left, and the last stop test
@@ -449,12 +462,51 @@ def _entropic_ot(
                 t *= 0.5
             g, value = h, trial
             it += 1
-        e *= 0.5
+
+
+def _symmetric_ot(x: np.ndarray, p: float, eps: float, tol: float, max_iter: int) -> tuple[float, bool, int, float]:
+    """Entropic OT value of x against itself, <T(g),a> + <g,a> at the symmetric dual optimum f = g.
+
+    The c-transform T has the optimum as its fixed point, and the averaged step g <- (g + T(g))/2
+    reaches it fast (Feydy et al., arXiv:1810.08278).  The steps run down the epsilon ladder of
+    ``_entropic_ot``, one on each coarse level, then at eps until the marginal error max |a - cols| of
+    the plan T(g) makes exact in its rows, the semi-dual gradient, is below tol; that error, a row
+    normalisation and a matrix-vector product, is checked every _SYMMETRIC_CHECK steps.  Every averaged
+    step counts against max_iter; the error is inf when max_iter runs out above the target.  A solve
+    holds C and one work buffer W.
+    """
+    n = x.size
+    a = np.full(n, 1.0 / n)
+    loga = np.log(a)
+    C = np.abs(x[:, None] - x[None, :]) ** p
+    cmax = float(C.max())
+    if cmax == 0.0:
+        return 0.0, True, 0, 0.0
+
+    W = np.empty_like(C)
+    g = np.zeros(n)
+    it = 0
+    for e, coarse in _ladder(eps, cmax):
+        for k in range(max_iter - it + 1):  # at most the steps left, and the last stop test
+            f = _potential(g, C, loga, e, W)
+            if it == max_iter or not coarse and k % _SYMMETRIC_CHECK == _SYMMETRIC_CHECK - 1:
+                err = math.inf
+                if not coarse:
+                    np.divide(W, W.sum(axis=1)[:, None], out=W)
+                    err = float(np.abs(a - a @ W).max())
+                if err < tol or it == max_iter:
+                    return float(f @ a + g @ a), err < tol, it, err
+            g += f
+            g *= 0.5
+            it += 1
+            if coarse:
+                break
 
 
 def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     """Debiased entropic divergence for cost |s-t|^p.
 
+    The cross term is solved by ``_entropic_ot``, the two self terms by ``_symmetric_ot``.
     Non-convergence within ``spec.sinkhorn_max_iter`` is reported through the
     ``converged`` flag; the value is still returned.
     """
@@ -462,8 +514,8 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     ys = _as_samples(y, "y")
     args = (spec.p, spec.epsilon, spec.sinkhorn_tol, spec.sinkhorn_max_iter)
     vxy, cxy, ixy, exy = _entropic_ot(xs, ys, *args)
-    vxx, cxx, ixx, exx = _entropic_ot(xs, xs, *args)
-    vyy, cyy, iyy, eyy = _entropic_ot(ys, ys, *args)
+    vxx, cxx, ixx, exx = _symmetric_ot(xs, *args)
+    vyy, cyy, iyy, eyy = _symmetric_ot(ys, *args)
     return SinkhornResult(
         value=vxy - 0.5 * vxx - 0.5 * vyy,
         converged=cxy and cxx and cyy,
@@ -535,10 +587,12 @@ def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray) -> np.nd
     hi = v.max() + sigma * z
     if v.size == 1:
         return lo
-    tol = _QUANTILE_RTOL * max(float(hi[-1] - lo[0]), sigma)
-    knots = np.linspace(lo[0], hi[-1], _QUANTILE_KNOTS)
+    span = float(hi[-1] - lo[0])
+    tol = _QUANTILE_RTOL * max(span, sigma)
+    count = int(min(_QUANTILE_KNOTS, np.ceil(span / (2.0 * _TAYLOR_RADIUS * sigma)) + 1))
+    knots = np.linspace(lo[0], hi[-1], count)
     at_knots = _mixture_taylor(v, sigma, knots)
-    gap = (knots[-1] - knots[0]) / (_QUANTILE_KNOTS - 1)
+    gap = (knots[-1] - knots[0]) / (count - 1)
     radius = _TAYLOR_RADIUS * sigma
     q = np.clip(np.interp(levels, at_knots[0], knots), lo, hi)
     # the levels still stepping, with their iterates, brackets, bracket widths two steps and one step back,
@@ -547,7 +601,7 @@ def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray) -> np.nd
     w2 = w1 = np.full(q.size, math.inf)
     c, m = np.full(q.size, math.inf), np.empty((_TAYLOR_ORDER + 1, q.size))
     for _ in range(_QUANTILE_STEPS):
-        j = np.clip(np.rint((t - knots[0]) / gap), 0, _QUANTILE_KNOTS - 1).astype(np.intp)
+        j = np.clip(np.rint((t - knots[0]) / gap), 0, count - 1).astype(np.intp)
         on_knot = np.abs(t - knots[j]) <= radius
         c = np.where(on_knot, knots[j], c)
         m = np.where(on_knot, at_knots[:, j], m)
@@ -582,12 +636,12 @@ def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = ORAC
     and the p-th power difference is averaged.  Each quantile stops within
     1e-10 of the brackets' span, in practice at a CDF residual of rounding
     size.  A step reads CDF and density in O(1) from a Taylor expansion of
-    order 7 about a centre within 0.02 sigma: the nearest of 512 knots, where
-    one O(n) pass per mixture tabulates the expansions, or else a point where
-    the level re-centres with a pass of its own.  So a span of the knots up
-    to 20.4 sigma makes no O(n) pass beyond the knots.  Memory grows with
-    grid + n, not grid * n: a pass takes a block of points at a time.
-    Deterministic.
+    order 7 about a centre within 0.02 sigma: the nearest knot, where one O(n)
+    pass per mixture tabulates the expansions, or else a point where the level
+    re-centres with a pass of its own.  The knots are one per 0.04 sigma of the
+    span, at most 512, so a span up to 20.4 sigma makes no O(n) pass beyond
+    the knots.  Memory grows with grid + n, not grid * n: a pass takes a
+    block of points at a time.  Deterministic.
     """
     _check_real("oracle sigma", sigma, strict=True)
     _check_count("oracle quantile grid", grid, _ORACLE_MIN_GRID)

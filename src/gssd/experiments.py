@@ -152,8 +152,16 @@ class ExperimentConfig:
         )
 
     def echo(self) -> dict:
-        """The configuration as written to output headers: every field but ``out`` and ``emit_bound``."""
-        return {k: v for k, v in asdict(self).items() if k not in ("out", "emit_bound")}
+        """The configuration as written to output headers: every field but ``out`` and ``emit_bound``, with
+        numpy scalars as the Python numbers they hold."""
+        return {k: _plain(v) for k, v in asdict(self).items() if k not in ("out", "emit_bound")}
+
+
+def _plain(value):
+    """value with each numpy scalar, also inside a tuple, replaced by its Python number."""
+    if isinstance(value, tuple):
+        return tuple(_plain(v) for v in value)
+    return value.item() if isinstance(value, np.generic) else value
 
 
 # CSV text of each column, by its declared type (annotations are postponed, so the type is its name)

@@ -4,11 +4,13 @@ A rename of a function or config field the benchmark uses fails here, in the
 test suite, and not first in a benchmark run.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import gssd
 from gssd import divergences
@@ -58,19 +60,48 @@ def test_exact_routes_oracle_matches_the_reference(workloads, tmp_path):
     assert est.per_projection[0] == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
-def test_exact_routes_oracle_makes_no_pass_beyond_its_knots(workloads, tmp_path, monkeypatch):
-    # every Newton step of this instance reads the expansions at the 512 knots: its span is below 20.4 sigma
-    inputs = workloads.exact_inputs(1, str(tmp_path))
-    px, py = workloads.projections(inputs["OX"], inputs["OY"], inputs["oracle"].seed, 0)
-    points, inner = [], divergences._mixture_taylor
+def oracle_passes(workloads, monkeypatch, px, py, sigma):
+    """The benchmark's oracle value of the projections at sigma, and the (atoms, points) of each
+    ``_mixture_taylor`` pass it makes."""
+    passes, inner = [], divergences._mixture_taylor
 
     def counted(v, sigma, t):
-        points.append(t.size)
+        passes.append((v.size, t.size))
         return inner(v, sigma, t)
 
     monkeypatch.setattr(divergences, "_mixture_taylor", counted)
-    gssd.smoothed_wasserstein_oracle(px, py, 1.0, workloads.P, workloads.ORACLE_GRID)
-    assert points == [divergences._QUANTILE_KNOTS] * 2
+    return gssd.smoothed_wasserstein_oracle(px, py, sigma, workloads.P, workloads.ORACLE_GRID), passes
+
+
+def test_exact_routes_oracle_makes_no_pass_beyond_its_knots(workloads, tmp_path, monkeypatch):
+    # one pass per mixture, at its knots: one knot per 2 rho sigma of the brackets' span, so every level lies
+    # within rho sigma of a knot; this instance spans about 13 sigma, below the 20.4 sigma of 512 knots
+    inputs = workloads.exact_inputs(1, str(tmp_path))
+    px, py = workloads.projections(inputs["OX"], inputs["OY"], inputs["oracle"].seed, 0)
+    levels = (np.arange(workloads.ORACLE_GRID) + 0.5) / workloads.ORACLE_GRID
+    z = ndtri(levels[[0, -1]])
+
+    def sized(v):
+        span = (v.max() + z[1]) - (v.min() + z[0])
+        return math.ceil(span / (2 * divergences._TAYLOR_RADIUS)) + 1
+
+    _, passes = oracle_passes(workloads, monkeypatch, px, py, 1.0)
+    assert passes == [(px.size, sized(px)), (py.size, sized(py))]
+    assert [t for _, t in passes] == [314, 316]
+
+
+def test_oracle_span_past_the_knots_keeps_512_and_matches_the_reference(workloads, tmp_path, monkeypatch):
+    # at sigma 0.4 the same projections span about 22 sigma: each mixture tabulates all 512 knots, some levels
+    # re-centre with passes of their own, and the value still holds against the reference
+    import reference
+
+    inputs = workloads.exact_inputs(1, str(tmp_path))
+    px, py = workloads.projections(inputs["OX"], inputs["OY"], inputs["oracle"].seed, 0)
+    got, passes = oracle_passes(workloads, monkeypatch, px, py, 0.4)
+    assert [t for v, t in passes if v == px.size][0] == [t for v, t in passes if v == py.size][0] == 512
+    assert len(passes) > 2
+    want = reference.smoothed_wasserstein(px, py, 0.4, workloads.P, workloads.ORACLE_GRID)
+    assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def test_exact_routes_job_passes_its_output_checks(workloads, tmp_path):

@@ -295,6 +295,18 @@ class TestUpsilonConstant:
         assert m(0) == 1.0 and m(1) == 4.0 and m(2) == 16.0
 
 
+def test_sigma_whose_square_is_not_a_normal_double_is_rejected():
+    # Xi and Upsilon divide by sigma^2, which is 0 from about 1.5e-162 (a ZeroDivisionError) and subnormal
+    # above that (an infinite tail argument, or nan); the least sigma allowed gives finite constants
+    for sigma in (1e-200, 1e-155, math.nextafter(bounds._SIGMA_MIN, 0.0)):
+        with pytest.raises(ValueError, match="sigma must be"):
+            xi_constant(1, sigma, 3.0, PointMass(0.0))
+        with pytest.raises(ValueError, match="sigma must be"):
+            upsilon_constant(1, sigma, PointMass(0.0))
+    assert math.isfinite(xi_constant(1, bounds._SIGMA_MIN, 3.0, PointMass(0.0)))
+    assert math.isfinite(upsilon_constant(1, bounds._SIGMA_MIN, PointMass(0.0)))
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # only SphericalGaussian.tail_integral integrates; loading scipy.integrate at import doubles its cost
     src = str(Path(gssd.__file__).resolve().parents[1])

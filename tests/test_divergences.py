@@ -606,6 +606,45 @@ class TestSinkhornDiv:
         assert converged and err < 1e-9 and ladder < it <= ladder + 20
         assert value == pytest.approx(sinkhorn_dense_oracle(x, y, p, eps, iters=20_000), rel=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x=st.lists(st.one_of(_QUARTERS, st.floats(-3, 3)), min_size=1, max_size=12),
+        p=st.sampled_from([1.0, 1.5, 2.0]),
+        eps=st.sampled_from([0.02, 0.1, 0.5]),
+    )
+    def test_self_solve_matches_the_cross_solve(self, x, p, eps):
+        # the averaged fixed point and the Newton solve of OT_eps(x, x) stop on the same marginal error
+        x = np.asarray(x, float)
+        value, converged, _, err = divergences._symmetric_ot(x, p, eps, 1e-12, 1000)
+        want, want_converged, _, _ = _entropic_ot(x, x, p, eps, 1e-12, 1000)
+        assert converged and want_converged and err < 1e-12
+        assert value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(x=st.lists(_QUARTERS, min_size=1, max_size=8), eps=st.floats(0.3, 1.0), p=st.sampled_from([1.0, 2.0]))
+    def test_self_solve_matches_dense_oracle(self, x, eps, p):
+        # eps >= 0.3 on [-1, 1], where 5000 scaling iterations hold the oracle far below 1e-10 (see above)
+        x = np.asarray(x, float)
+        value, converged, _, _ = divergences._symmetric_ot(x, p, eps, 1e-12, 1000)
+        assert converged
+        assert value == pytest.approx(sinkhorn_dense_oracle(x, x, p, eps, iters=5000), rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("p, eps", [(1.0, 0.05), (2.0, 0.1)])
+    def test_self_solve_cut_short_reports_itself_unconverged(self, p, eps):
+        # one averaged step per coarse level: a cap below the ladder's length ends above the target, error inf;
+        # a cap at or past it ends at the target, with the error there
+        rng = np.random.default_rng(16)
+        x = 2 * rng.normal(size=30)
+        levels = ladder_levels(x, x, p, eps)
+        for max_iter in range(1, levels):
+            value, converged, it, err = divergences._symmetric_ot(x, p, eps, 1e-9, max_iter)
+            assert math.isfinite(value) and (converged, it, err) == (False, max_iter, math.inf)
+        for max_iter in (levels, levels + 4):
+            value, converged, it, err = divergences._symmetric_ot(x, p, eps, 0.0, max_iter)
+            assert math.isfinite(value) and (converged, it) == (False, max_iter) and 0 < err < math.inf
+        value, converged, it, err = divergences._symmetric_ot(x, p, eps, 1e-9, 1000)
+        assert converged and err < 1e-9 and levels < it < 1000
+
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9, 1.0])
     def test_ladder_cut_short_reports_infinite_error(self, fraction):
         # a wider pair than the loop test's, on which the kernel scaling takes too long to serve as the oracle

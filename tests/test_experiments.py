@@ -424,6 +424,18 @@ class TestCsvOutput:
         strip = lambda lines: [",".join(ln.split(",")[:-1]) for ln in lines]
         assert strip(a) == strip(b)
 
+    def test_numpy_numbers_write_the_header_of_python_numbers(self):
+        # json cannot write numpy integers, which every count of the config accepts
+        counts = dict(num_runs=1, num_projections=16, workers=1, seed=7, sinkhorn_max_iter=50,
+                      dimensions=(6, 8), sample_sizes=(80,), sigmas=(1.0, 0.5))
+        numpy_counts = {k: (tuple(np.array(v)) if isinstance(v, tuple) else np.int64(v)) for k, v in counts.items()}
+        assert isinstance(numpy_counts["dimensions"][0], np.integer)
+        assert isinstance(numpy_counts["sigmas"][0], np.floating)
+        want = rows_csv(small_cfg("sample-complexity", **counts), [])
+        assert rows_csv(small_cfg("sample-complexity", **numpy_counts), []) == want
+        assert rows_csv(small_cfg("sample-complexity", sigmas=(np.float32(1.0), np.float32(0.5)),
+                              **{k: v for k, v in numpy_counts.items() if k != "sigmas"}), []) == want
+
 
     def test_unconverged_sinkhorn_is_marked(self, tmp_path):
         out = tmp_path / "skd.csv"
@@ -523,6 +535,7 @@ class TestCli:
         (["--vartheta", "nan"], "vartheta must be"),
         (["--sigmas", "1"], "integrability condition"),  # sigma * vartheta = 2 omega: the tail integral diverges
         (["--dim", "200", "--sigmas", "1.0001"], "range"),  # a finite tail integral beyond the double range
+        (["--sigmas", "1e-200"], "sigma must be"),  # sigma^2 underflows to 0
     ])
     def test_emit_bound_rejects_invalid_envelope_parameters(self, tmp_path, capsys, flags, message):
         out = tmp_path / "sc.csv"
