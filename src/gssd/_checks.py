@@ -1,5 +1,6 @@
-"""The two argument rules every module applies: ``_check_count`` for integer counts and ``_check_real`` for
-real-valued settings.  Each raises ValueError naming the setting, its rule and the value it got."""
+"""The three argument rules every module applies: ``_check_count`` for integer counts (and, as "number of
+<name>", for sizes), ``_check_real`` for real-valued settings and ``_check_choice`` for named options.  Each
+raises ValueError that reads "<name> must be ..., got <value>"."""
 
 import math
 import numbers
@@ -24,3 +25,9 @@ def _check_real(name: str, value, low: float = 0.0, strict: bool = False) -> Non
         else:
             rule = f" and {'>' if strict else '>='} {low!r}" if low > -math.inf else ""
         raise ValueError(f"{name} must be finite{rule}, got {value!r}")
+
+
+def _check_choice(name: str, value, choices) -> None:
+    """Raise ValueError unless ``value`` is one of ``choices``."""
+    if value not in tuple(choices):
+        raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")

@@ -57,8 +57,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# the least sigma of Xi and Upsilon, which divide by sigma^2: below it sigma^2 is not a normal double, and from
-# about 1.5e-162 it is 0
+# the least sigma of the envelope: Xi divides by sigma^2, which below it is not a normal double and from about
+# 1.5e-162 is 0; Upsilon shares the domain
 _SIGMA_MIN = math.sqrt(sys.float_info.min)
 VARTHETA = 2.0  # the envelope's default free parameter vartheta > sqrt(2)
 C_P = 1.0  # the envelope's default calibration factor of the log(n)/n term
@@ -86,7 +86,7 @@ def kummer_1f1(a: float, gamma: float, z: float) -> float:
     for name, value in (("a", a), ("gamma", gamma), ("z", z)):
         _check_real(name, value, -math.inf)
     if gamma <= 0 and float(gamma).is_integer():
-        raise ValueError("gamma must not be a non-positive integer (series pole)")
+        raise ValueError(f"gamma must not be a non-positive integer (a pole of the series), got {gamma!r}")
     terminal = int(-a) if a <= 0 and float(a).is_integer() else None
     total = 0.0
     for k, term in enumerate(_kummer_terms(a, gamma, z)):
@@ -250,12 +250,13 @@ def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = C_P) -> 
     _check_real("c_p", c_p)
     _check_real("order p", p, 1)
     if not float(p).is_integer():
-        raise ValueError("upsilon is defined for positive integer p (terminating series)")
+        raise ValueError(f"order p must be an integer for Upsilon's terminating series, got {p!r}")
     p = int(p)
-    # the k-th term of 1F1(-p; 1/2; -1/(2 sigma^2)), times M_2k
-    terms = zip(range(p + 1), _kummer_terms(-p, 0.5, -0.5 / sigma**2))
-    series = sum(term * source.moment(k) for k, term in terms)
-    return 2.0 ** (2 * p - 1) * c_p / math.sqrt(math.pi) * sigma ** (2 * p) * gamma_fn(p + 0.5) * series
+    # sigma^2p times the k-th term of 1F1(-p; 1/2; -1/(2 sigma^2)) is sigma^2(p-k) times its k-th term at
+    # sigma = 1: no term forms a power of 1/sigma, which overflows for a tiny sigma
+    terms = zip(range(p + 1), _kummer_terms(-p, 0.5, -0.5))
+    series = sum(term * sigma ** (2 * (p - k)) * source.moment(k) for k, term in terms)
+    return 2.0 ** (2 * p - 1) * c_p / math.sqrt(math.pi) * gamma_fn(p + 0.5) * series
 
 
 def sample_bound(n: int, xi: float, upsilon: float) -> float:
@@ -269,10 +270,8 @@ def sample_bound(n: int, xi: float, upsilon: float) -> float:
 def mc_error_bound(per_projection: np.ndarray) -> float:
     """Plug-in direction-sampling error: sample std of the values over sqrt(L)."""
     vals = np.asarray(per_projection, dtype=np.float64).ravel()
-    L = vals.size
-    if L < 2:
-        raise ValueError("need at least 2 per-projection values")
-    return float(np.std(vals, ddof=1) / math.sqrt(L))
+    _check_count("number of per-projection values", vals.size, 2)
+    return float(np.std(vals, ddof=1) / math.sqrt(vals.size))
 
 
 @dataclass(frozen=True)

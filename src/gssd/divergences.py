@@ -41,7 +41,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import herme2poly
 from scipy.special import ndtr, ndtri
 
-from ._checks import _check_count, _check_real
+from ._checks import _check_choice, _check_count, _check_real
 
 __all__ = [
     "DivergenceSpec",
@@ -117,8 +117,7 @@ class DivergenceSpec:
     sinkhorn_max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown divergence kind {self.kind!r}; expected one of {KINDS}")
+        _check_choice("divergence kind", self.kind, KINDS)
         _check_real("order p", self.p, 1)
         _check_real("sinkhorn epsilon", self.epsilon, strict=True)
         if self.bandwidth is not None:
@@ -129,8 +128,7 @@ class DivergenceSpec:
 
 def _as_samples(x, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
+    _check_count(f"number of {name} values", arr.size)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr

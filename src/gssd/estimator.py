@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _check_count, _check_real
+from ._checks import _check_choice, _check_count, _check_real
 from .bounds import mc_error_bound
 from .divergences import _ORACLE_MIN_GRID, ORACLE_GRID, DivergenceSpec, _slice_values, smoothed_wasserstein_oracle
 from .rng import RngRoot
@@ -54,14 +54,13 @@ class GssdConfig:
     oracle_grid: int = ORACLE_GRID
 
     def __post_init__(self) -> None:
-        _check_real("sigma", self.sigma)
+        _check_choice("mode", self.mode, MODES)
+        oracle = self.mode == "mixture_oracle"
+        _check_real("sigma in mixture_oracle mode" if oracle else "sigma", self.sigma, strict=oracle)
         _check_count("num_projections", self.num_projections)
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode == "mixture_oracle":
+        if oracle:
             if self.divergence.kind != "wasserstein":
                 raise ValueError("mixture_oracle mode requires the Wasserstein base divergence")
-            _check_real("sigma in mixture_oracle mode", self.sigma, strict=True)
             _check_count("oracle quantile grid", self.oracle_grid, _ORACLE_MIN_GRID)
 
 
@@ -192,8 +191,7 @@ def sweep_sigma(
     numbers across the sweep.  Each point is bit-identical to ``estimate`` at
     its sigma.
     """
-    if len(sigmas) == 0:
-        raise ValueError("sigmas must be non-empty")
+    _check_count("number of sigmas", len(sigmas))
     return _sweep(X, Y, [replace(cfg, sigma=s) for s in sigmas], workers)
 
 

@@ -33,14 +33,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
-from ._checks import _check_count, _check_real
+from ._checks import _check_choice, _check_count, _check_real
 from .bounds import _SQRT2, C_P, VARTHETA, SphericalGaussian, TheoryBound
 from .divergences import DivergenceSpec
 from .estimator import GssdConfig, GssdEstimate, estimate, sweep_sigma
@@ -108,23 +107,18 @@ class ExperimentConfig:
     c_p: float = C_P
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
+        _check_choice("command", self.command, COMMANDS)
         for name, value in {**_GRID_DEFAULTS["*"], **_GRID_DEFAULTS.get(self.command, {})}.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
         for name in ("dimensions", "sample_sizes", "sigmas", "divergences", "l_grid", "s_grid"):
-            if len(getattr(self, name)) == 0:
-                raise ValueError(f"{name} must be non-empty")
+            _check_count(f"number of {name}", len(getattr(self, name)))
         for name in ("num_runs", "num_projections", "workers"):
             _check_count(name, getattr(self, name))
         RngRoot(self.seed)  # checks the seed
-        if self.pair not in PAIR_MODES:
-            raise ValueError(f"pair must be one of {tuple(PAIR_MODES)}")
-        bad = [d for d in self.divergences if d not in DIVERGENCE_ALIASES]
-        if bad:
-            raise ValueError(f"unknown divergence names {bad}; expected swd, mmd or skd")
+        _check_choice("pair", self.pair, PAIR_MODES)
         for name in self.divergences:
+            _check_choice("each entry of divergences", name, DIVERGENCE_ALIASES)
             self.divergence_spec(name)  # checks order, epsilon, bandwidth and the Sinkhorn settings
         if self.command == "compare" and (len(self.divergences) > 1 or len(self.sigmas) > 1):
             raise ValueError("compare takes one divergence and one sigma")
@@ -133,13 +127,12 @@ class ExperimentConfig:
                 _check_real(f"each entry of {name}", value, low)
         _check_real("vartheta", self.vartheta, _SQRT2, strict=True)
         _check_real("c_p", self.c_p)
-        if self.command == "projection-complexity" and not all(
-            isinstance(L, numbers.Real) and 1 <= L <= self.num_projections for L in self.l_grid
-        ):
-            raise ValueError(f"each entry of l_grid must lie in [1, num_projections = {self.num_projections}]")
         for name in ("dimensions", "sample_sizes", "l_grid"):
             for value in getattr(self, name):
                 _check_count(f"each entry of {name}", value)
+        if self.command == "projection-complexity" and max(self.l_grid) > self.num_projections:
+            bound = f"[1, num_projections = {self.num_projections}]"
+            raise ValueError(f"each entry of l_grid must lie in {bound}, got {max(self.l_grid)!r}")
 
     def divergence_spec(self, name: str) -> DivergenceSpec:
         return DivergenceSpec(
@@ -165,7 +158,7 @@ def _plain(value):
 
 
 # CSV text of each column, by its declared type (annotations are postponed, so the type is its name)
-_FORMATS = {"str": str, "int": repr, "float": lambda v: repr(float(v))}
+_FORMATS = {"str": str, "int": lambda v: repr(int(v)), "float": lambda v: repr(float(v))}
 
 
 @dataclass(frozen=True)
@@ -353,8 +346,7 @@ def compare(file_x: str, file_y: str, cfg: ExperimentConfig) -> dict:
 def fit_loglog_slope(points) -> float:
     """Least-squares slope of log y on log x; requires >= 2 strictly positive points."""
     pts = list(points)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
+    _check_count("number of points", len(pts), 2)
     for x, y in pts:
         _check_real("each point's x", x, strict=True)
         _check_real("each point's y", y, strict=True)

@@ -55,7 +55,7 @@ def _index_bytes(index: int, name: str = "stream index") -> bytes:
     try:
         return _INDEX.pack(index)
     except struct.error:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {index!r}") from None
+        raise ValueError(f"{name} must be an integer >= 0 and < 2**64, got {index!r}") from None
 
 
 def _stream_key(seed: int, label: str, index: int) -> tuple[int, int]:

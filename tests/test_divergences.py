@@ -202,11 +202,6 @@ class TestWassersteinPP:
         for k in range(rows):
             assert got[k] == pytest.approx(wasserstein_quantile_exact(X[k], Y[k], p), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.inf, math.nan])
-    def test_rejects_order_outside_one_to_inf(self, p):
-        with pytest.raises(ValueError, match="order p"):
-            wasserstein_pp(np.zeros(2), np.ones(2), p)
-
     @pytest.mark.parametrize("n, m", [(6, 6), (6, 4)])
     def test_leaves_contiguous_float64_arguments_as_they_are(self, n, m):
         # such arguments reach the in-place reducer without a conversion, so only its copy keeps them
@@ -259,12 +254,6 @@ class TestWassersteinPP:
         expected = math.sqrt((m1 - m2) ** 2 + (s1 - s2) ** 2)
         assert w2 == pytest.approx(expected, rel=0.02)
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            wasserstein_pp([], [0.0], 2)
-        with pytest.raises(ValueError):
-            wasserstein_pp([0.0], [], 2)
-
 
 # ---------------------------------------------------------------- mmd
 
@@ -307,10 +296,6 @@ class TestMmdSq:
         )
         for got in (mmd_sq(x, y, bw), mmd_exact_route(x, y, bw)):
             assert got == pytest.approx(float(dense), rel=1e-12)
-
-    def test_bad_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            mmd_sq([0.0], [1.0], 0.0)
 
 
 def sweep_slice(sigma):
@@ -518,10 +503,6 @@ class TestBandwidthHeuristic:
         pairs = [abs(a - b) for i, a in enumerate(pooled) for b in pooled[i + 1 :]]
         assert bandwidth_mean_pairwise(x, y) == pytest.approx(float(np.mean(pairs)), rel=1e-12)
 
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            bandwidth_mean_pairwise([0.5], [])
-
 
 # ---------------------------------------------------------------- sinkhorn
 
@@ -710,10 +691,6 @@ class TestSinkhornDiv:
             res = sinkhorn_div(x, y, _spec())
             assert res.converged and res.value >= -1e-9
 
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            DivergenceSpec("sinkhorn", p=2, epsilon=0.0)
-
 
 # ---------------------------------------------------------------- mixture oracle
 
@@ -773,17 +750,6 @@ class TestSmoothedWassersteinOracle:
     def test_mass_shift_between_two_component_mixtures(self):
         got = smoothed_wasserstein_oracle([-1.0, 1.0], [-1.0 + 0.4, 1.0 + 0.4], 0.5, 2)
         assert got == pytest.approx(0.4**2, rel=1e-4)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            smoothed_wasserstein_oracle([0.0], [1.0], 0.0, 2)
-        with pytest.raises(ValueError):
-            smoothed_wasserstein_oracle([0.0], [1.0], 1.0, 2, grid=500)
-
-    @pytest.mark.parametrize("grid", [10, 999, 1000.5, math.inf, math.nan, True])
-    def test_grid_must_be_an_integer_of_at_least_1000(self, grid):
-        with pytest.raises(ValueError, match="grid"):
-            smoothed_wasserstein_oracle([0.0], [1.0], 1.0, 2, grid=grid)
 
     def test_grid_message_names_the_rule_and_the_value(self):
         message = "oracle quantile grid must be an integer >= 1000, got 999"
@@ -940,17 +906,6 @@ _SAMPLE_FUNCTIONS = {
     "smoothed_wasserstein_oracle": lambda x, y: smoothed_wasserstein_oracle(x, y, 1.0, 2.0),
 }
 
-_SETTINGS = {
-    "DivergenceSpec.p": lambda v: DivergenceSpec("wasserstein", p=v),
-    "DivergenceSpec.epsilon": lambda v: DivergenceSpec("sinkhorn", epsilon=v),
-    "DivergenceSpec.bandwidth": lambda v: DivergenceSpec("mmd", bandwidth=v),
-    "DivergenceSpec.sinkhorn_tol": lambda v: DivergenceSpec("wasserstein", sinkhorn_tol=v),
-    "wasserstein_pp.p": lambda v: wasserstein_pp([0.0], [1.0], v),
-    "mmd_sq.bandwidth": lambda v: mmd_sq([0.0], [1.0], v),
-    "smoothed_wasserstein_oracle.sigma": lambda v: smoothed_wasserstein_oracle([0.0], [1.0], v, 2.0),
-    "smoothed_wasserstein_oracle.p": lambda v: smoothed_wasserstein_oracle([0.0], [1.0], 1.0, v),
-}
-
 
 class TestInputRanges:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -959,17 +914,6 @@ class TestInputRanges:
         for x, y in (([0.0, bad, 1.0], [1.0, 2.0]), ([0.0, 1.0], [bad])):
             with pytest.raises(ValueError, match="non-finite"):
                 _SAMPLE_FUNCTIONS[name](x, y)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", _SETTINGS)
-    def test_non_finite_settings_raise(self, name, bad):
-        with pytest.raises(ValueError, match="finite"):
-            _SETTINGS[name](bad)
-
-    @pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, 0, -1])
-    def test_sinkhorn_max_iter_must_be_an_integer_of_at_least_1(self, bad):
-        with pytest.raises(ValueError, match="sinkhorn_max_iter"):
-            DivergenceSpec("sinkhorn", sinkhorn_max_iter=bad)
 
     def test_sinkhorn_max_iter_takes_a_numpy_integer(self):
         assert DivergenceSpec("sinkhorn", sinkhorn_max_iter=np.int64(5)).sinkhorn_max_iter == 5

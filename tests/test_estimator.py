@@ -72,45 +72,11 @@ class TestEstimateBasics:
         with pytest.raises(ValueError):
             estimate(X, Y, wcfg(9))
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, workers):
-        # a count below 1 is an input error, not a request for one worker
-        X = gauss_set(3, "x", 10, 3)
-        with pytest.raises(ValueError, match="workers"):
-            estimate(X, X, wcfg(9), workers=workers)
-        with pytest.raises(ValueError, match="workers"):
-            sweep_sigma(X, X, [0.0, 1.0], wcfg(9), workers=workers)
-
-    @pytest.mark.parametrize("workers", [2.5, True, "4"])
-    def test_workers_must_be_an_integer(self, workers):
-        # a bool or a float is no worker count: True would run as 1 worker, 2.5 would fail deep inside
-        X = gauss_set(3, "x", 10, 3)
-        with pytest.raises(ValueError, match="workers"):
-            estimate(X, X, wcfg(9), workers=workers)
-        with pytest.raises(ValueError, match="workers"):
-            sweep_sigma(X, X, [0.0, 1.0], wcfg(9), workers=workers)
-        with pytest.raises(ValueError, match="workers"):
-            two_sigma_check(X, X, 0.5, 1.0, wcfg(9), workers=workers)
-
-    @pytest.mark.parametrize("L", [2.5, True, "4"])
-    def test_num_projections_must_be_an_integer(self, L):
-        with pytest.raises(ValueError, match="num_projections"):
-            wcfg(1, L=L)
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            wcfg(1, sigma=-1.0)
-        with pytest.raises(ValueError):
-            wcfg(1, L=0)
         with pytest.raises(ValueError):
             GssdConfig(
                 sigma=1.0, num_projections=4,
                 divergence=DivergenceSpec("mmd", p=2), seed=RngRoot(0), mode="mixture_oracle",
-            )
-        with pytest.raises(ValueError):
-            GssdConfig(
-                sigma=0.0, num_projections=4,
-                divergence=DivergenceSpec("wasserstein", p=2), seed=RngRoot(0), mode="mixture_oracle",
             )
 
     @pytest.mark.parametrize("grid", [10, 999, 1000.5, math.inf, True])
@@ -448,21 +414,6 @@ class TestSweepSigma:
         Y = gauss_set(11, "lim-y", 500, 10, mean=0.5)
         e0, e1 = sweep_sigma(X, Y, [0.0, 1e-3], wcfg(82, L=64))
         assert abs(e1.mean_pow - e0.mean_pow) < 3 * (e0.std_error + e1.std_error) + 1e-3
-
-    def test_empty_or_negative_sigmas_rejected(self):
-        X = gauss_set(12, "bad-x", 10, 2)
-        with pytest.raises(ValueError):
-            sweep_sigma(X, X, [], wcfg(83))
-        with pytest.raises(ValueError):
-            sweep_sigma(X, X, [-0.5], wcfg(83))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_sigma_rejected(self, bad):
-        X = gauss_set(12, "bad-x", 10, 2)
-        with pytest.raises(ValueError, match="finite"):
-            wcfg(83, sigma=bad)
-        with pytest.raises(ValueError, match="finite"):
-            sweep_sigma(X, X, [1.0, bad], wcfg(83))
 
 
 class TestTwoSigmaCheck:
