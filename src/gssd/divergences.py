@@ -362,15 +362,31 @@ class SinkhornResult(NamedTuple):
     marginal_error: float
 
 
-def _potential(h: np.ndarray, C: np.ndarray, logw: np.ndarray, e: float, W: np.ndarray) -> np.ndarray:
-    """-e * log sum_j exp((h_j - C_ij)/e + logw_j) for each row i, computed in W (the shape of C)."""
+def _potential(h: np.ndarray, C: np.ndarray, e: float, W: np.ndarray) -> np.ndarray:
+    """-e * log (1/m) sum_j exp((h_j - C_ij)/e) for each row i of the m columns, computed in W (the shape of C).
+
+    W ends as exp(d_ij), d_ij = (h_j - C_ij)/e - max_j, each row's terms of the plan up to its sum.  A row whose
+    mean of exp(d) is above 1/2 takes its log as log1p of the mean of expm1(d), recomputed a block of rows at a
+    time: there the potential may lie far below e log m, and log of a mean rounded near 1 would lose its digits.
+    """
+    m = C.shape[1]
     np.subtract(h, C, out=W)
     np.divide(W, e, out=W)
-    np.add(W, logw, out=W)
     top = W.max(axis=1)
     np.subtract(W, top[:, None], out=W)
     np.exp(W, out=W)
-    return -e * (top + np.log(W.sum(axis=1)))
+    mean = W.sum(axis=1) / m
+    near = np.flatnonzero(mean > 0.5)
+    logmean = np.log(mean)
+    for rows, (d,) in _row_blocks(near.size, m, 1):
+        sel = near[rows]
+        np.take(C, sel, axis=0, out=d, mode="clip")
+        np.subtract(h, d, out=d)
+        np.divide(d, e, out=d)
+        np.subtract(d, top[sel, None], out=d)
+        np.expm1(d, out=d)
+        logmean[sel] = np.log1p(d.sum(axis=1) / m)
+    return -e * (top + logmean)
 
 
 def _newton_step(R: np.ndarray, a: np.ndarray, cols: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
@@ -427,7 +443,6 @@ def _entropic_ot(
     """
     n, m = x.size, y.size
     a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
-    logb = np.log(b)
     C = np.abs(x[:, None] - y[None, :]) ** p
     cmax = float(C.max())
     if cmax == 0.0:
@@ -437,7 +452,7 @@ def _entropic_ot(
     g = np.zeros(m)
     it = 0
     for e, coarse in _ladder(eps, cmax):
-        f = _potential(g, C, logb, e, W)
+        f = _potential(g, C, e, W)
         value = float(f @ a + g @ b)
         for k in range(max_iter - it + 1):  # at most the steps left, and the last stop test
             np.divide(W, W.sum(axis=1)[:, None], out=W)
@@ -453,7 +468,7 @@ def _entropic_ot(
             t = 1.0
             while True:
                 h = g + t * step
-                f = _potential(h, C, logb, e, W)
+                f = _potential(h, C, e, W)
                 trial = float(f @ a + h @ b)
                 if trial >= value - slack:
                     break
@@ -475,7 +490,6 @@ def _symmetric_ot(x: np.ndarray, p: float, eps: float, tol: float, max_iter: int
     """
     n = x.size
     a = np.full(n, 1.0 / n)
-    loga = np.log(a)
     C = np.abs(x[:, None] - x[None, :]) ** p
     cmax = float(C.max())
     if cmax == 0.0:
@@ -486,7 +500,7 @@ def _symmetric_ot(x: np.ndarray, p: float, eps: float, tol: float, max_iter: int
     it = 0
     for e, coarse in _ladder(eps, cmax):
         for k in range(max_iter - it + 1):  # at most the steps left, and the last stop test
-            f = _potential(g, C, loga, e, W)
+            f = _potential(g, C, e, W)
             if it == max_iter or not coarse and k % _SYMMETRIC_CHECK == _SYMMETRIC_CHECK - 1:
                 err = math.inf
                 if not coarse:
