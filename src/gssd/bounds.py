@@ -224,21 +224,22 @@ def _xi_and_tail(p: float, sigma: float, vartheta: float, source: Source) -> tup
     _check_real("order p", p, 1)
     _check_real("sigma", sigma, _SIGMA_MIN)
     _check_real("vartheta", vartheta, _SQRT2, strict=True)
-    try:
+    try:  # the tail integral or a power past the double range raises OverflowError, a product past it is inf
         tail_integral = source.tail_integral(2.0 / (sigma**2 * vartheta**2))
+        gauss_term = math.sqrt(4.0 * math.pi * sigma**2 * vartheta**2 / (vartheta**2 - 2.0))
+        prefactor = (
+            2.0 ** (2.5 * p - 1.25)
+            / math.sqrt(math.pi)
+            * sigma ** (p - 0.25)
+            * vartheta ** (p + 1.0)
+            * math.sqrt(gamma_fn(p + 0.5))
+        )
+        xi = prefactor * math.sqrt(gauss_term + 4.0 * tail_integral)
     except OverflowError:
-        raise ValueError(
-            f"the tail integral of {source} at sigma={sigma!r}, vartheta={vartheta!r} exceeds the double range"
-        ) from None
-    gauss_term = math.sqrt(4.0 * math.pi * sigma**2 * vartheta**2 / (vartheta**2 - 2.0))
-    prefactor = (
-        2.0 ** (2.5 * p - 1.25)
-        / math.sqrt(math.pi)
-        * sigma ** (p - 0.25)
-        * vartheta ** (p + 1.0)
-        * math.sqrt(gamma_fn(p + 0.5))
-    )
-    return prefactor * math.sqrt(gauss_term + 4.0 * tail_integral), tail_integral
+        xi = math.inf
+    if not math.isfinite(xi):
+        raise ValueError(f"Xi of {source} at p={p!r}, sigma={sigma!r}, vartheta={vartheta!r} exceeds the double range")
+    return xi, tail_integral
 
 
 def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = C_P) -> float:
@@ -255,8 +256,14 @@ def upsilon_constant(p: int, sigma: float, source: Source, c_p: float = C_P) -> 
     # sigma^2p times the k-th term of 1F1(-p; 1/2; -1/(2 sigma^2)) is sigma^2(p-k) times its k-th term at
     # sigma = 1: no term forms a power of 1/sigma, which overflows for a tiny sigma
     terms = zip(range(p + 1), _kummer_terms(-p, 0.5, -0.5))
-    series = sum(term * sigma ** (2 * (p - k)) * source.moment(k) for k, term in terms)
-    return 2.0 ** (2 * p - 1) * c_p / math.sqrt(math.pi) * gamma_fn(p + 0.5) * series
+    try:
+        series = sum(term * sigma ** (2 * (p - k)) * source.moment(k) for k, term in terms)
+        upsilon = 2.0 ** (2 * p - 1) * c_p / math.sqrt(math.pi) * float(gamma_fn(p + 0.5)) * series
+    except OverflowError:
+        upsilon = math.inf
+    if not math.isfinite(upsilon):
+        raise ValueError(f"Upsilon of {source} at p={p!r}, sigma={sigma!r}, c_p={c_p!r} exceeds the double range")
+    return upsilon
 
 
 def sample_bound(n: int, xi: float, upsilon: float) -> float:

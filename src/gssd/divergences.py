@@ -470,6 +470,8 @@ def _entropic_ot(
                 h = g + t * step
                 f = _potential(h, C, e, W)
                 trial = float(f @ a + h @ b)
+                if not math.isfinite(trial):  # ends the solve: a nan never compares, so halving would spin
+                    return trial, False, it, math.inf
                 if trial >= value - slack:
                     break
                 t *= 0.5
@@ -524,6 +526,13 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     """
     xs = _as_samples(x, "x")
     ys = _as_samples(y, "y")
+    with np.errstate(over="ignore"):  # the largest cost of the three solves; at inf their ladders would start at inf
+        cmax = np.ptp(np.concatenate((xs, ys))) ** spec.p
+    if cmax == np.inf:
+        raise ValueError(
+            f"sinkhorn cost (max - min)^p of the pooled n={xs.size} and m={ys.size} values exceeds the double range"
+            f" (p={spec.p!r}, epsilon={spec.epsilon!r})"
+        )
     args = (spec.p, spec.epsilon, spec.sinkhorn_tol, spec.sinkhorn_max_iter)
     vxy, cxy, ixy, exy = _entropic_ot(xs, ys, *args)
     vxx, cxx, ixx, exx = _symmetric_ot(xs, *args)

@@ -7,14 +7,16 @@ order-p value on the pair (``divergences._slice_values``).  The estimate is the
 mean of the L per-projection values, with its Monte Carlo error (``GssdEstimate.from_values``).
 
 One slice pipeline serves every base divergence and mode: each worker cuts
-its block of projections into tiles of ``_TILE`` rows, and
-``slicing._slice_tile`` draws a tile's directions, both projections and the
-*standard* noise, each row bit-identical to ``sample_direction``, ``project``
-and ``smooth_double`` on the same streams.  No row depends on the others of
-its tile, so tile edges move no bit.  Base divergences consume whole rows.
-A worker allocates its tile buffers once (``slicing._tile_work`` and the
-smoothed slices) and reuses them for every tile of its block, and the
-Wasserstein rows are sorted and reduced in place in those buffers.
+its block of projections into tiles of ``_TILE`` rows, and ``_slice_tile``
+draws a tile's directions, both projections and the *standard* noise, each
+row bit-identical to ``sample_direction``, ``project`` and ``smooth_double``
+on the same streams.  No row depends on the others of its tile, so tile edges
+move no bit.  ``_sweep``'s loop then takes the tile through every sigma: the
+oracle reads the projections, every other mode forms the smoothed slices and
+hands them to the base divergence, which consumes whole rows.  A worker
+allocates every tile buffer once (``_tile_work``) and reuses it for each tile
+of its block, and the Wasserstein rows are sorted and reduced in place in the
+smoothed buffers.
 
 Because every projection is keyed by its index, the result is a pure function
 of (seed, data, config): independent of evaluation order, worker count and of
@@ -34,8 +36,8 @@ import numpy as np
 from ._checks import _check_choice, _check_count, _check_real
 from .bounds import mc_error_bound
 from .divergences import _ORACLE_MIN_GRID, ORACLE_GRID, DivergenceSpec, _slice_values, smoothed_wasserstein_oracle
-from .rng import RngRoot
-from .slicing import SampleSet, _slice_tile, _tile_work
+from .rng import RngRoot, keyed_normals
+from .slicing import SampleSet, sample_direction
 
 __all__ = ["GssdConfig", "GssdEstimate", "TwoSigmaReport", "estimate", "sweep_sigma", "two_sigma_check"]
 
@@ -107,21 +109,39 @@ class GssdEstimate:
 _TILE = 64  # projections whose streams are drawn together
 
 
-def _tile_values(px, py, zx, zy, tx, ty, cfg: GssdConfig) -> tuple[np.ndarray, int]:
-    """Order-p values of a tile's projections at ``cfg.sigma``, and how many did not converge.
+def _tile_work(rows: int, X: SampleSet, Y: SampleSet, noise: bool) -> tuple[np.ndarray, ...]:
+    """Every buffer of a tile of up to ``rows`` projections, one row per projection: the keyed normals, the
+    directions, the projections of X and Y, and their smoothed copies."""
+    width = X.d + (X.n + Y.n if noise else 0)
+    return tuple(np.empty((rows, k)) for k in (width, X.d, X.n, Y.n, X.n, Y.n))
 
-    tx and ty, buffers of px's and py's shape, receive the smoothed slices, P + sigma Z
-    (a copy of P at sigma 0: the base divergence may overwrite them, and the next sigma reads P).
+
+def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool, work: tuple[np.ndarray, ...]):
+    """Directions, projections of X and Y, and their standard noise (None unless ``noise``) for the
+    projections in ``ls``, one row per projection, each bit-identical to ``sample_direction``,
+    ``project`` and the noise of ``smooth_double`` on that projection's keyed streams.
+
+    The rows are views of ``work``, a ``_tile_work`` of at least len(ls) rows, which a
+    worker allocates once and reuses from tile to tile.
     """
-    if cfg.mode == "mixture_oracle":
-        vals = [smoothed_wasserstein_oracle(x, y, cfg.sigma, cfg.divergence.p, cfg.oracle_grid) for x, y in zip(px, py)]
-        return np.array(vals), 0
-    for t, v, z in ((tx, px, zx), (ty, py, zy)):
-        if cfg.sigma == 0:
-            np.copyto(t, v)
-        else:  # the two roundings of v + sigma * z
-            np.add(v, np.multiply(z, cfg.sigma, out=t), out=t)
-    return _slice_values(tx, ty, cfg.divergence)
+    d, n, m = X.d, X.n, Y.n
+    G, U, px, py = (buf[: len(ls)] for buf in work[:4])
+    streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
+    keyed_normals(root, streams, ls, G)
+    # stacked matmuls make one BLAS call per row with the arguments of sample_direction's
+    # z.dot(z) and project's X.data @ u (a ddot, then two dgemv), so every row keeps their
+    # bits; one GEMM per tile would not, as its rows' bits depend on the tile's height
+    Z = G[:, :d]
+    norms = np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0, 0])
+    zero = np.flatnonzero(~(norms > 1e-150))
+    norms[zero] = 1.0  # so that the divide below does not warn on a zero row
+    np.divide(Z, norms[:, None], out=U)
+    for k in zero:  # a zero draw: sample_direction redraws from the stream
+        U[k] = sample_direction(d, root.stream("proj", ls[k]))
+    np.matmul(X.data, U[:, :, None], out=px[:, :, None])
+    np.matmul(Y.data, U[:, :, None], out=py[:, :, None])
+    zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
+    return U, px, py, zx, zy
 
 
 def _chunks(L: int, parts: int) -> list[range]:
@@ -148,16 +168,25 @@ def _sweep(X: SampleSet, Y: SampleSet, cfgs: list[GssdConfig], workers: int) -> 
     def run_block(ls: range) -> np.ndarray:
         # one workspace per block, reused by every tile: tile-sized arrays, each above glibc's mmap
         # threshold, would map and fault in fresh pages on every tile
-        rows = min(_TILE, len(ls))
-        work = _tile_work(rows, X, Y, noise)
-        smoothed = np.empty((rows, X.n)), np.empty((rows, Y.n))
+        work = _tile_work(min(_TILE, len(ls)), X, Y, noise)
         bad = np.zeros(len(cfgs), dtype=np.int64)
         for a in range(ls.start, ls.stop, _TILE):
             b = min(a + _TILE, ls.stop)
-            _, *tile = _slice_tile(X, Y, first.seed, range(a, b), noise, work)
-            tx, ty = (buf[: b - a] for buf in smoothed)
+            _, px, py, zx, zy = _slice_tile(X, Y, first.seed, range(a, b), noise, work)
+            tx, ty = (buf[: b - a] for buf in work[4:])
             for k, cfg in enumerate(cfgs):
-                vals[k, a:b], n_bad = _tile_values(*tile, tx, ty, cfg)
+                if cfg.mode == "mixture_oracle":
+                    vals[k, a:b] = [
+                        smoothed_wasserstein_oracle(x, y, cfg.sigma, cfg.divergence.p, cfg.oracle_grid)
+                        for x, y in zip(px, py)
+                    ]
+                    continue
+                for t, v, z in ((tx, px, zx), (ty, py, zy)):
+                    if cfg.sigma == 0:  # a copy: the base divergence may overwrite it, and the next sigma reads P
+                        np.copyto(t, v)
+                    else:  # the two roundings of v + sigma * z
+                        np.add(v, np.multiply(z, cfg.sigma, out=t), out=t)
+                vals[k, a:b], n_bad = _slice_values(tx, ty, cfg.divergence)
                 bad[k] += n_bad
         return bad
 

@@ -264,13 +264,7 @@ def _bound_rows(cfg: ExperimentConfig) -> list[ResultRow]:
     """Theory envelope rows in the same schema, one per (d, sigma, n), for overlay plotting."""
     rows = []
     for d, sigma in itertools.product(cfg.dimensions, cfg.sigmas):
-        tb = TheoryBound.evaluate(
-            p=cfg.order,
-            sigma=sigma,
-            source=SphericalGaussian(d),
-            vartheta=cfg.vartheta,
-            c_p=cfg.c_p,
-        )
+        tb = TheoryBound.evaluate(cfg.order, sigma, SphericalGaussian(d), vartheta=cfg.vartheta, c_p=cfg.c_p)
         rows.extend(
             ResultRow(cfg.command, "theory-bound", d, n, sigma, cfg.num_projections, 0, tb.at(n), 0.0, 0, 0.0)
             for n in cfg.sample_sizes
@@ -335,12 +329,7 @@ def compare(file_x: str, file_y: str, cfg: ExperimentConfig) -> dict:
     spec = cfg.divergence_spec(name)
     est_cfg = GssdConfig(sigma=float(sigma), num_projections=cfg.num_projections, divergence=spec, seed=root)
     est = estimate(X, Y, est_cfg, workers=cfg.workers)
-    report = est.summary()
-    report["n_x"] = X.n
-    report["n_y"] = Y.n
-    report["d"] = X.d
-    report["divergence"] = name
-    return report
+    return {**est.summary(), "n_x": X.n, "n_y": Y.n, "d": X.d, "divergence": name}
 
 
 def fit_loglog_slope(points) -> float:

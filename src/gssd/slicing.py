@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import _check_count, _check_real
-from .rng import RngRoot, RngStream, keyed_normals
+from .rng import RngStream
 
 __all__ = ["SampleSet", "sample_direction", "project", "smooth_double"]
 
@@ -79,39 +79,4 @@ def smooth_double(values: np.ndarray, sigma: float, stream: RngStream) -> np.nda
     if sigma > 0:
         vals = vals + sigma * stream.normals(vals.size)
     return vals
-
-
-def _tile_work(rows: int, X: SampleSet, Y: SampleSet, noise: bool) -> tuple[np.ndarray, ...]:
-    """Buffers for ``_slice_tile`` on tiles of up to ``rows`` projections: the keyed normals, the
-    directions and the projections of X and Y, one row per projection."""
-    width = X.d + (X.n + Y.n if noise else 0)
-    return np.empty((rows, width)), np.empty((rows, X.d)), np.empty((rows, X.n)), np.empty((rows, Y.n))
-
-
-def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool, work: tuple[np.ndarray, ...]):
-    """Directions, projections of X and Y, and their standard noise (None unless ``noise``) for the
-    projections in ``ls``, one row per projection, each bit-identical to ``sample_direction``,
-    ``project`` and the noise of ``smooth_double`` on that projection's keyed streams.
-
-    The rows are views of ``work``, a ``_tile_work`` of at least len(ls) rows, which a
-    worker allocates once and reuses from tile to tile.
-    """
-    d, n, m = X.d, X.n, Y.n
-    G, U, px, py = (buf[: len(ls)] for buf in work)
-    streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
-    keyed_normals(root, streams, ls, G)
-    # stacked matmuls make one BLAS call per row with the arguments of sample_direction's
-    # z.dot(z) and project's X.data @ u (a ddot, then two dgemv), so every row keeps their
-    # bits; one GEMM per tile would not, as its rows' bits depend on the tile's height
-    Z = G[:, :d]
-    norms = np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0, 0])
-    zero = np.flatnonzero(~(norms > 1e-150))
-    norms[zero] = 1.0  # so that the divide below does not warn on a zero row
-    np.divide(Z, norms[:, None], out=U)
-    for k in zero:  # a zero draw: sample_direction redraws from the stream
-        U[k] = sample_direction(d, root.stream("proj", ls[k]))
-    np.matmul(X.data, U[:, :, None], out=px[:, :, None])
-    np.matmul(Y.data, U[:, :, None], out=py[:, :, None])
-    zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
-    return U, px, py, zx, zy
 

@@ -123,6 +123,14 @@ class TestXiConstant:
             xi_constant(2, 1.0001, 2.0, source)
         assert name in str(info.value) and "sigma=1.0001" in str(info.value) and "vartheta=2.0" in str(info.value)
 
+    @pytest.mark.parametrize("p, sigma", [(150, 3.0), (1000, 3.0), (60, 1e10)])
+    def test_xi_beyond_the_double_range_names_its_settings(self, p, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="double range") as info:
+                xi_constant(p, sigma, 2.0, PointMass(1.0))
+        assert all(name in str(info.value) for name in (f"p={p}", f"sigma={sigma}", "vartheta=2.0", "radius=1.0"))
+
     def test_subgaussian_source_is_finite(self):
         # omega below sigma * vartheta / 2 keeps the reweighted tail integrable
         sigma, vartheta, d = 1.0, 2.0, 5
@@ -231,6 +239,17 @@ class TestUpsilonConstant:
         prefactor = 2.0 ** (2 * p - 1) / math.sqrt(math.pi) * sigma ** (2 * p) * math.gamma(p + 0.5)
         want = prefactor * kummer_1f1(-p, 0.5, -(radius**2) / (2 * sigma**2))
         assert upsilon_constant(p, sigma, PointMass(radius)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p, sigma, source", [
+        (150, 3.0, PointMass(1.0)), (1000, 1.0, PointMass(1.0)), (40, 1.0, PointMass(1e10)),
+    ])
+    def test_upsilon_beyond_the_double_range_names_its_settings(self, p, sigma, source):
+        # Gamma(p + 1/2) times 2^(2p - 1) overflows from p = 150; a moment M_2k overflows for a far point mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="double range") as info:
+                upsilon_constant(p, sigma, source)
+        assert all(name in str(info.value) for name in (f"p={p}", f"sigma={sigma}", repr(source)))
 
     def test_series_terminates_at_p(self):
         # moments beyond k = p never enter: poisoning them must not change the value

@@ -722,6 +722,19 @@ class TestSinkhornDiv:
         assert res.converged is False
         assert math.isfinite(res.value)
 
+    @pytest.mark.parametrize("x, y, p", [([1e200, 0.0], [0.0, 1.0], 2.0), ([0.0], [1e308, -1e308], 1.0)])
+    def test_cost_beyond_the_double_range_is_refused(self, x, y, p):
+        # an inf cost would start the epsilon ladder at inf, and the Newton halving would spin on a nan trial
+        with pytest.raises(ValueError, match=rf"n={len(x)} and m={len(y)} .*double range \(p={p}, epsilon=0.1\)"):
+            sinkhorn_div(x, y, _spec(p=p))
+
+    def test_newton_halving_ends_on_a_non_finite_trial(self):
+        with np.errstate(all="ignore"):
+            value, converged, _, err = divergences._entropic_ot(
+                np.array([1e200, 0.0]), np.array([0.0, 1.0]), 2.0, 0.1, 1e-9, 1000
+            )
+        assert math.isnan(value) and not converged and err == math.inf
+
     def test_value_not_below_minus_tol(self):
         rng = np.random.default_rng(15)
         for _ in range(5):

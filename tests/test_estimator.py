@@ -3,6 +3,7 @@ import math
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import gammaln, ndtri
 
-from gssd import estimator, slicing
+from gssd import estimator
 from gssd.divergences import DivergenceSpec, bandwidth_mean_pairwise, mmd_sq, wasserstein_pp
 from gssd.estimator import GssdConfig, estimate, sweep_sigma, two_sigma_check
 from gssd.rng import RngRoot, keyed_normals
@@ -192,16 +193,21 @@ class TestSlicePipeline:
         for ea, eb in zip(a, b):
             assert np.array_equal(ea.per_projection, eb.per_projection)
 
-    @pytest.mark.parametrize("kind, n, m, L", [("wasserstein", 60, 45, 90), ("mmd", 50, 40, 6)])
-    def test_sweep_equals_estimate_at_each_sigma(self, kind, n, m, L):
+    @pytest.mark.parametrize("kind, mode, n, m, L, sigmas", [
+        # sigma 0 after a smoothed row: its slices must be P itself, not what the last sigma left in the buffers
+        ("wasserstein", "double_empirical", 60, 45, 90, [0.5, 0.0, 3.0]),
+        ("mmd", "double_empirical", 50, 40, 6, [0.5, 0.0, 3.0]),
+        ("sinkhorn", "double_empirical", 20, 15, 4, [0.5, 0.0, 3.0]),
+        ("wasserstein", "mixture_oracle", 30, 25, 70, [0.5, 3.0]),  # the oracle's sigma is positive
+    ])
+    def test_sweep_equals_estimate_at_each_sigma(self, kind, mode, n, m, L, sigmas):
         X = gauss_set(24, "se-x", n, 4)
         Y = gauss_set(24, "se-y", m, 4, mean=0.5)
-        cfg = kind_cfg(kind, 34, L=L)
-        # sigma 0 after a smoothed row: its slices must be P itself, not what the last sigma left in the buffers
-        sigmas = [0.5, 0.0, 3.0]
+        cfg = replace(kind_cfg(kind, 34, L=L), mode=mode, oracle_grid=1000)
         for s, est in zip(sigmas, sweep_sigma(X, Y, sigmas, cfg, workers=2)):
-            single = estimate(X, Y, kind_cfg(kind, 34, sigma=s, L=L))
+            single = estimate(X, Y, replace(cfg, sigma=s))
             assert np.array_equal(est.per_projection, single.per_projection)
+            assert est.unconverged == single.unconverged
             assert est.config.sigma == s
 
     @pytest.mark.parametrize("kind, n, m, sigma", [
@@ -227,7 +233,7 @@ class TestSlicePipeline:
         Y = gauss_set(27, "tr-y", m, d)
         root = RngRoot(37)
         ls = range(60, 60 + rows)
-        U, px, py, zx, zy = slicing._slice_tile(X, Y, root, ls, True, slicing._tile_work(len(ls), X, Y, True))
+        U, px, py, zx, zy = estimator._slice_tile(X, Y, root, ls, True, estimator._tile_work(len(ls), X, Y, True))
         for k, l in enumerate(ls):
             u = sample_direction(d, root.stream("proj", l))
             assert np.array_equal(U[k], u)
@@ -235,13 +241,13 @@ class TestSlicePipeline:
             assert np.array_equal(py[k], project(Y, u))
             assert np.array_equal(zx[k], root.stream("noisex", l).normals(n))
             assert np.array_equal(zy[k], root.stream("noisey", l).normals(m))
-        assert slicing._slice_tile(X, Y, root, ls, False, slicing._tile_work(len(ls), X, Y, False))[3:] == (None, None)
+        assert estimator._slice_tile(X, Y, root, ls, False, estimator._tile_work(len(ls), X, Y, False))[3:] == (None, None)
 
     def test_zero_direction_draw_falls_back_to_sample_direction(self, monkeypatch):
         # a word whose top 53 bits are 2^52 maps to u = 0.5, i.e. z = 0; force such direction
         # draws, first and later in a tile, and check each row redraws as sample_direction does
         # (which reads the stream's real draw, so the estimate is the unpatched one), without a warning
-        real = slicing.keyed_normals
+        real = estimator.keyed_normals
         zeroed = []
 
         def zero_directions(root, streams, indices, out=None):
@@ -256,7 +262,7 @@ class TestSlicePipeline:
         Y = gauss_set(26, "zd-y", 20, 3, mean=1.0)
         cfg = wcfg(36, sigma=0.0, L=70)
         want = estimate(X, Y, cfg)
-        monkeypatch.setattr(slicing, "keyed_normals", zero_directions)
+        monkeypatch.setattr(estimator, "keyed_normals", zero_directions)
         est = estimate(X, Y, cfg)
         assert sorted(zeroed) == [0, 2, 65]
         assert np.array_equal(est.per_projection, want.per_projection)

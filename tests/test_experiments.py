@@ -560,14 +560,28 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_emit_bound_overflow_names_d_sigma_and_vartheta(self, capsys):
+    @pytest.mark.parametrize("flags, names", [
         # the tail integral at d = 200, sigma = 1.0001 is finite but beyond the double range
-        rc = cli_main(["sample-complexity", "--emit-bound", "--dim", "200", "--sigmas", "1.0001", "--sizes", "20",
-                       "--runs", "1", "--projections", "4"])
+        (["--dim", "200", "--sigmas", "1.0001"], ("d=200", "sigma=1.0001", "vartheta=2.0")),
+        # Xi's finite powers multiply past the double range, and at p = 1000 2^(5p/2) is past it on its own
+        (["--dim", "50", "--p", "150", "--sigmas", "3"], ("p=150.0", "sigma=3.0", "vartheta=2.0")),
+        (["--dim", "50", "--p", "1000", "--sigmas", "3"], ("p=1000.0", "sigma=3.0", "vartheta=2.0")),
+    ])
+    def test_emit_bound_overflow_names_its_settings(self, capsys, flags, names):
+        rc = cli_main(["sample-complexity", "--emit-bound", "--sizes", "20", "--runs", "1", "--projections", "4"] + flags)
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "math range error" not in err
-        assert all(name in err for name in ("d=200", "sigma=1.0001", "vartheta=2.0"))
+        assert err.startswith("error: ") and "double range" in err
+        assert "math range error" not in err and "Numerical result" not in err
+        assert all(name in err for name in names)
+
+    def test_sinkhorn_cost_beyond_the_double_range_exits_2(self, capsys):
+        # |x - y|^400 of two standard normal samples overflows; without the refusal the solve never ends
+        rc = cli_main(["sample-complexity", "--div", "skd", "--p", "400", "--dim", "2", "--sizes", "20", "--runs", "1",
+                       "--projections", "1", "--sigmas", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "double range" in err and all(name in err for name in ("n=20", "m=20", "p=400.0", "epsilon=0.1"))
 
     @pytest.mark.parametrize("flags", [
         ["--sigmas", "nan"],
