@@ -57,8 +57,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# the least sigma of the envelope: Xi divides by sigma^2, which below it is not a normal double and from about
-# 1.5e-162 is 0; Upsilon shares the domain
+# the least sigma of the envelope and of the mixture oracle: Xi divides by sigma^2, which below it is not a normal
+# double and from about 1.5e-162 is 0; Upsilon shares the domain.  The oracle's quantiles step in units of sigma,
+# which below it lose their precision or divide by 0.
 _SIGMA_MIN = math.sqrt(sys.float_info.min)
 VARTHETA = 2.0  # the envelope's default free parameter vartheta > sqrt(2)
 C_P = 1.0  # the envelope's default calibration factor of the log(n)/n term

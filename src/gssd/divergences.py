@@ -28,7 +28,7 @@ Three families are provided:
 W_p^p between two equal-bandwidth Gaussian mixtures, used as the second route
 against the double-sampling estimator: each mixture's quantiles come from a
 safeguarded Newton solve on its CDF, read from Taylor expansions about the
-nearest knot, one knot per 0.04 sigma of the span and at most 512.
+nearest knot, one knot per 0.22 sigma of the span and at most 512.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from numpy.polynomial.hermite_e import herme2poly
 from scipy.special import ndtr, ndtri
 
 from ._checks import _check_choice, _check_count, _check_real
+from .bounds import _SIGMA_MIN
 
 __all__ = [
     "DivergenceSpec",
@@ -79,16 +80,18 @@ _ORACLE_MIN_GRID = 1000
 # (``_mixture_taylor``).  The centre is the nearest knot when that is within _TAYLOR_RADIUS = rho of t (in units
 # of sigma), else the point of the level's last re-centring, and a pass at t re-centres the level where that too
 # is farther.  With |d| <= rho the Lagrange remainder is at most max|Phi^(K+1)| rho^(K+1) / (K+1)! =
-# 14.18 rho^8 / 8! = 9.0e-18 for the CDF and 14.18 rho^7 / 7! = 3.6e-15 for sigma times the density
-# (max|Phi^(8)| = max|He_7 phi| = 14.18, at |x| = 0.54), below the rounding of the means themselves for the CDF.
+# 1162 rho^12 / 12! = 7.6e-18 for the CDF and 1162 rho^11 / 11! = 8.3e-16 for sigma times the density
+# (max|Phi^(12)| = max|He_11 phi| = 1162, at |x| = 0.44), below the rounding of the means themselves for the CDF.
 # A span S gets min(_QUANTILE_KNOTS, ceil(S / (2 rho sigma)) + 1) knots, at most 2 rho sigma apart, so every level
-# of a span up to 2 rho (_QUANTILE_KNOTS - 1) = 20.4 sigma takes its steps on the knots; wider spans keep 512 knots,
-# S / 511 apart, and re-centre some levels.
+# of a span up to 2 rho (_QUANTILE_KNOTS - 1) = 112 sigma takes its steps on the knots; wider spans keep 512 knots,
+# S / 511 apart, and re-centre some levels.  Each atom and knot costs one ndtr, one exp and K products, so the
+# high order pays: order 7 keeps these remainders only at rho = 0.02, with 5.5 times the knots and about 4 times
+# the time per pass.
 _QUANTILE_KNOTS = 512
 _QUANTILE_RTOL = 1e-10
 _QUANTILE_STEPS = 3 * 34 + 1
-_TAYLOR_ORDER = 7
-_TAYLOR_RADIUS = 0.02
+_TAYLOR_ORDER = 11
+_TAYLOR_RADIUS = 0.11
 # The Newton steps of the Sinkhorn solve: conjugate gradients stop at a relative residual _CG_RTOL (an inexact
 # step cannot move the fixed point: the stop test uses the exact gradient) or after m products, where they end
 # in exact arithmetic; a _NEWTON_RIDGE multiple of the mean preconditioner diagonal pins the constant direction
@@ -566,7 +569,8 @@ def _mixture_taylor(v: np.ndarray, sigma: float, t: np.ndarray) -> np.ndarray:
         np.subtract(t[rows, None], v, out=a)
         np.divide(a, sigma, out=a)
         out[0, rows] = ndtr(a, out=w).mean(axis=1)
-        np.multiply(a, a, out=w)
+        with np.errstate(over="ignore"):  # an atom far off on the scale of sigma overflows to a^2 = inf, exp 0
+            np.multiply(a, a, out=w)
         np.multiply(w, -0.5, out=w)
         np.exp(w, out=w)
         powers[0, rows] = w.mean(axis=1)
@@ -608,7 +612,9 @@ def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray) -> np.nd
     hi = v.max() + sigma * z
     if v.size == 1:
         return lo
-    span = float(hi[-1] - lo[0])
+    span = float(hi[-1]) - float(lo[0])  # a Python float: past the double range it is inf, with no warning
+    if not math.isfinite(span / sigma):
+        raise ValueError(f"n={v.size} atoms at sigma={sigma!r} span {span!r}: past the double range in sigmas")
     tol = _QUANTILE_RTOL * max(span, sigma)
     count = int(min(_QUANTILE_KNOTS, np.ceil(span / (2.0 * _TAYLOR_RADIUS * sigma)) + 1))
     knots = np.linspace(lo[0], hi[-1], count)
@@ -657,14 +663,15 @@ def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = ORAC
     and the p-th power difference is averaged.  Each quantile stops within
     1e-10 of the brackets' span, in practice at a CDF residual of rounding
     size.  A step reads CDF and density in O(1) from a Taylor expansion of
-    order 7 about a centre within 0.02 sigma: the nearest knot, where one O(n)
+    order 11 about a centre within 0.11 sigma: the nearest knot, where one O(n)
     pass per mixture tabulates the expansions, or else a point where the level
-    re-centres with a pass of its own.  The knots are one per 0.04 sigma of the
-    span, at most 512, so a span up to 20.4 sigma makes no O(n) pass beyond
+    re-centres with a pass of its own.  The knots are one per 0.22 sigma of the
+    span, at most 512, so a span up to 112 sigma makes no O(n) pass beyond
     the knots.  Memory grows with grid + n, not grid * n: a pass takes a
-    block of points at a time.  Deterministic.
+    block of points at a time.  Deterministic.  Raises ValueError for sigma
+    below ``bounds._SIGMA_MIN`` or a span that is not finite in sigmas.
     """
-    _check_real("oracle sigma", sigma, strict=True)
+    _check_real("oracle sigma", sigma, _SIGMA_MIN)
     _check_count("oracle quantile grid", grid, _ORACLE_MIN_GRID)
     _check_real("order p", p, 1)
     ax = _as_samples(vx, "vx")

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import _check_choice, _check_count, _check_real
-from .bounds import mc_error_bound
+from .bounds import _SIGMA_MIN, mc_error_bound
 from .divergences import _ORACLE_MIN_GRID, ORACLE_GRID, DivergenceSpec, _slice_values, smoothed_wasserstein_oracle
 from .rng import RngRoot, keyed_normals
 from .slicing import SampleSet, sample_direction
@@ -58,7 +58,7 @@ class GssdConfig:
     def __post_init__(self) -> None:
         _check_choice("mode", self.mode, MODES)
         oracle = self.mode == "mixture_oracle"
-        _check_real("sigma in mixture_oracle mode" if oracle else "sigma", self.sigma, strict=oracle)
+        _check_real("sigma in mixture_oracle mode" if oracle else "sigma", self.sigma, _SIGMA_MIN if oracle else 0.0)
         _check_count("num_projections", self.num_projections)
         if oracle:
             if self.divergence.kind != "wasserstein":

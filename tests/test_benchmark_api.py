@@ -75,7 +75,7 @@ def oracle_passes(workloads, monkeypatch, px, py, sigma):
 
 def test_exact_routes_oracle_makes_no_pass_beyond_its_knots(workloads, tmp_path, monkeypatch):
     # one pass per mixture, at its knots: one knot per 2 rho sigma of the brackets' span, so every level lies
-    # within rho sigma of a knot; this instance spans about 13 sigma, below the 20.4 sigma of 512 knots
+    # within rho sigma of a knot; this instance spans about 13 sigma, below the 112 sigma of 512 knots
     inputs = workloads.exact_inputs(1, str(tmp_path))
     px, py = workloads.projections(inputs["OX"], inputs["OY"], inputs["oracle"].seed, 0)
     levels = (np.arange(workloads.ORACLE_GRID) + 0.5) / workloads.ORACLE_GRID
@@ -87,20 +87,21 @@ def test_exact_routes_oracle_makes_no_pass_beyond_its_knots(workloads, tmp_path,
 
     _, passes = oracle_passes(workloads, monkeypatch, px, py, 1.0)
     assert passes == [(px.size, sized(px)), (py.size, sized(py))]
-    assert [t for _, t in passes] == [314, 316]
+    assert [t for _, t in passes] == [58, 59]
 
 
 def test_oracle_span_past_the_knots_keeps_512_and_matches_the_reference(workloads, tmp_path, monkeypatch):
-    # at sigma 0.4 the same projections span about 22 sigma: each mixture tabulates all 512 knots, some levels
-    # re-centre with passes of their own, and the value still holds against the reference
+    # at sigma 0.05 the same projections span about 126 sigma, past the 112 sigma of 512 knots: each mixture
+    # tabulates all 512 knots, some levels re-centre with passes of their own, and the value still holds against
+    # the reference
     import reference
 
     inputs = workloads.exact_inputs(1, str(tmp_path))
     px, py = workloads.projections(inputs["OX"], inputs["OY"], inputs["oracle"].seed, 0)
-    got, passes = oracle_passes(workloads, monkeypatch, px, py, 0.4)
+    got, passes = oracle_passes(workloads, monkeypatch, px, py, 0.05)
     assert [t for v, t in passes if v == px.size][0] == [t for v, t in passes if v == py.size][0] == 512
     assert len(passes) > 2
-    want = reference.smoothed_wasserstein(px, py, 0.4, workloads.P, workloads.ORACLE_GRID)
+    want = reference.smoothed_wasserstein(px, py, 0.05, workloads.P, workloads.ORACLE_GRID)
     assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
 

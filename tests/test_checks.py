@@ -143,7 +143,8 @@ SETTINGS = {
         "number of y values", lambda v: bandwidth_mean_pairwise([0.5], v), sizes([1.0]),
     ),
     "smoothed_wasserstein_oracle.sigma": (
-        "oracle sigma", lambda v: smoothed_wasserstein_oracle([0.0], [1.0], v, 2.0), reals(0, True),
+        "oracle sigma", lambda v: smoothed_wasserstein_oracle([0.0], [1.0], v, 2.0),
+        reals(_SIGMA_MIN, extra=[0, 5e-324, 1e-310, 1e-308, 1e-200]),
     ),
     "smoothed_wasserstein_oracle.p": ("order p", lambda v: smoothed_wasserstein_oracle([0.0], [1.0], 1.0, v), reals(1)),
     "smoothed_wasserstein_oracle.grid": (
@@ -200,11 +201,15 @@ SETTINGS = {
     "GssdConfig.num_projections": ("num_projections", lambda v: gssd_config(num_projections=v), counts(1, ["4"])),
     "GssdConfig.mode": ("mode", lambda v: gssd_config(mode=v), choices("double_empirical", "mixture_oracle")),
     "GssdConfig.sigma[mixture_oracle]": (
-        "sigma in mixture_oracle mode", lambda v: oracle_config(sigma=v), reals(0, True),
+        "sigma in mixture_oracle mode", lambda v: oracle_config(sigma=v), reals(_SIGMA_MIN, extra=[0, 1e-310]),
     ),
     "GssdConfig.oracle_grid": ("oracle quantile grid", lambda v: oracle_config(oracle_grid=v), counts(1000)),
     "estimate.workers": ("workers", lambda v: estimate(X, X, gssd_config(), workers=v), counts(1, ["4"])),
     "sweep_sigma.sigmas": ("sigma", lambda v: sweep_sigma(X, X, [1.0, v], gssd_config()), reals(extra=[-0.5])),
+    "sweep_sigma.sigmas[mixture_oracle]": (
+        "sigma in mixture_oracle mode", lambda v: sweep_sigma(X, X, [1.0, v], oracle_config()),
+        reals(_SIGMA_MIN, extra=[0]),
+    ),
     "sweep_sigma.len(sigmas)": ("number of sigmas", lambda v: sweep_sigma(X, X, v, gssd_config()), sizes([1.0])),
     "sweep_sigma.workers": (
         "workers", lambda v: sweep_sigma(X, X, [1.0], gssd_config(), workers=v), counts(1, ["4"]),

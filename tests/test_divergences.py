@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeroots, hermeval
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from gssd import divergences
+from gssd.bounds import _SIGMA_MIN
 from gssd.divergences import (
     DivergenceSpec,
     _entropic_ot,
@@ -808,6 +810,23 @@ class TestSmoothedWassersteinOracle:
         with pytest.raises(ValueError, match=f"^{message}$"):
             smoothed_wasserstein_oracle([0.0], [1.0], 1.0, 2, grid=999)
 
+    @pytest.mark.parametrize("sigma", [_SIGMA_MIN, 1e-100, 1e-12])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_tends_to_wasserstein_of_the_atoms_as_sigma_falls_to_zero(self, sigma, p):
+        # the paper's continuity in sigma at 0, on the oracle route: 5 against 8 atoms, whose CDF steps fall
+        # between the 1000 midpoint levels; at the least sigma an atom over 2 from a point overflows a^2 to inf,
+        # which must not warn
+        rng = np.random.default_rng(11)
+        vx, vy = 2.0 * rng.normal(size=5), 2.0 * rng.normal(size=8) + 0.5
+        want = wasserstein_pp(vx, vy, p)
+        assert smoothed_wasserstein_oracle(vx, vy, sigma, p, grid=1000) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_span_past_the_double_range_names_n_and_sigma(self):
+        with pytest.raises(ValueError, match=r"^n=2 atoms at sigma=1\.0 span inf: past the double range"):
+            smoothed_wasserstein_oracle([-1e308, 1e308], [0.0, 1.0], 1.0, 2.0, 1000)
+        with pytest.raises(ValueError, match=r"^n=2 atoms at sigma=1e-150 span 1e\+160: past the double range"):
+            smoothed_wasserstein_oracle([0.0, 1.0], [0.0, 1e160], 1e-150, 2.0, 1000)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), shape=_MIXTURE_SHAPES, scale=_MIXTURE_SCALES)
     def test_quantiles_match_bisection(self, data, shape, scale):
@@ -888,6 +907,16 @@ class TestMixtureCdfPdf:
         for rows in (1, 7):
             monkeypatch.setattr(divergences, "_BLOCK", rows * 3000)
             assert np.array_equal(divergences._mixture_taylor(v, 0.7, t), want)
+
+    def test_the_radius_fits_the_order(self):
+        # The Lagrange remainders at the module's order K and radius rho stay within the bounds the next test
+        # uses, so neither constant can move alone; M = max|Phi^(K+1)| = max|He_K phi| is taken where its
+        # derivative -He_{K+1} phi vanishes
+        K, rho = divergences._TAYLOR_ORDER, divergences._TAYLOR_RADIUS
+        roots = hermeroots([0] * (K + 1) + [1])
+        M = np.max(np.abs(hermeval(roots, [0] * K + [1]) * np.exp(-0.5 * roots**2))) / math.sqrt(2 * math.pi)
+        assert M * rho ** (K + 1) / math.factorial(K + 1) <= 9.0e-18
+        assert M * rho**K / math.factorial(K) <= 3.6e-15
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), shape=_MIXTURE_SHAPES, scale=_MIXTURE_SCALES)
