@@ -19,10 +19,11 @@ Three families are provided:
   S_eps = OT_eps(x, y) - OT_eps(x, x)/2 - OT_eps(y, y)/2 for cost |s - t|^p,
   where OT_eps is the entropic optimal transport value (transport cost plus
   eps * KL of the plan against the product of the marginals).  The cross term
-  is found by Newton's method on the semi-dual down an epsilon ladder to the
-  target epsilon, each step solved by matrix-free conjugate gradients; each
-  self term, whose optimum is symmetric, by averaged c-transform steps down
-  the same ladder.
+  is found by Newton's method on the semi-dual at the target epsilon, each step
+  solved by matrix-free conjugate gradients, from the exact unregularised dual
+  of the sorted pair's monotone plan; each self term, whose optimum is
+  symmetric, by averaged c-transform steps from g = 0, the unregularised dual
+  of the identity plan.
 
 ``smoothed_wasserstein_oracle`` gives a deterministic high-accuracy value of
 W_p^p between two equal-bandwidth Gaussian mixtures, used as the second route
@@ -96,12 +97,11 @@ _TAYLOR_RADIUS = 0.11
 # step cannot move the fixed point: the stop test uses the exact gradient) or after m products, where they end
 # in exact arithmetic; a _NEWTON_RIDGE multiple of the mean preconditioner diagonal pins the constant direction
 # of the semi-dual.  A step is halved until the semi-dual falls by at most _NEWTON_SLACK times its terms'
-# magnitude, its rounding.
+# magnitude, its rounding, and the solve may end once the decrement <grad, step> is within that rounding.
 _CG_RTOL = 1e-3
-_LEVEL_STEPS = 2  # Newton steps on each coarse level of the epsilon ladder, a warm start for the next
 _NEWTON_RIDGE = 1e-12
 _NEWTON_SLACK = 16 * 2.0**-52
-_SYMMETRIC_CHECK = 3  # the self terms' averaged steps at the target per marginal-error check
+_SYMMETRIC_CHECK = 3  # the self terms' averaged steps per marginal-error check
 
 
 @dataclass(frozen=True)
@@ -163,18 +163,11 @@ def _wasserstein_rows(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
         np.abs(xs, out=xs)
         xs **= p  # the same fast path as xs ** p
         return xs.mean(axis=1)
-    qx = np.arange(1, n + 1) / n
-    qy = np.arange(1, m + 1) / m
-    ts = np.concatenate([qx, qy])
-    ts.sort(kind="mergesort")
-    widths = np.diff(ts, prepend=0.0)
-    mids = ts - 0.5 * widths
-    ix = np.searchsorted(qx, mids, side="left")
-    iy = np.searchsorted(qy, mids, side="left")
+    widths, ix, iy = _staircase(n, m)
     out = np.empty(xs.shape[0])
     # take() keeps rows contiguous, so each row sums in the order of a 1-D array whatever the block's height;
     # every index is in range, and mode "clip" lets take() write into the buffer without one of its own
-    for rows, (a, b) in _row_blocks(xs.shape[0], ts.size, 2):
+    for rows, (a, b) in _row_blocks(xs.shape[0], widths.size, 2):
         np.take(xs[rows], ix, axis=1, out=a, mode="clip")
         np.take(ys[rows], iy, axis=1, out=b, mode="clip")
         np.subtract(a, b, out=a)
@@ -183,6 +176,42 @@ def _wasserstein_rows(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
         np.multiply(widths, a, out=a)
         out[rows] = a.sum(axis=1)
     return out
+
+
+def _staircase(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The monotone plan between n and m sorted atoms on the merged quantile breakpoints k/n and l/m: each
+    piece's width and its cell (ix, iy).  A breakpoint both sides share comes twice, the second time as a
+    piece of width 0 on the cell before it."""
+    qx = np.arange(1, n + 1) / n
+    qy = np.arange(1, m + 1) / m
+    ts = np.concatenate([qx, qy])
+    ts.sort(kind="mergesort")
+    widths = np.diff(ts, prepend=0.0)
+    mids = ts - 0.5 * widths
+    return widths, np.searchsorted(qx, mids, side="left"), np.searchsorted(qy, mids, side="left")
+
+
+def _monotone_dual(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
+    """A potential g on the sorted ys of the unregularised dual of the monotone plan from the sorted xs.
+
+    For p >= 1 the cost |s - t|^p is convex, so that plan is optimal, and its cells (``_staircase``) run
+    from (0, 0) to (n - 1, m - 1), each one step right, down, or both.  f_i + g_j = C_ij on every cell fixes
+    g_{j+1} - g_j = C_{i,j+1} - C_{i,j} on a step right along row i.  A diagonal step from (i, j) leaves
+    f_i + g_{j+1} <= C_{i,j+1} and f_{i+1} + g_j <= C_{i+1,j} to hold, which is g_{j+1} - g_j in
+    [C_{i+1,j+1} - C_{i+1,j}, C_{i,j+1} - C_{i,j}], an interval by the Monge property of a convex cost; it
+    takes the midpoint.  Both rules are the mean of that difference on the rows before and after the step.
+    g is shifted to a median of 0: at large p the step past a tail pair can be 10^8 and more, and the solve
+    rounds g_j - C_ij on the scale of the larger term, so the bulk of the columns should not carry it.
+    """
+    widths, ix, iy = _staircase(xs.size, ys.size)
+    i, j = ix[widths > 0], iy[widths > 0]
+    right = np.flatnonzero(j[1:] > j[:-1])
+    before, after, j = xs[i[right]], xs[i[right + 1]], j[right]
+    y0, y1 = ys[j], ys[j + 1]
+    step = 0.5 * (np.abs(before - y1) ** p - np.abs(before - y0) ** p)
+    step += 0.5 * (np.abs(after - y1) ** p - np.abs(after - y0) ** p)
+    g = np.concatenate(([0.0], np.cumsum(step)))
+    return g - np.median(g)
 
 
 def _row_blocks(count: int, width: int, buffers: int):
@@ -354,9 +383,12 @@ class SinkhornResult(NamedTuple):
     """The debiased value and the three solves' diagnostics.
 
     ``iterations`` sums the Newton steps of the cross solve and the averaged
-    steps g <- (g + T(g))/2 of the two self solves, on every level of the ladder
-    (the halvings of a Newton step are not counted); ``marginal_error`` is the
-    largest final max |cols - b|, inf where the ladder was cut short.
+    steps g <- (g + T(g))/2 of the two self solves (the halvings of a Newton
+    step are not counted); ``marginal_error`` is the largest final
+    max |cols - b|, measured at the target epsilon where each solve stopped,
+    and inf only where a Newton trial came out non-finite.  A cross solve whose
+    potentials are too large for doubles to resolve epsilon reports itself
+    unconverged at any marginal error.
     """
 
     value: float
@@ -419,16 +451,6 @@ def _newton_step(R: np.ndarray, a: np.ndarray, cols: np.ndarray, grad: np.ndarra
     return s
 
 
-def _ladder(eps: float, cmax: float):
-    """The epsilon ladder of a solve with largest cost cmax, as (level, coarse): halvings from max(eps, cmax/50)
-    while above eps, then eps itself.  A solve returns on the last level, at the latest when its steps run out."""
-    e = max(eps, cmax / 50.0)
-    while e > eps * 1.0001:
-        yield e, True
-        e *= 0.5
-    yield eps, False
-
-
 def _entropic_ot(
     x: np.ndarray, y: np.ndarray, p: float, eps: float, tol: float, max_iter: int
 ) -> tuple[float, bool, int, float]:
@@ -436,88 +458,78 @@ def _entropic_ot(
 
     Maximises the semi-dual F(g) = <f(g), a> + <g, b>, with f(g) the exact
     c-transform, by Newton steps solved by conjugate gradients (``_newton_step``)
-    and halved until F does not fall.  The steps run down a geometric epsilon
-    ladder from max(eps, C_max/50) to the target, _LEVEL_STEPS on each coarse
-    level, then at eps until the marginal error is below tol.  f(g) makes the
-    plan's rows exact, so that error is max |b - cols|, the gradient of F.
-    Every Newton step (not each halving) counts against max_iter; the error is
-    inf when max_iter runs out above the target.  A solve holds C and one work
-    buffer W, which ends each step as the plan's rows over a.
+    and halved until F does not fall.  The steps start from the unregularised
+    dual of the sorted pair (``_monotone_dual``) and run at eps until the
+    marginal error is below tol and the Newton decrement <grad, step> is within
+    F's rounding, _NEWTON_SLACK times its terms' magnitude.  f(g) makes the
+    plan's rows exact, so that error is max |b - cols|, the gradient of F.  A
+    rounding of eps or more does not resolve the entropic term at all (at large
+    p the potentials can reach 10^21), so no solve converges there: it runs to
+    max_iter.  Every Newton step (not each halving) counts against max_iter.
+    A solve holds C and one work buffer W, which ends each step as the plan's
+    rows over a.
     """
     n, m = x.size, y.size
     a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    x, y = np.sort(x), np.sort(y)
     C = np.abs(x[:, None] - y[None, :]) ** p
-    cmax = float(C.max())
-    if cmax == 0.0:
+    if float(C.max()) == 0.0:
         return 0.0, True, 0, 0.0
 
     W = np.empty_like(C)
-    g = np.zeros(m)
-    it = 0
-    for e, coarse in _ladder(eps, cmax):
-        f = _potential(g, C, e, W)
-        value = float(f @ a + g @ b)
-        for k in range(max_iter - it + 1):  # at most the steps left, and the last stop test
-            np.divide(W, W.sum(axis=1)[:, None], out=W)
-            cols = a @ W
-            grad = b - cols
-            err = math.inf if coarse else float(np.abs(grad).max())
-            if err < tol or it == max_iter:
-                return value, err < tol, it, err
-            if coarse and k == _LEVEL_STEPS:
+    g = _monotone_dual(x, y, p)
+    f = _potential(g, C, eps, W)
+    value = float(f @ a + g @ b)
+    for it in range(max_iter + 1):  # the steps, and the last stop test
+        np.divide(W, W.sum(axis=1)[:, None], out=W)
+        cols = a @ W
+        grad = b - cols
+        err = float(np.abs(grad).max())
+        step = _newton_step(W, a, cols, grad, eps)
+        slack = _NEWTON_SLACK * float(np.abs(f) @ a + np.abs(g) @ b)
+        converged = err < tol and float(grad @ step) <= slack < eps
+        if converged or it == max_iter:
+            return value, converged, it, err
+        t = 1.0
+        while True:
+            h = g + t * step
+            f = _potential(h, C, eps, W)
+            trial = float(f @ a + h @ b)
+            if not math.isfinite(trial):  # ends the solve: a nan never compares, so halving would spin
+                return trial, False, it, math.inf
+            if trial >= value - slack:
                 break
-            step = _newton_step(W, a, cols, grad, e)
-            slack = _NEWTON_SLACK * float(np.abs(f) @ a + np.abs(g) @ b)
-            t = 1.0
-            while True:
-                h = g + t * step
-                f = _potential(h, C, e, W)
-                trial = float(f @ a + h @ b)
-                if not math.isfinite(trial):  # ends the solve: a nan never compares, so halving would spin
-                    return trial, False, it, math.inf
-                if trial >= value - slack:
-                    break
-                t *= 0.5
-            g, value = h, trial
-            it += 1
+            t *= 0.5
+        g, value = h, trial
 
 
 def _symmetric_ot(x: np.ndarray, p: float, eps: float, tol: float, max_iter: int) -> tuple[float, bool, int, float]:
     """Entropic OT value of x against itself, <T(g),a> + <g,a> at the symmetric dual optimum f = g.
 
     The c-transform T has the optimum as its fixed point, and the averaged step g <- (g + T(g))/2
-    reaches it fast (Feydy et al., arXiv:1810.08278).  The steps run down the epsilon ladder of
-    ``_entropic_ot``, one on each coarse level, then at eps until the marginal error max |a - cols| of
-    the plan T(g) makes exact in its rows, the semi-dual gradient, is below tol; that error, a row
-    normalisation and a matrix-vector product, is checked every _SYMMETRIC_CHECK steps.  Every averaged
-    step counts against max_iter; the error is inf when max_iter runs out above the target.  A solve
-    holds C and one work buffer W.
+    reaches it fast (Feydy et al., arXiv:1810.08278).  The steps start from g = 0, the unregularised
+    dual of the identity plan, and run at eps until the marginal error max |a - cols| of the plan T(g)
+    makes exact in its rows, the semi-dual gradient, is below tol; that error, a row normalisation and
+    a matrix-vector product, is checked every _SYMMETRIC_CHECK steps and when max_iter runs out.
+    A solve holds C and one work buffer W.
     """
     n = x.size
     a = np.full(n, 1.0 / n)
     C = np.abs(x[:, None] - x[None, :]) ** p
-    cmax = float(C.max())
-    if cmax == 0.0:
+    if float(C.max()) == 0.0:
         return 0.0, True, 0, 0.0
 
     W = np.empty_like(C)
     g = np.zeros(n)
-    it = 0
-    for e, coarse in _ladder(eps, cmax):
-        for k in range(max_iter - it + 1):  # at most the steps left, and the last stop test
-            f = _potential(g, C, e, W)
-            if it == max_iter or not coarse and k % _SYMMETRIC_CHECK == _SYMMETRIC_CHECK - 1:
-                err = math.inf
-                if not coarse:
-                    np.divide(W, W.sum(axis=1)[:, None], out=W)
-                    err = float(np.abs(a - a @ W).max())
-                if err < tol or it == max_iter:
-                    return float(f @ a + g @ a), err < tol, it, err
-            g += f
-            g *= 0.5
-            it += 1
-            if coarse:
-                break
+    for it in range(max_iter + 1):  # the steps, and the last stop test
+        f = _potential(g, C, eps, W)
+        if it == max_iter or it % _SYMMETRIC_CHECK == _SYMMETRIC_CHECK - 1:
+            np.divide(W, W.sum(axis=1)[:, None], out=W)
+            err = float(np.abs(a - a @ W).max())
+            if err < tol or it == max_iter:
+                return float(f @ a + g @ a), err < tol, it, err
+        g += f
+        g *= 0.5
 
 
 def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
@@ -529,7 +541,7 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     """
     xs = _as_samples(x, "x")
     ys = _as_samples(y, "y")
-    with np.errstate(over="ignore"):  # the largest cost of the three solves; at inf their ladders would start at inf
+    with np.errstate(over="ignore"):  # the largest cost of the three solves; an inf cost would make every trial nan
         cmax = np.ptp(np.concatenate((xs, ys))) ** spec.p
     if cmax == np.inf:
         raise ValueError(

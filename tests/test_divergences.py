@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,16 +171,6 @@ def _newton_polish(K, a, b, u, v, steps=50):
             break
         lu, lv, P, r = lu - t * step[:n], lv - t * step[n:], P_t, r_t
     return np.exp(lu), np.exp(lv)
-
-
-def ladder_levels(x, y, p, eps):
-    """The number of coarse levels of the epsilon ladder: halvings from max(eps, C_max/50) that stay above eps."""
-    e = max(eps, float(np.max(np.abs(np.subtract.outer(x, y)) ** p)) / 50.0)
-    levels = 0
-    while e > eps * 1.0001:
-        levels += 1
-        e *= 0.5
-    return levels
 
 
 # ---------------------------------------------------------------- wasserstein
@@ -608,19 +599,19 @@ class TestSinkhornDiv:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("n, m, eps", [(9, 14, 0.5), (31, 17, 0.05), (20, 20, 0.05)])
-    def test_ladder_cut_short_then_finished_solve_matches_dense_oracle(self, n, m, eps, p):
-        # every max_iter up to _LEVEL_STEPS per coarse level ends above the target: unconverged, error inf;
-        # the finished solve is checked against the kernel scaling, which shares no code with it
+    def test_cap_short_of_the_finish_reports_the_solve_unconverged(self, n, m, eps, p):
+        # every cap below the finished solve's step count ends at the target, unconverged with the error there,
+        # and tol 0 runs to the cap; the finished solve is checked against the kernel scaling, which shares no
+        # code with it
         rng = np.random.default_rng(16)
         x = rng.normal(size=n)
         y = rng.normal(size=m) + 0.5
-        ladder = divergences._LEVEL_STEPS * ladder_levels(x, y, p, eps)
-        for max_iter in range(1, ladder + 1):
-            value, converged, it, err = _entropic_ot(x, y, p, eps, 0.0, max_iter)
-            assert math.isfinite(value) and (converged, it, err) == (False, max_iter, math.inf)
-        value, converged, it, err = _entropic_ot(x, y, p, eps, 1e-9, 1000)
-        assert converged and err < 1e-9 and ladder < it <= ladder + 20
+        value, converged, steps, err = _entropic_ot(x, y, p, eps, 1e-9, 1000)
+        assert converged and err < 1e-9 and 1 < steps <= 20
         assert value == pytest.approx(sinkhorn_dense_oracle(x, y, p, eps, iters=20_000), rel=1e-12)
+        for tol, max_iter in [*((1e-9, k) for k in range(1, steps)), (0.0, steps), (0.0, steps + 3)]:
+            value, converged, it, err = _entropic_ot(x, y, p, eps, tol, max_iter)
+            assert math.isfinite(value) and (converged, it) == (False, max_iter) and math.isfinite(err)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -651,32 +642,58 @@ class TestSinkhornDiv:
         assert converged
         assert value == pytest.approx(sinkhorn_dense_oracle(x, x, p, eps, iters=5000), rel=1e-10, abs=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(st.one_of(_QUARTERS, st.floats(-3, 3)), min_size=1, max_size=12),
+        y=st.lists(st.one_of(_QUARTERS, st.floats(-3, 3)), min_size=1, max_size=12),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    @example(x=[0.5], y=[-1.0, 0.25, 0.25], p=1.5)
+    @example(x=[0.0, 0.25, 0.25, 1.0], y=[0.25, -0.5], p=3.0)
+    @example(x=[-1.0, 0.0, 1.0], y=[-1.0, 0.0, 1.0], p=1.0)
+    @example(x=[0.0, 0.0, 2.0], y=[0.0, 2.0, 0.0625], p=3.0)  # W far below the terms: the sum's rounding bounds it
+    def test_warm_dual_is_optimal_for_the_unregularised_problem(self, x, y, p):
+        # g with its c-transform f is feasible, f_i + g_j <= C_ij, so <f, a> + <g, b> <= W_p^p, and equality makes
+        # both optimal; wasserstein_pp integrates the quantile functions, a route the dual does not take.  Where
+        # W_p^p is far below the terms, a few ulps of them bound the rounding of the sum
+        xs, ys = np.sort(x), np.sort(y)
+        g = divergences._monotone_dual(xs, ys, p)
+        C = np.abs(xs[:, None] - ys[None, :]) ** p
+        f = (C - g).min(axis=1)
+        terms = float(np.abs(f).mean() + np.abs(g).mean())
+        assert float(f.mean() + g.mean()) == pytest.approx(wasserstein_pp(x, y, p), rel=1e-13, abs=8 * 2.0**-52 * terms)
+        assert (f[:, None] + g[None, :] - C <= 4 * np.spacing(np.maximum(C, np.abs(g)))).all()
+
     @pytest.mark.parametrize("p, eps", [(1.0, 0.05), (2.0, 0.1)])
-    def test_self_solve_cut_short_reports_itself_unconverged(self, p, eps):
-        # one averaged step per coarse level: a cap below the ladder's length ends above the target, error inf;
-        # a cap at or past it ends at the target, with the error there
+    def test_self_solve_cap_short_of_the_finish_reports_itself_unconverged(self, p, eps):
+        # the error is checked whenever the cap runs out, so every cap reports a finite one; tol 0 runs to the cap
         rng = np.random.default_rng(16)
         x = 2 * rng.normal(size=30)
-        levels = ladder_levels(x, x, p, eps)
-        for max_iter in range(1, levels):
-            value, converged, it, err = divergences._symmetric_ot(x, p, eps, 1e-9, max_iter)
-            assert math.isfinite(value) and (converged, it, err) == (False, max_iter, math.inf)
-        for max_iter in (levels, levels + 4):
-            value, converged, it, err = divergences._symmetric_ot(x, p, eps, 0.0, max_iter)
+        value, converged, steps, err = divergences._symmetric_ot(x, p, eps, 1e-9, 1000)
+        assert converged and err < 1e-9 and 1 < steps < 1000
+        for tol, max_iter in [*((1e-9, k) for k in range(1, steps)), (0.0, steps), (0.0, steps + 4)]:
+            value, converged, it, err = divergences._symmetric_ot(x, p, eps, tol, max_iter)
             assert math.isfinite(value) and (converged, it) == (False, max_iter) and 0 < err < math.inf
-        value, converged, it, err = divergences._symmetric_ot(x, p, eps, 1e-9, 1000)
-        assert converged and err < 1e-9 and levels < it < 1000
 
-    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9, 1.0])
-    def test_ladder_cut_short_reports_infinite_error(self, fraction):
-        # a wider pair than the loop test's, on which the kernel scaling takes too long to serve as the oracle
-        rng = np.random.default_rng(3)
-        x = 2 * rng.normal(size=40)
-        y = 2 * rng.normal(size=30) + 0.5
-        max_iter = max(1, round(fraction * divergences._LEVEL_STEPS * ladder_levels(x, y, 2.0, 0.1)))
-        value, converged, it, err = _entropic_ot(x, y, 2.0, 0.1, 1e-9, max_iter)
-        assert (converged, it, err) == (False, max_iter, math.inf)
-        assert math.isfinite(value)
+    @pytest.mark.parametrize("p", [8.0, 16.0, 30.0, 60.0])
+    def test_large_order_converges_within_the_entropic_gap(self, p, monkeypatch):
+        # the cost reaches 10^35 here, yet the warm dual leaves the cross term a few Newton steps at eps;
+        # KL >= 0 puts OT_eps(x, y) above W_p^p, and the monotone plan, whose KL is log n, puts it below
+        # W_p^p + eps log n, while the self terms lie in [0, eps log n] (W_p^p of a set against itself is 0)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=20), rng.normal(size=20)
+        eps, gap = 0.1, 0.1 * math.log(20)
+        w = wasserstein_pp(x, y, p)
+        value, converged, _, _ = _entropic_ot(x, y, p, eps, 1e-9, 1000)
+        assert converged and w <= value <= w + gap
+        for u in (x, y):
+            value, converged, _, _ = divergences._symmetric_ot(u, p, eps, 1e-9, 1000)
+            assert converged and 0.0 <= value <= gap
+        if p <= 16:  # the reference's own ladder stalls at p 30 and 60, and it raises there
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+            import reference
+
+            assert sinkhorn_div(x, y, _spec(p=p)).value == pytest.approx(reference.sinkhorn_div(x, y, p, eps), rel=1e-9)
 
     @pytest.mark.parametrize("n, p, eps", [(120, 1.0, 0.1), (200, 2.0, 0.01)])
     def test_wide_spread_pair_converges_within_the_cap(self, n, p, eps):
@@ -692,7 +709,7 @@ class TestSinkhornDiv:
         assert res.value >= -spec.sinkhorn_tol
 
     def test_solve_holds_two_n_by_m_arrays(self):
-        # the cost matrix and one work buffer; eps above C_max / 50 puts every update at the target
+        # the cost matrix and one work buffer; the warm dual and the Newton steps add O(n) arrays
         n = 1000
         rng = np.random.default_rng(17)
         x, y = rng.uniform(size=n), rng.uniform(size=n)
@@ -726,7 +743,7 @@ class TestSinkhornDiv:
 
     @pytest.mark.parametrize("x, y, p", [([1e200, 0.0], [0.0, 1.0], 2.0), ([0.0], [1e308, -1e308], 1.0)])
     def test_cost_beyond_the_double_range_is_refused(self, x, y, p):
-        # an inf cost would start the epsilon ladder at inf, and the Newton halving would spin on a nan trial
+        # an inf cost makes the warm dual and every Newton trial nan: the solve would return nan, not a refusal
         with pytest.raises(ValueError, match=rf"n={len(x)} and m={len(y)} .*double range \(p={p}, epsilon=0.1\)"):
             sinkhorn_div(x, y, _spec(p=p))
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gssd import experiments
+from gssd import divergences, experiments
 from gssd.cli import build_parser, config_from_args
 from gssd.cli import main as cli_main
 from gssd.divergences import wasserstein_pp
@@ -448,6 +448,23 @@ class TestCsvOutput:
         col = lines[3].split(",").index("unconverged")
         assert [int(ln.split(",")[col]) for ln in lines[4:]] == [4]
 
+    def test_sinkhorn_at_large_order_keeps_its_flag_honest(self, monkeypatch, tmp_path):
+        # the CLI's one slice at p 30 spans costs up to 10^25 and one potential of the solve reaches 10^10, yet its
+        # value lies within eps log n of W_p^p; at p 60 a potential reaches 10^21, whose rounding is past eps, and
+        # the solve says so
+        slices, inner = [], divergences.sinkhorn_div
+        monkeypatch.setattr(divergences, "sinkhorn_div",
+                            lambda x, y, spec: slices.append((x, y, spec)) or inner(x, y, spec))
+        out = tmp_path / "skd.csv"
+        assert cli_main(["sample-complexity", "--div", "skd", "--p", "30", "--dim", "2", "--sizes", "20", "--runs", "1",
+                         "--projections", "1", "--sigmas", "1", "--out", str(out)]) == 0
+        ((x, y, spec),) = slices
+        res = inner(x, y, spec)
+        assert abs(res.value - wasserstein_pp(x, y, 30.0)) <= spec.epsilon * math.log(20)
+        assert float(out.read_text().splitlines()[4].split(",")[7]) == res.value
+        res = inner(x, y, replace(spec, p=60.0))
+        assert res.converged is False and math.isfinite(res.value)
+
     def test_rows_carry_the_count_of_their_estimate(self):
         cfg = small_cfg("projection-complexity", divergences=("skd",), sinkhorn_max_iter=1,
                         num_projections=8, l_grid=(2, 8), num_runs=1, sample_sizes=(20,))
@@ -665,7 +682,7 @@ _FLAGS = [
     if action.option_strings and not isinstance(action, argparse._HelpAction)
 ]
 
-_SKD = ["--div", "skd", "--epsilon", "1", "--sinkhorn-max-iter", "60"]  # reaches the target epsilon, fast
+_SKD = ["--div", "skd", "--epsilon", "1", "--sinkhorn-max-iter", "60"]  # every solve ends within the cap, fast
 # flag -> (flags both runs add to the baseline, the flag's second value; None for a switch)
 _SECOND = {
     "--dim": ([], "4"),
