@@ -23,7 +23,8 @@ Three families are provided:
   solved by matrix-free conjugate gradients, from the exact unregularised dual
   of the sorted pair's monotone plan; each self term, whose optimum is
   symmetric, by averaged c-transform steps from g = 0, the unregularised dual
-  of the identity plan.
+  of the identity plan, one matrix-vector product with the Gibbs kernel
+  exp(-C/eps) a step.
 
 ``smoothed_wasserstein_oracle`` gives a deterministic high-accuracy value of
 W_p^p between two equal-bandwidth Gaussian mixtures, used as the second route
@@ -311,7 +312,7 @@ def _quadrature_pair(u: np.ndarray, s: np.ndarray, tau: float, K: int) -> tuple[
         if off < k:  # every offset is in M by now
             j = rows.start + off - (R + 1)
             np.multiply(a3[off:], s, out=a3[off:])
-            # a dgemv per row, so no bit depends on the block; np.dot releases the GIL, np.matmul does not
+            # a dgemv per row, so no bit depends on the block (a GEMM's bits would); it releases the GIL
             for row, out in zip(a[off:].reshape(-1, n), acc[j : j + k - off].reshape(-1, 2 * (R + 1))):
                 np.dot(M2, row, out=out)
     cr, sr = acc[:, 0, :, 0], acc[:, 0, :, 1]
@@ -387,8 +388,8 @@ class SinkhornResult(NamedTuple):
     step are not counted); ``marginal_error`` is the largest final
     max |cols - b|, measured at the target epsilon where each solve stopped,
     and inf only where a Newton trial came out non-finite.  A cross solve whose
-    potentials are too large for doubles to resolve epsilon reports itself
-    unconverged at any marginal error.
+    potentials are too large for doubles to resolve epsilon stops at the first
+    step where they are, unconverged at any marginal error.
     """
 
     value: float
@@ -462,10 +463,12 @@ def _entropic_ot(
     dual of the sorted pair (``_monotone_dual``) and run at eps until the
     marginal error is below tol and the Newton decrement <grad, step> is within
     F's rounding, _NEWTON_SLACK times its terms' magnitude.  f(g) makes the
-    plan's rows exact, so that error is max |b - cols|, the gradient of F.  A
+    plan's rows exact, so that error is max |b - cols|, the gradient of F; its
+    mean, pure rounding since F(g + c) = F(g), is taken out before the step.  A
     rounding of eps or more does not resolve the entropic term at all (at large
-    p the potentials can reach 10^21), so no solve converges there: it runs to
-    max_iter.  Every Newton step (not each halving) counts against max_iter.
+    p the potentials can reach 10^21), so the solve stops, unconverged, at the
+    first step where it finds one, with that step's finite value and error.
+    Every Newton step (not each halving) counts against max_iter.
     A solve holds C and one work buffer W, which ends each step as the plan's
     rows over a.
     """
@@ -485,9 +488,12 @@ def _entropic_ot(
         cols = a @ W
         grad = b - cols
         err = float(np.abs(grad).max())
-        step = _newton_step(W, a, cols, grad, eps)
+        grad -= grad.mean()  # F(g + c) = F(g), so the gradient's mean is rounding, which the ridge would amplify
         slack = _NEWTON_SLACK * float(np.abs(f) @ a + np.abs(g) @ b)
-        converged = err < tol and float(grad @ step) <= slack < eps
+        if slack >= eps:  # doubles cannot resolve the entropic term, at this step or any other
+            return value, False, it, err
+        step = _newton_step(W, a, cols, grad, eps)
+        converged = err < tol and float(grad @ step) <= slack
         if converged or it == max_iter:
             return value, converged, it, err
         t = 1.0
@@ -508,10 +514,15 @@ def _symmetric_ot(x: np.ndarray, p: float, eps: float, tol: float, max_iter: int
 
     The c-transform T has the optimum as its fixed point, and the averaged step g <- (g + T(g))/2
     reaches it fast (Feydy et al., arXiv:1810.08278).  The steps start from g = 0, the unregularised
-    dual of the identity plan, and run at eps until the marginal error max |a - cols| of the plan T(g)
-    makes exact in its rows, the semi-dual gradient, is below tol; that error, a row normalisation and
-    a matrix-vector product, is checked every _SYMMETRIC_CHECK steps and when max_iter runs out.
-    A solve holds C and one work buffer W.
+    dual of the identity plan, and run at eps on the Gibbs kernel K = exp(-C/eps), built once: with
+    v = exp(g/eps) and s = K v, T(g) = -eps log(s/n).  No iterate leaves |g_i| <= (eps/2) log n (C_ii = 0
+    gives T(g)_i <= eps log n - g_i, C >= 0 gives T(g)_i >= -max g), so v lies in [n^-1/2, n^1/2],
+    s_i >= v_i > 0, and an entry of K underflows only below n e^-708 of its row's diagonal term.  A row
+    whose terms' mean, relative to its top >= g_i/eps, exceeds 1/2 would lose its digits in the log; the
+    rows with (s_i/n) e^(-g_i/eps) > 1/2 include all of them, and ``_potential`` recomputes them from C,
+    a block of rows at a time.  The marginal error max |a - cols| of the plan T(g) makes exact in its
+    rows, the semi-dual gradient, is cols = v K(a/s) (K is symmetric), checked against tol every
+    _SYMMETRIC_CHECK steps and when max_iter runs out.  A solve holds C and K.
     """
     n = x.size
     a = np.full(n, 1.0 / n)
@@ -519,13 +530,20 @@ def _symmetric_ot(x: np.ndarray, p: float, eps: float, tol: float, max_iter: int
     if float(C.max()) == 0.0:
         return 0.0, True, 0, 0.0
 
-    W = np.empty_like(C)
+    K = np.divide(C, -eps)
+    np.exp(K, out=K)
     g = np.zeros(n)
     for it in range(max_iter + 1):  # the steps, and the last stop test
-        f = _potential(g, C, eps, W)
+        v = np.exp(g / eps)
+        s = K @ v
+        f = -eps * np.log(s / n)
+        near = np.flatnonzero(s > 0.5 * n * v)
+        for rows, (c, w) in _row_blocks(near.size, n, 2):
+            sel = near[rows]
+            np.take(C, sel, axis=0, out=c, mode="clip")
+            f[sel] = _potential(g, c, eps, w)
         if it == max_iter or it % _SYMMETRIC_CHECK == _SYMMETRIC_CHECK - 1:
-            np.divide(W, W.sum(axis=1)[:, None], out=W)
-            err = float(np.abs(a - a @ W).max())
+            err = float(np.abs(a - v * (K @ (a / s))).max())
             if err < tol or it == max_iter:
                 return float(f @ a + g @ a), err < tol, it, err
         g += f

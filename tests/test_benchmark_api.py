@@ -48,6 +48,20 @@ def test_exact_routes_sinkhorn_converges_and_matches_the_reference(workloads, tm
     assert report["mean_pow"] == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
+def test_exact_routes_self_terms_stay_on_the_kernel(workloads, tmp_path, monkeypatch):
+    # no row of these slices is nearly tied, so no self solve recomputes a row in the log domain
+    inputs = workloads.exact_inputs(1, str(tmp_path))
+    root = gssd.RngRoot(workloads.SKD_SEED).child("compare", 0)
+    X, Y = gssd.SampleSet(inputs["skd"]["x"]), gssd.SampleSet(inputs["skd"]["y"])
+    calls, inner = [], divergences._potential
+    monkeypatch.setattr(divergences, "_potential", lambda *args: calls.append(args[1].shape) or inner(*args))
+    for l in range(workloads.EXACT_SKD_L):
+        for u in workloads.slice_pair(X, Y, root, l, 1.0):
+            _, converged, _, _ = divergences._symmetric_ot(u, workloads.P, 0.1, 1e-9, 1000)
+            assert converged
+    assert calls == []
+
+
 def test_exact_routes_oracle_matches_the_reference(workloads, tmp_path):
     import reference
 

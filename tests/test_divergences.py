@@ -623,6 +623,9 @@ class TestSinkhornDiv:
     @example(x=[0.0, 0.0, 2.0**-14], p=1.0, eps=0.5)
     @example(x=[0.0, 2.0**-14], p=2.0, eps=0.02)
     @example(x=[0.0, 0.0, 2.0**-24], p=1.0, eps=0.1)
+    # a gradient of pure rounding, -ulp(1/5) on every column: unless its mean is taken out, the ridge makes it a
+    # constant Newton step of -2.8e-6 against potentials of 1e-19
+    @example(x=[0.0, 0.0, 0.0, 0.0, 2.1479529275671504e-19], p=1.0, eps=0.02)
     def test_self_solve_matches_the_cross_solve(self, x, p, eps):
         # the averaged fixed point and the Newton solve of OT_eps(x, x) stop on the same marginal error
         x = np.asarray(x, float)
@@ -630,6 +633,43 @@ class TestSinkhornDiv:
         want, want_converged, _, _ = _entropic_ot(x, x, p, eps, 1e-12, 1000)
         assert converged and want_converged and err < 1e-12
         assert value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("x, p, eps", [([0.0, 0.0, 2.0**-14], 1.0, 0.5), ([0.0, 2.0**-14], 2.0, 0.02),
+                                           ([0.0, 0.0, 2.0**-24], 1.0, 0.1)])
+    def test_self_solve_recomputes_nearly_tied_rows_in_the_log_domain(self, x, p, eps):
+        # the tied examples above: their potentials lie far below eps log n, where the log of a kernel row sum
+        # near n would lose its digits, so the rows go to _potential
+        with counting("_potential") as calls:
+            _, converged, _, _ = divergences._symmetric_ot(np.asarray(x, float), p, eps, 1e-12, 1000)
+        assert converged and calls
+
+    def test_self_solve_where_most_of_the_kernel_underflows(self):
+        # spread 15 at eps 0.01: exp(-C_ij / eps) is exactly 0 on most pairs, and those terms are below
+        # n e^-708 of their row's diagonal term
+        x = 15 * np.random.default_rng(2).normal(size=200)
+        C = (x[:, None] - x[None, :]) ** 2
+        assert (np.exp(-C / 0.01) == 0.0).mean() > 0.5
+        value, converged, _, err = divergences._symmetric_ot(x, 2.0, 0.01, 1e-9, 1000)
+        want, want_converged, _, _ = _entropic_ot(x, x, 2.0, 0.01, 1e-9, 1000)
+        assert converged and want_converged and err < 1e-9
+        assert value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_self_solve_recomputes_near_rows_a_block_at_a_time(self, monkeypatch):
+        # every row of points within 2^-30 of each other is near at eps 1, and each goes through _potential in
+        # blocks of at most _BLOCK floats, so the solve still holds C and K and little more
+        n = 1000
+        x = 2.0**-30 * np.random.default_rng(18).uniform(size=n)
+        rows, inner = [], divergences._potential
+        monkeypatch.setattr(divergences, "_potential", lambda h, C, e, W: rows.append(C.shape[0]) or inner(h, C, e, W))
+        tracemalloc.start()
+        try:
+            _, converged, it, _ = divergences._symmetric_ot(x, 2.0, 1.0, 1e-12, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert converged
+        assert sum(rows) == n * (it + 1) and max(rows) <= divergences._BLOCK // n
+        assert peak <= 2.5 * n * n * 8
 
     @settings(max_examples=30, deadline=None)
     @given(x=st.lists(_QUARTERS, min_size=1, max_size=8), eps=st.floats(0.3, 1.0), p=st.sampled_from([1.0, 2.0]))

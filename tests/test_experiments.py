@@ -465,6 +465,22 @@ class TestCsvOutput:
         res = inner(x, y, replace(spec, p=60.0))
         assert res.converged is False and math.isfinite(res.value)
 
+    def test_sinkhorn_past_the_double_resolution_stops_at_once_and_writes_its_row(self, monkeypatch, tmp_path):
+        # at p 60 the same slice's potentials reach 10^21, whose rounding is past eps from the warm dual on: the
+        # cross solve stops unconverged at its first check, with a finite value and error, not after 1000 steps
+        slices, inner = [], divergences.sinkhorn_div
+        monkeypatch.setattr(divergences, "sinkhorn_div",
+                            lambda x, y, spec: slices.append((x, y, spec)) or inner(x, y, spec))
+        out = tmp_path / "skd.csv"
+        assert cli_main(["sample-complexity", "--div", "skd", "--p", "60", "--dim", "2", "--sizes", "20", "--runs", "1",
+                         "--projections", "1", "--sigmas", "1", "--out", str(out)]) == 0
+        ((x, y, spec),) = slices
+        value, converged, it, err = divergences._entropic_ot(x, y, 60.0, spec.epsilon, spec.sinkhorn_tol,
+                                                             spec.sinkhorn_max_iter)
+        assert (converged, it) == (False, 0) and math.isfinite(value) and math.isfinite(err)
+        row = out.read_text().splitlines()[4].split(",")
+        assert float(row[7]) == inner(x, y, spec).value and row[9] == "1"
+
     def test_rows_carry_the_count_of_their_estimate(self):
         cfg = small_cfg("projection-complexity", divergences=("skd",), sinkhorn_max_iter=1,
                         num_projections=8, l_grid=(2, 8), num_runs=1, sample_sizes=(20,))
