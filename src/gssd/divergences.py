@@ -131,7 +131,9 @@ class DivergenceSpec:
 
 
 def _as_samples(x, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")
     _check_count(f"number of {name} values", arr.size)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
@@ -401,9 +403,10 @@ class SinkhornResult(NamedTuple):
 def _potential(h: np.ndarray, C: np.ndarray, e: float, W: np.ndarray) -> np.ndarray:
     """-e * log (1/m) sum_j exp((h_j - C_ij)/e) for each row i of the m columns, computed in W (the shape of C).
 
-    W ends as exp(d_ij), d_ij = (h_j - C_ij)/e - max_j, each row's terms of the plan up to its sum.  A row whose
-    mean of exp(d) is above 1/2 takes its log as log1p of the mean of expm1(d), recomputed a block of rows at a
-    time: there the potential may lie far below e log m, and log of a mean rounded near 1 would lose its digits.
+    W ends as the plan's rows over a: exp(d_ij) over its row's sum, d_ij = (h_j - C_ij)/e - max_j, the sum the
+    potential reads.  A row whose mean of exp(d) is above 1/2 takes its log as log1p of the mean of expm1(d),
+    recomputed a block of rows at a time: there the potential may lie far below e log m, and log of a mean
+    rounded near 1 would lose its digits.
     """
     m = C.shape[1]
     np.subtract(h, C, out=W)
@@ -411,7 +414,9 @@ def _potential(h: np.ndarray, C: np.ndarray, e: float, W: np.ndarray) -> np.ndar
     top = W.max(axis=1)
     np.subtract(W, top[:, None], out=W)
     np.exp(W, out=W)
-    mean = W.sum(axis=1) / m
+    sums = W.sum(axis=1)
+    np.divide(W, sums[:, None], out=W)
+    mean = sums / m
     near = np.flatnonzero(mean > 0.5)
     logmean = np.log(mean)
     for rows, (d,) in _row_blocks(near.size, m, 1):
@@ -469,8 +474,8 @@ def _entropic_ot(
     p the potentials can reach 10^21), so the solve stops, unconverged, at the
     first step where it finds one, with that step's finite value and error.
     Every Newton step (not each halving) counts against max_iter.
-    A solve holds C and one work buffer W, which ends each step as the plan's
-    rows over a.
+    A solve holds C and one work buffer W, which ``_potential`` leaves as the
+    plan's rows over a.
     """
     n, m = x.size, y.size
     a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
@@ -484,7 +489,6 @@ def _entropic_ot(
     f = _potential(g, C, eps, W)
     value = float(f @ a + g @ b)
     for it in range(max_iter + 1):  # the steps, and the last stop test
-        np.divide(W, W.sum(axis=1)[:, None], out=W)
         cols = a @ W
         grad = b - cols
         err = float(np.abs(grad).max())

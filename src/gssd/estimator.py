@@ -6,17 +6,18 @@ stream ("noisex", l) / ("noisey", l), and evaluates the base divergence's
 order-p value on the pair (``divergences._slice_values``).  The estimate is the
 mean of the L per-projection values, with its Monte Carlo error (``GssdEstimate.from_values``).
 
-One slice pipeline serves every base divergence and mode: each worker cuts
-its block of projections into tiles of ``_TILE`` rows, and ``_slice_tile``
-draws a tile's directions, both projections and the *standard* noise, each
-row bit-identical to ``sample_direction``, ``project`` and ``smooth_double``
-on the same streams.  No row depends on the others of its tile, so tile edges
-move no bit.  ``_sweep``'s loop then takes the tile through every sigma: the
-oracle reads the projections, every other mode forms the smoothed slices and
-hands them to the base divergence, which consumes whole rows.  A worker
-allocates every tile buffer once (``_tile_work``) and reuses it for each tile
-of its block, and the Wasserstein rows are sorted and reduced in place in the
-smoothed buffers.
+One slice pipeline serves every base divergence and mode: ``sweep_sigma`` splits
+the L projections into one block per worker, and ``_tiles`` cuts a block into
+tiles of ``_TILE`` rows and draws each tile's directions, both projections and
+the *standard* noise, each row bit-identical to ``sample_direction``,
+``project`` and ``smooth_double`` on the same streams.  No row depends on the
+others of its tile, so tile edges move no bit.  ``sweep_sigma``'s loop then
+takes the tile through every sigma: the oracle reads the projections, every
+other mode forms the smoothed slices and hands them to the base divergence,
+which consumes whole rows.  A worker allocates its tile buffers once per block
+and reuses them for each tile, and the Wasserstein rows are sorted and reduced
+in place in the smoothed buffers.  A per-projection value that is not finite
+stops the estimate with a ValueError naming its projection, sigma and kind.
 
 Because every projection is keyed by its index, the result is a pure function
 of (seed, data, config): independent of evaluation order, worker count and of
@@ -109,95 +110,36 @@ class GssdEstimate:
 _TILE = 64  # projections whose streams are drawn together
 
 
-def _tile_work(rows: int, X: SampleSet, Y: SampleSet, noise: bool) -> tuple[np.ndarray, ...]:
-    """Every buffer of a tile of up to ``rows`` projections, one row per projection: the keyed normals, the
-    directions, the projections of X and Y, and their smoothed copies."""
-    width = X.d + (X.n + Y.n if noise else 0)
-    return tuple(np.empty((rows, k)) for k in (width, X.d, X.n, Y.n, X.n, Y.n))
+def _tiles(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool):
+    """Yield each tile of up to ``_TILE`` projections of the block ``ls`` as (a, b, U, px, py, zx, zy): the
+    directions, projections of X and Y, and their standard noise (None unless ``noise``) for projections
+    a..b-1, one row per projection, each bit-identical to ``sample_direction``, ``project`` and the noise
+    of ``smooth_double`` on that projection's keyed streams.
 
-
-def _slice_tile(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool, work: tuple[np.ndarray, ...]):
-    """Directions, projections of X and Y, and their standard noise (None unless ``noise``) for the
-    projections in ``ls``, one row per projection, each bit-identical to ``sample_direction``,
-    ``project`` and the noise of ``smooth_double`` on that projection's keyed streams.
-
-    The rows are views of ``work``, a ``_tile_work`` of at least len(ls) rows, which a
-    worker allocates once and reuses from tile to tile.
+    The rows are views of buffers allocated once per block and overwritten by the next tile: tile-sized
+    arrays, each above glibc's mmap threshold, would map and fault in fresh pages on every tile.
     """
     d, n, m = X.d, X.n, Y.n
-    G, U, px, py = (buf[: len(ls)] for buf in work[:4])
     streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
-    keyed_normals(root, streams, ls, G)
-    # stacked matmuls make one BLAS call per row with the arguments of sample_direction's
-    # z.dot(z) and project's X.data @ u (a ddot, then two dgemv), so every row keeps their
-    # bits; one GEMM per tile would not, as its rows' bits depend on the tile's height
-    Z = G[:, :d]
-    norms = np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0, 0])
-    zero = np.flatnonzero(~(norms > 1e-150))
-    norms[zero] = 1.0  # so that the divide below does not warn on a zero row
-    np.divide(Z, norms[:, None], out=U)
-    for k in zero:  # a zero draw: sample_direction redraws from the stream
-        U[k] = sample_direction(d, root.stream("proj", ls[k]))
-    np.matmul(X.data, U[:, :, None], out=px[:, :, None])
-    np.matmul(Y.data, U[:, :, None], out=py[:, :, None])
-    zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
-    return U, px, py, zx, zy
-
-
-def _chunks(L: int, parts: int) -> list[range]:
-    parts = min(parts, L)
-    bounds = np.linspace(0, L, parts + 1).astype(int)
-    return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _sweep(X: SampleSet, Y: SampleSet, cfgs: list[GssdConfig], workers: int) -> list[GssdEstimate]:
-    """One estimate per config; the configs differ only in sigma and share every draw.
-
-    Per-projection values land in an array indexed by projection, and each
-    reduction over it is a single fixed pairwise sum, so 1 worker and N
-    workers produce bit-identical results.
-    """
-    if X.d != Y.d:
-        raise ValueError(f"dimension mismatch: X has d={X.d}, Y has d={Y.d}")
-    _check_count("workers", workers)
-    first = cfgs[0]
-    L = first.num_projections
-    vals = np.empty((len(cfgs), L))
-    noise = first.mode == "double_empirical" and any(c.sigma > 0 for c in cfgs)
-
-    def run_block(ls: range) -> np.ndarray:
-        # one workspace per block, reused by every tile: tile-sized arrays, each above glibc's mmap
-        # threshold, would map and fault in fresh pages on every tile
-        work = _tile_work(min(_TILE, len(ls)), X, Y, noise)
-        bad = np.zeros(len(cfgs), dtype=np.int64)
-        for a in range(ls.start, ls.stop, _TILE):
-            b = min(a + _TILE, ls.stop)
-            _, px, py, zx, zy = _slice_tile(X, Y, first.seed, range(a, b), noise, work)
-            tx, ty = (buf[: b - a] for buf in work[4:])
-            for k, cfg in enumerate(cfgs):
-                if cfg.mode == "mixture_oracle":
-                    vals[k, a:b] = [
-                        smoothed_wasserstein_oracle(x, y, cfg.sigma, cfg.divergence.p, cfg.oracle_grid)
-                        for x, y in zip(px, py)
-                    ]
-                    continue
-                for t, v, z in ((tx, px, zx), (ty, py, zy)):
-                    if cfg.sigma == 0:  # a copy: the base divergence may overwrite it, and the next sigma reads P
-                        np.copyto(t, v)
-                    else:  # the two roundings of v + sigma * z
-                        np.add(v, np.multiply(z, cfg.sigma, out=t), out=t)
-                vals[k, a:b], n_bad = _slice_values(tx, ty, cfg.divergence)
-                bad[k] += n_bad
-        return bad
-
-    blocks = _chunks(L, workers)
-    if len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            unconverged = sum(pool.map(run_block, blocks))
-    else:
-        unconverged = run_block(blocks[0])
-
-    return [GssdEstimate.from_values(v, cfg, int(bad)) for cfg, v, bad in zip(cfgs, vals, unconverged)]
+    work = [np.empty((min(_TILE, len(ls)), k)) for k in (sum(c for _, c in streams), d, n, m)]
+    for a in range(ls.start, ls.stop, _TILE):
+        b = min(a + _TILE, ls.stop)
+        G, U, px, py = (buf[: b - a] for buf in work)
+        keyed_normals(root, streams, range(a, b), G)
+        # stacked matmuls make one BLAS call per row with the arguments of sample_direction's
+        # z.dot(z) and project's X.data @ u (a ddot, then two dgemv), so every row keeps their
+        # bits; one GEMM per tile would not, as its rows' bits depend on the tile's height
+        Z = G[:, :d]
+        norms = np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0, 0])
+        zero = np.flatnonzero(~(norms > 1e-150))
+        norms[zero] = 1.0  # so that the divide below does not warn on a zero row
+        np.divide(Z, norms[:, None], out=U)
+        for k in zero.tolist():  # a zero draw: sample_direction redraws from the stream
+            U[k] = sample_direction(d, root.stream("proj", a + k))
+        np.matmul(X.data, U[:, :, None], out=px[:, :, None])
+        np.matmul(Y.data, U[:, :, None], out=py[:, :, None])
+        zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
+        yield a, b, U, px, py, zx, zy
 
 
 def estimate(X: SampleSet, Y: SampleSet, cfg: GssdConfig, workers: int = 1) -> GssdEstimate:
@@ -206,7 +148,7 @@ def estimate(X: SampleSet, Y: SampleSet, cfg: GssdConfig, workers: int = 1) -> G
     Deterministic given ``cfg.seed``: bit-identical across re-runs, worker
     counts and L-prefixes (the first L values of a longer run).
     """
-    return _sweep(X, Y, [cfg], workers)[0]
+    return sweep_sigma(X, Y, [cfg.sigma], cfg, workers)[0]
 
 
 def sweep_sigma(
@@ -218,10 +160,52 @@ def sweep_sigma(
     tile is drawn once and all sweep points see the same directions and the
     same standard normal draws scaled by their own sigma -- common random
     numbers across the sweep.  Each point is bit-identical to ``estimate`` at
-    its sigma.
+    its sigma.  Per-projection values land in an array indexed by projection,
+    and each reduction over it is a single fixed pairwise sum, so 1 worker and
+    N workers produce bit-identical results.  Raises ValueError for a
+    per-projection value that is not finite.
     """
     _check_count("number of sigmas", len(sigmas))
-    return _sweep(X, Y, [replace(cfg, sigma=s) for s in sigmas], workers)
+    cfgs = [replace(cfg, sigma=s) for s in sigmas]  # checks each sigma against the mode
+    if X.d != Y.d:
+        raise ValueError(f"dimension mismatch: X has d={X.d}, Y has d={Y.d}")
+    _check_count("workers", workers)
+    L, spec, oracle = cfg.num_projections, cfg.divergence, cfg.mode == "mixture_oracle"
+    vals = np.empty((len(cfgs), L))
+    noise = not oracle and any(s > 0 for s in sigmas)
+
+    def run_block(ls: range) -> np.ndarray:
+        # the smoothed slices, allocated once per block for the reason _tiles' buffers are
+        smoothed = [np.empty((min(_TILE, len(ls)), k)) for k in (X.n, Y.n)]
+        bad = np.zeros(len(cfgs), dtype=np.int64)
+        for a, b, _, px, py, zx, zy in _tiles(X, Y, cfg.seed, ls, noise):
+            tx, ty = (t[: b - a] for t in smoothed)
+            for k, s in enumerate(sigmas):
+                if oracle:
+                    vals[k, a:b] = [
+                        smoothed_wasserstein_oracle(x, y, s, spec.p, cfg.oracle_grid) for x, y in zip(px, py)
+                    ]
+                else:
+                    for t, v, z in ((tx, px, zx), (ty, py, zy)):
+                        if s == 0:  # a copy: the base divergence may overwrite it, and the next sigma reads P
+                            np.copyto(t, v)
+                        else:  # the two roundings of v + sigma * z
+                            np.add(v, np.multiply(z, s, out=t), out=t)
+                    vals[k, a:b], n_bad = _slice_values(tx, ty, spec)
+                    bad[k] += n_bad
+                off = np.flatnonzero(~np.isfinite(vals[k, a:b]))
+                if off.size:
+                    raise ValueError(f"projection {a + off[0]} at sigma {s} has a non-finite {spec.kind} value")
+        return bad
+
+    parts = min(workers, L)
+    blocks = [range(L * i // parts, L * (i + 1) // parts) for i in range(parts)]
+    if len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            unconverged = sum(pool.map(run_block, blocks))
+    else:
+        unconverged = run_block(blocks[0])
+    return [GssdEstimate.from_values(v, c, int(n_bad)) for c, v, n_bad in zip(cfgs, vals, unconverged)]
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,11 @@ def sizes(good):
     return Rule(bad, good, f"must be an integer >= {len(good)}", lambda v: repr(len(v)))
 
 
+def one_axis(good, *bad):
+    """A sample of one axis: each of ``bad``, of more axes, is bad, and the message shows its shape."""
+    return Rule(list(bad), good, "must be a 1-D array", lambda v: f"shape {np.shape(v)}")
+
+
 X = SampleSet(np.arange(6.0).reshape(3, 2))
 WASSERSTEIN = DivergenceSpec("wasserstein")
 
@@ -139,6 +144,15 @@ SETTINGS = {
     "wasserstein_pp.len(x)": ("number of x values", lambda v: wasserstein_pp(v, [0.0], 2), sizes([1.0])),
     "wasserstein_pp.len(y)": ("number of y values", lambda v: wasserstein_pp([0.0], v, 2), sizes([1.0])),
     "mmd_sq.bandwidth": ("bandwidth", lambda v: mmd_sq([0.0], [1.0], v), reals(0, True)),
+    # a sample of more than one axis is refused, not raveled into one
+    "wasserstein_pp.x.ndim": (
+        "x", lambda v: wasserstein_pp(v, [0.0, 1.0, 2.0, 3.0], 2),
+        one_axis([0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], [[0.0], [1.0]]),
+    ),
+    "mmd_sq.x.ndim": (
+        "x", lambda v: mmd_sq(v, [1.0, 1.0, 1.0, 1.0], 1.0),
+        one_axis([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]]),
+    ),
     "bandwidth_mean_pairwise.len(y)": (
         "number of y values", lambda v: bandwidth_mean_pairwise([0.5], v), sizes([1.0]),
     ),

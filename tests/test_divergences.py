@@ -692,16 +692,19 @@ class TestSinkhornDiv:
     @example(x=[0.0, 0.25, 0.25, 1.0], y=[0.25, -0.5], p=3.0)
     @example(x=[-1.0, 0.0, 1.0], y=[-1.0, 0.0, 1.0], p=1.0)
     @example(x=[0.0, 0.0, 2.0], y=[0.0, 2.0, 0.0625], p=3.0)  # W far below the terms: the sum's rounding bounds it
+    @example(x=[0.0, 0.0, 0.0, 0.0, 1.0], y=[0.0, 0.0, 1.0, 2.2250738585e-313, 2.2250738585e-313], p=1.0)  # subnormal
     def test_warm_dual_is_optimal_for_the_unregularised_problem(self, x, y, p):
         # g with its c-transform f is feasible, f_i + g_j <= C_ij, so <f, a> + <g, b> <= W_p^p, and equality makes
         # both optimal; wasserstein_pp integrates the quantile functions, a route the dual does not take.  Where
-        # W_p^p is far below the terms, a few ulps of them bound the rounding of the sum
+        # W_p^p is far below the terms, a few ulps of them bound the rounding of the sum, and where the terms are
+        # subnormal, whose ulps 2^-52 * terms underflow to 0, a few units of the subnormal spacing 2^-1074 do
         xs, ys = np.sort(x), np.sort(y)
         g = divergences._monotone_dual(xs, ys, p)
         C = np.abs(xs[:, None] - ys[None, :]) ** p
         f = (C - g).min(axis=1)
         terms = float(np.abs(f).mean() + np.abs(g).mean())
-        assert float(f.mean() + g.mean()) == pytest.approx(wasserstein_pp(x, y, p), rel=1e-13, abs=8 * 2.0**-52 * terms)
+        ulps = 8 * max(2.0**-52 * terms, 2.0**-1074)
+        assert float(f.mean() + g.mean()) == pytest.approx(wasserstein_pp(x, y, p), rel=1e-13, abs=ulps)
         assert (f[:, None] + g[None, :] - C <= 4 * np.spacing(np.maximum(C, np.abs(g)))).all()
 
     @pytest.mark.parametrize("p, eps", [(1.0, 0.05), (2.0, 0.1)])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +73,30 @@ class TestEstimateBasics:
         Y = gauss_set(3, "y", 10, 4)
         with pytest.raises(ValueError):
             estimate(X, Y, wcfg(9))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("x, sigma", [
+        ([[1.5e308, 1.5e308], [1.4e308, 1.5e308]], 0.0),  # projections past the double range
+        ([[0.5, -1.0], [1.0, 0.25]], 1e300),  # noise whose squared gaps are past it
+        ([[0.0, 1.4e154], [0.0, 0.0]], 0.0),  # squared gaps past it on directions near the second axis only
+    ])
+    def test_non_finite_value_is_refused_naming_its_projection(self, x, sigma, workers):
+        # numpy only warns where a slice's value overflows; the estimate must refuse it, not average a nan or inf
+        X, Y = SampleSet(np.array(x)), gauss_set(4, "y", 3, 2)
+        cfg = wcfg(10, sigma=sigma, L=70)
+
+        def finite(l):
+            try:
+                return math.isfinite(rebuilt_value(X, Y, cfg, l))
+            except ValueError:  # the slice itself is past the double range
+                return False
+
+        first = next(l for l in range(70) if not finite(l))  # 0, 0 and 4
+        message = f"^projection {first} at sigma {re.escape(str(sigma))} has a non-finite wasserstein value$"
+        with pytest.raises(ValueError, match=message):
+            estimate(X, Y, cfg, workers=workers)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -233,7 +258,8 @@ class TestSlicePipeline:
         Y = gauss_set(27, "tr-y", m, d)
         root = RngRoot(37)
         ls = range(60, 60 + rows)
-        U, px, py, zx, zy = estimator._slice_tile(X, Y, root, ls, True, estimator._tile_work(len(ls), X, Y, True))
+        [(a, b, U, px, py, zx, zy)] = estimator._tiles(X, Y, root, ls, True)
+        assert (a, b) == (ls.start, ls.stop)
         for k, l in enumerate(ls):
             u = sample_direction(d, root.stream("proj", l))
             assert np.array_equal(U[k], u)
@@ -241,7 +267,7 @@ class TestSlicePipeline:
             assert np.array_equal(py[k], project(Y, u))
             assert np.array_equal(zx[k], root.stream("noisex", l).normals(n))
             assert np.array_equal(zy[k], root.stream("noisey", l).normals(m))
-        assert estimator._slice_tile(X, Y, root, ls, False, estimator._tile_work(len(ls), X, Y, False))[3:] == (None, None)
+        assert next(estimator._tiles(X, Y, root, ls, False))[5:] == (None, None)
 
     def test_zero_direction_draw_falls_back_to_sample_direction(self, monkeypatch):
         # a word whose top 53 bits are 2^52 maps to u = 0.5, i.e. z = 0; force such direction

@@ -562,6 +562,16 @@ class TestCli:
         assert printed.out == "" and "non-finite value at data row 2, column 1" in printed.err
         assert not target.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_projection_value_is_an_error_exit(self, tmp_path, capsys):
+        big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+        big.write_text("1.5e308,1.5e308\n1.4e308,1.5e308\n")
+        small.write_text("0.1,-0.3\n1.0,0.5\n-0.7,0.2\n")
+        assert cli_main(["compare", str(big), str(small), "--projections", "8", "--sigmas", "0", "--div", "swd"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and "at sigma 0.0 has a non-finite wasserstein value" in printed.err
+
     @pytest.mark.parametrize("flag, value", [("--div", "swd,mmd"), ("--sigmas", "1,5")])
     def test_compare_takes_one_divergence_and_one_sigma(self, tmp_path, capsys, flag, value):
         f = tmp_path / "x.csv"
