@@ -723,13 +723,17 @@ def _slice_values(TX: np.ndarray, TY: np.ndarray, spec: DivergenceSpec) -> tuple
     are used directly; squared MMD is the square of the RKHS metric, so the
     order-p quantity is mmd_sq^{p/2}, at the fixed bandwidth or else at the
     mean-pairwise bandwidth of its own row.  Only Sinkhorn rows can fail to converge.
-    The rows must be finite and belong to the caller, who gives them up: Wasserstein
-    sorts each row of TX and TY in place and overwrites TX.
+    The rows belong to the caller, who gives them up: Wasserstein sorts each row of TX and
+    TY in place and overwrites TX.  A row with an entry past the double range, or one whose
+    mean-pairwise bandwidth is, gets a nan value and reaches neither MMD nor Sinkhorn.
     """
     if spec.kind == "wasserstein":
         return _wasserstein_rows(TX, TY, spec.p), 0
-    if spec.kind == "mmd":
-        m2 = [mmd_sq(x, y, spec.bandwidth or bandwidth_mean_pairwise(x, y)) for x, y in zip(TX, TY)]
-        return np.array([max(v, 0.0) ** (spec.p / 2.0) for v in m2]), 0
-    results = [sinkhorn_div(x, y, spec) for x, y in zip(TX, TY)]
-    return np.array([r.value for r in results]), sum(not r.converged for r in results)
+    values, unconverged = np.full(len(TX), np.nan), 0
+    for k in np.flatnonzero(np.isfinite(TX).all(axis=1) & np.isfinite(TY).all(axis=1)):
+        if spec.kind == "sinkhorn":
+            r = sinkhorn_div(TX[k], TY[k], spec)
+            values[k], unconverged = r.value, unconverged + (not r.converged)
+        elif math.isfinite(h := spec.bandwidth or bandwidth_mean_pairwise(TX[k], TY[k])):
+            values[k] = max(mmd_sq(TX[k], TY[k], h), 0.0) ** (spec.p / 2.0)
+    return values, unconverged

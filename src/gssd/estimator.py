@@ -18,6 +18,9 @@ which consumes whole rows.  A worker allocates its tile buffers once per block
 and reuses them for each tile, and the Wasserstein rows are sorted and reduced
 in place in the smoothed buffers.  A per-projection value that is not finite
 stops the estimate with a ValueError naming its projection, sigma and kind.
+Each block runs under its own numpy error state, which ignores overflow and
+invalid operations, so no RuntimeWarning comes first; a slice that is not
+finite gets a nan value instead of reaching MMD, Sinkhorn or the oracle.
 
 Because every projection is keyed by its index, the result is a pure function
 of (seed, data, config): independent of evaluation order, worker count and of
@@ -38,7 +41,7 @@ from ._checks import _check_choice, _check_count, _check_real
 from .bounds import _SIGMA_MIN, mc_error_bound
 from .divergences import _ORACLE_MIN_GRID, ORACLE_GRID, DivergenceSpec, _slice_values, smoothed_wasserstein_oracle
 from .rng import RngRoot, keyed_normals
-from .slicing import SampleSet, sample_direction
+from .slicing import _ZERO_NORM, SampleSet, sample_direction
 
 __all__ = ["GssdConfig", "GssdEstimate", "TwoSigmaReport", "estimate", "sweep_sigma", "two_sigma_check"]
 
@@ -131,7 +134,7 @@ def _tiles(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool):
         # bits; one GEMM per tile would not, as its rows' bits depend on the tile's height
         Z = G[:, :d]
         norms = np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0, 0])
-        zero = np.flatnonzero(~(norms > 1e-150))
+        zero = np.flatnonzero(~(norms > _ZERO_NORM))
         norms[zero] = 1.0  # so that the divide below does not warn on a zero row
         np.divide(Z, norms[:, None], out=U)
         for k in zero.tolist():  # a zero draw: sample_direction redraws from the stream
@@ -178,24 +181,27 @@ def sweep_sigma(
         # the smoothed slices, allocated once per block for the reason _tiles' buffers are
         smoothed = [np.empty((min(_TILE, len(ls)), k)) for k in (X.n, Y.n)]
         bad = np.zeros(len(cfgs), dtype=np.int64)
-        for a, b, _, px, py, zx, zy in _tiles(X, Y, cfg.seed, ls, noise):
-            tx, ty = (t[: b - a] for t in smoothed)
-            for k, s in enumerate(sigmas):
-                if oracle:
-                    vals[k, a:b] = [
-                        smoothed_wasserstein_oracle(x, y, s, spec.p, cfg.oracle_grid) for x, y in zip(px, py)
-                    ]
-                else:
-                    for t, v, z in ((tx, px, zx), (ty, py, zy)):
-                        if s == 0:  # a copy: the base divergence may overwrite it, and the next sigma reads P
-                            np.copyto(t, v)
-                        else:  # the two roundings of v + sigma * z
-                            np.add(v, np.multiply(z, s, out=t), out=t)
-                    vals[k, a:b], n_bad = _slice_values(tx, ty, spec)
-                    bad[k] += n_bad
-                off = np.flatnonzero(~np.isfinite(vals[k, a:b]))
-                if off.size:
-                    raise ValueError(f"projection {a + off[0]} at sigma {s} has a non-finite {spec.kind} value")
+        with np.errstate(over="ignore", invalid="ignore"):  # per block: numpy keeps it per thread
+            for a, b, _, px, py, zx, zy in _tiles(X, Y, cfg.seed, ls, noise):
+                tx, ty = (t[: b - a] for t in smoothed)
+                for k, s in enumerate(sigmas):
+                    if oracle:  # a projection past the double range gets a nan value
+                        finite = np.isfinite(px).all(axis=1) & np.isfinite(py).all(axis=1)
+                        vals[k, a:b] = [
+                            smoothed_wasserstein_oracle(x, y, s, spec.p, cfg.oracle_grid) if ok else np.nan
+                            for x, y, ok in zip(px, py, finite)
+                        ]
+                    else:
+                        for t, v, z in ((tx, px, zx), (ty, py, zy)):
+                            if s == 0:  # a copy: the base divergence may overwrite it, and the next sigma reads P
+                                np.copyto(t, v)
+                            else:  # the two roundings of v + sigma * z
+                                np.add(v, np.multiply(z, s, out=t), out=t)
+                        vals[k, a:b], n_bad = _slice_values(tx, ty, spec)
+                        bad[k] += n_bad
+                    off = np.flatnonzero(~np.isfinite(vals[k, a:b]))
+                    if off.size:
+                        raise ValueError(f"projection {a + off[0]} at sigma {s} has a non-finite {spec.kind} value")
         return bad
 
     parts = min(workers, L)

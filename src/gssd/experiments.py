@@ -144,6 +144,11 @@ class ExperimentConfig:
             sinkhorn_max_iter=self.sinkhorn_max_iter,
         )
 
+    def estimator_config(self, name: str, seed: RngRoot) -> GssdConfig:
+        """The estimator settings of divergence ``name`` at ``sigmas[0]``, keyed by ``seed``."""
+        spec = self.divergence_spec(name)
+        return GssdConfig(sigma=float(self.sigmas[0]), num_projections=self.num_projections, divergence=spec, seed=seed)
+
     def echo(self) -> dict:
         """The configuration as written to output headers: every field but ``out`` and ``emit_bound``, with
         numpy scalars as the Python numbers they hold."""
@@ -245,12 +250,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         run_root = root.child(tag, run)
         for label, Y in ys:
             for name in cfg.divergences:
-                base = GssdConfig(
-                    sigma=float(cfg.sigmas[0]), num_projections=cfg.num_projections,
-                    divergence=cfg.divergence_spec(name), seed=run_root,
-                )
                 t0 = time.perf_counter()
-                ests = sweep_sigma(X, Y, cfg.sigmas, base, workers=cfg.workers)
+                ests = sweep_sigma(X, Y, cfg.sigmas, cfg.estimator_config(name, run_root), workers=cfg.workers)
                 wall = (time.perf_counter() - t0) * 1e3
                 cell = [(s, est, row) for s, est in zip(cfg.sigmas, ests) for row in _row_values(cfg, est)]
                 rows.extend(
@@ -324,10 +325,8 @@ def compare(file_x: str, file_y: str, cfg: ExperimentConfig) -> dict:
     if mx.shape[1] != my.shape[1]:
         raise ValueError(f"dimension mismatch: {file_x} has d={mx.shape[1]}, {file_y} has d={my.shape[1]}")
     X, Y = SampleSet(mx), SampleSet(my)
-    root = RngRoot(cfg.seed).child("compare", 0)
-    (name,), (sigma,) = cfg.divergences, cfg.sigmas
-    spec = cfg.divergence_spec(name)
-    est_cfg = GssdConfig(sigma=float(sigma), num_projections=cfg.num_projections, divergence=spec, seed=root)
+    (name,) = cfg.divergences
+    est_cfg = cfg.estimator_config(name, RngRoot(cfg.seed).child("compare", 0))
     est = estimate(X, Y, est_cfg, workers=cfg.workers)
     return {**est.summary(), "n_x": X.n, "n_y": Y.n, "d": X.d, "divergence": name}
 

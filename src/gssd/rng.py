@@ -12,13 +12,14 @@ top 53 bits, straight into the output, and adding 2^-54 (``_open_interval``)
 makes it (k + 0.5) * 2^-53, in the open interval (0, 1) once the highest words
 are clamped below 1.
 
-``keyed_normals`` draws the leading variates of many streams into one array:
-Philox is counter-based, so one generator re-keyed per stream yields the words
-of a generator built per stream, without the OS entropy each build pulls.
-Each label's hash prefix is fed once and copied per index.  The re-keying loop
-holds the interpreter lock between calls that release it for microseconds, so
-threads that run it at once mostly trade the lock; ``_KEYING`` lets one thread
-key at a time while the others run code that releases the lock for longer.
+``keyed_normals`` is the only path from a stream key to variates, and
+``RngStream`` reads through it.  Philox is counter-based, so one generator
+re-keyed per stream yields the words of a generator built per stream, without
+the OS entropy each build pulls.  Each label's hash prefix is fed once and
+copied per index.  The re-keying loop holds the interpreter lock between calls
+that release it for microseconds, so threads that run it at once mostly trade
+the lock; ``_KEYING`` lets one thread key at a time while the others run code
+that releases the lock for longer.
 """
 
 from __future__ import annotations
@@ -86,29 +87,29 @@ class RngRoot:
 
 
 class RngStream:
-    """One independent draw sequence, owned by a single consumer at a time.
+    """A cursor over one stream's variates, owned by a single consumer at a time.
 
-    The output is a pure function of (root seed, label, index, draw counter).
+    Variate j is a pure function of (root seed, label, index, j), read through ``keyed_normals``.
     """
 
     def __init__(self, root: RngRoot, label: str, index: int):
+        _stream_key(root.seed, label, index)  # checks the index as RngRoot.child does
         self.root = root
         self.label = label
         self.index = index
-        self._gen = Generator(Philox(key=np.array(_stream_key(root.seed, label, index), dtype=np.uint64)))
+        self.drawn = 0
+        self._ahead = np.empty(0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.root.seed}, label={self.label!r}, index={self.index})"
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms in the open interval (0, 1), one word each; see ``_open_interval``."""
-        _check_count("n", n, 0)
-        return _open_interval(self._gen.random(n))
-
     def normals(self, n: int) -> np.ndarray:
-        """n i.i.d. standard normal draws via the inverse normal CDF."""
-        u = self.uniforms(n)
-        return ndtri(u, out=u)
+        """The next n i.i.d. standard normal draws of the stream."""
+        _check_count("n", n, 0)
+        start, self.drawn = self.drawn, self.drawn + n
+        if self.drawn > self._ahead.size:  # redrawn at least doubled, so k variates in chunks cost O(k)
+            self._ahead = keyed_normals(self.root, [(self.label, max(self.drawn, 2 * start))], [self.index])[0]
+        return self._ahead[start : self.drawn]
 
 
 def _open_interval(u: np.ndarray) -> np.ndarray:
@@ -128,9 +129,9 @@ def keyed_normals(
     """Leading standard normals of many streams, one row per index, into ``out`` if given.
 
     Row k holds, side by side for each (label, count) in ``streams``, the first ``count``
-    variates of ``root.stream(label, indices[k])``, equal to its ``normals(count)`` bit for
-    bit.  One Philox is re-keyed for each stream (counter 0, empty buffer) instead of built,
-    and its generator writes the uniforms straight into the row.
+    variates of stream (root, label, indices[k]); ``RngStream.normals`` reads them from here.
+    One Philox is re-keyed for each stream (counter 0, empty buffer) instead of built, and its
+    generator writes the uniforms straight into the row.
     """
     for label, count in streams:
         _check_count(f"count of stream {label!r}", count, 0)

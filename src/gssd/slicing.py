@@ -21,6 +21,7 @@ __all__ = ["SampleSet", "sample_direction", "project", "smooth_double"]
 
 _UNIT_NORM_TOL = 1e-12
 _MAX_DIRECTION_RETRIES = 8
+_ZERO_NORM = 1e-150  # a Gaussian draw whose norm is not above this gives no direction and is redrawn
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def sample_direction(d: int, stream: RngStream) -> np.ndarray:
     for _ in range(_MAX_DIRECTION_RETRIES):
         z = stream.normals(d)
         norm = math.sqrt(z.dot(z))  # np.linalg.norm's arithmetic on a 1-D vector, without its call overhead
-        if norm > 1e-150:
+        if norm > _ZERO_NORM:
             return z / norm
     raise RuntimeError("degenerate Gaussian draw persisted; cannot sample a direction")
 

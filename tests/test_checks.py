@@ -117,7 +117,6 @@ SETTINGS = {
     "RngRoot.child.index": ("stream index", lambda v: RngRoot(0).child("x", v), counts(0, [2**64])),
     "RngRoot.stream.index": ("stream index", lambda v: RngRoot(0).stream("x", v), counts(0, [2**64])),
     "RngStream.index": ("stream index", lambda v: RngStream(RngRoot(0), "proj", v), counts(0, [2**64])),
-    "RngStream.uniforms.n": ("n", lambda v: RngRoot(0).stream("x", 0).uniforms(v), counts(0)),
     "RngStream.normals.n": ("n", lambda v: RngRoot(0).stream("x", 0).normals(v), counts(0)),
     "keyed_normals.count": ("count of stream 'x'", lambda v: keyed_normals(RngRoot(0), [("x", v)], [0]), counts(0)),
     # the per-index loop packs each index without a type check, so a bool packs as 0 or 1 there

@@ -14,7 +14,7 @@ from numpy.random import Philox
 from scipy.special import gammaln, ndtri
 
 from gssd import estimator
-from gssd.divergences import DivergenceSpec, bandwidth_mean_pairwise, mmd_sq, wasserstein_pp
+from gssd.divergences import DivergenceSpec, bandwidth_mean_pairwise, mmd_sq, smoothed_wasserstein_oracle, wasserstein_pp
 from gssd.estimator import GssdConfig, estimate, sweep_sigma, two_sigma_check
 from gssd.rng import RngRoot, keyed_normals
 from gssd.slicing import SampleSet, project, sample_direction, smooth_double
@@ -23,6 +23,10 @@ from gssd.slicing import SampleSet, project, sample_direction, smooth_double
 def gauss_set(seed, label, n, d, mean=0.0, scale=1.0):
     z = RngRoot(seed).stream(label, 0).normals(n * d).reshape(n, d)
     return SampleSet(mean + scale * z)
+
+
+BIG = [[1.5e308, 1.5e308], [1.4e308, 1.5e308]]  # projects past the double range on most directions
+WIDE = [[1e307, 1e307], [-1e307, 2e307]]  # projects within it, with squared gaps and bandwidths past it
 
 
 def wcfg(seed, sigma=1.0, L=32, p=2.0, divergence=None, **kw):
@@ -74,27 +78,30 @@ class TestEstimateBasics:
         with pytest.raises(ValueError):
             estimate(X, Y, wcfg(9))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("x, sigma", [
-        ([[1.5e308, 1.5e308], [1.4e308, 1.5e308]], 0.0),  # projections past the double range
+        (BIG, 0.0),  # projections past the double range
         ([[0.5, -1.0], [1.0, 0.25]], 1e300),  # noise whose squared gaps are past it
         ([[0.0, 1.4e154], [0.0, 0.0]], 0.0),  # squared gaps past it on directions near the second axis only
+        (WIDE, 0.0),  # projections in range whose squared gaps are past it
     ])
     def test_non_finite_value_is_refused_naming_its_projection(self, x, sigma, workers):
-        # numpy only warns where a slice's value overflows; the estimate must refuse it, not average a nan or inf
+        # numpy only warns where a slice's value overflows; the estimate must refuse it, not average a nan or
+        # inf, and let no warning out first
         X, Y = SampleSet(np.array(x)), gauss_set(4, "y", 3, 2)
         cfg = wcfg(10, sigma=sigma, L=70)
+        with pytest.raises(ValueError, match=first_refusal(X, Y, cfg)):  # projections 0, 0, 4 and 0
+            estimate(X, Y, cfg, workers=workers)
 
-        def finite(l):
-            try:
-                return math.isfinite(rebuilt_value(X, Y, cfg, l))
-            except ValueError:  # the slice itself is past the double range
-                return False
-
-        first = next(l for l in range(70) if not finite(l))  # 0, 0 and 4
-        message = f"^projection {first} at sigma {re.escape(str(sigma))} has a non-finite wasserstein value$"
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("x", [BIG, WIDE])
+    @pytest.mark.parametrize("kind", ["mmd", "oracle", "sinkhorn"])
+    def test_overflowing_slice_is_refused_for_every_kind(self, kind, x, workers):
+        # a slice past the double range, or one whose mean-pairwise bandwidth is, never reaches MMD, Sinkhorn
+        # or the oracle: its projection is named, with no warning first; Sinkhorn's cost-range refusal comes first
+        X, Y = SampleSet(np.array(x)), gauss_set(4, "y", 3, 2)
+        cfg = wcfg(10, L=8, mode="mixture_oracle") if kind == "oracle" else kind_cfg(kind, 10, L=8)
+        message = "^sinkhorn cost .* exceeds the double range" if kind == "sinkhorn" else first_refusal(X, Y, cfg)
         with pytest.raises(ValueError, match=message):
             estimate(X, Y, cfg, workers=workers)
 
@@ -182,11 +189,28 @@ def rebuilt_value(X, Y, cfg, l):
     """Projection l rebuilt one stream at a time through the public slicing functions."""
     root = cfg.seed
     u = sample_direction(X.d, root.stream("proj", l))
+    if cfg.mode == "mixture_oracle":
+        return smoothed_wasserstein_oracle(project(X, u), project(Y, u), cfg.sigma, cfg.divergence.p, cfg.oracle_grid)
     tx = smooth_double(project(X, u), cfg.sigma, root.stream("noisex", l))
     ty = smooth_double(project(Y, u), cfg.sigma, root.stream("noisey", l))
     if cfg.divergence.kind == "wasserstein":
         return wasserstein_pp(tx, ty, cfg.divergence.p)
     return max(mmd_sq(tx, ty, bandwidth_mean_pairwise(tx, ty)), 0.0) ** (cfg.divergence.p / 2)
+
+
+def first_refusal(X, Y, cfg):
+    """The message ``estimate`` must refuse X and Y with: the first projection whose rebuilt value is not
+    finite, with its sigma and kind."""
+
+    def finite(l):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # the public functions keep numpy's warnings
+                return math.isfinite(rebuilt_value(X, Y, cfg, l))
+        except ValueError:  # the slice itself, or its bandwidth, is past the double range
+            return False
+
+    first = next(l for l in range(cfg.num_projections) if not finite(l))
+    return f"^projection {first} at sigma {re.escape(str(cfg.sigma))} has a non-finite {cfg.divergence.kind} value$"
 
 
 class TestSlicePipeline:
@@ -316,6 +340,23 @@ class TestSlicePipeline:
                 assert np.array_equal(G[k, col : col + count], root.stream(label, l).normals(count))
                 assert np.array_equal(G[k, col : col + count], reference_normals(seed, label, l, count))
                 col += count
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        label=st.sampled_from(["proj", "data", "噪声"]),
+        index=st.integers(0, 2**64 - 1),
+        chunks=st.lists(st.integers(0, 3000), max_size=6),
+    )
+    def test_stream_chunks_concatenate_to_one_draw(self, seed, label, index, chunks):
+        # a stream read in chunks, empty ones included, gives its leading words' top bits plus a half,
+        # clamped below 1, through ndtri: finite variates equal to one read of them all
+        root, k = RngRoot(seed), sum(chunks)
+        stream = root.stream(label, index)
+        got = np.concatenate([np.empty(0)] + [stream.normals(c) for c in chunks])
+        assert np.array_equal(got, reference_normals(seed, label, index, k)) and np.isfinite(got).all()
+        assert np.array_equal(got, root.stream(label, index).normals(k))
+        assert stream.drawn == k
 
 
 class TestPointMassOracleMode:

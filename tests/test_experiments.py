@@ -562,8 +562,6 @@ class TestCli:
         assert printed.out == "" and "non-finite value at data row 2, column 1" in printed.err
         assert not target.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_projection_value_is_an_error_exit(self, tmp_path, capsys):
         big, small = tmp_path / "big.csv", tmp_path / "small.csv"
         big.write_text("1.5e308,1.5e308\n1.4e308,1.5e308\n")

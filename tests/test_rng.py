@@ -2,7 +2,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from gssd.rng import RngRoot, _open_interval, _stream_key, keyed_normals
+from gssd.rng import RngRoot, _open_interval, keyed_normals
 
 
 def test_same_triple_reproduces_sequence():
@@ -43,12 +43,6 @@ def test_standard_normal_moments():
     assert 0.99 <= float(z.var(ddof=1)) <= 1.01
 
 
-def test_uniforms_live_in_open_interval():
-    u = RngRoot(1).stream("unif", 0).uniforms(10**5)
-    assert u.min() > 0.0
-    assert u.max() < 1.0
-
-
 def test_pairwise_stream_correlation_is_negligible():
     n = 10**5
     a = RngRoot(42).stream("corr", 0).normals(n)
@@ -80,15 +74,6 @@ def test_top_words_clamp_below_one_and_others_keep_their_bits():
     unclamped = (k + 0.5) * 2.0**-53
     assert unclamped.max() < 1.0
     assert np.array_equal(_open_interval(k * 2.0**-53), unclamped)
-
-
-def test_uniforms_are_the_words_top_bits_plus_a_half():
-    # a stream's uniforms are (k + 0.5) * 2^-53 of its Philox words, clamped below 1, and
-    # chunked draws continue the word sequence
-    words = Philox(key=np.array(_stream_key(3, "words", 0), dtype=np.uint64)).random_raw(10**4)
-    want = np.minimum(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
-    stream = RngRoot(3).stream("words", 0)
-    assert np.array_equal(np.concatenate([stream.uniforms(4000), stream.uniforms(6000)]), want)
 
 
 def test_largest_stream_index_accepted():
