@@ -295,20 +295,21 @@ def read_matrix_csv(path: str) -> np.ndarray:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            cells = [c.strip() for c in text.split(",")]
+            cells = text.split(",")
             if width is None:
                 width = len(cells)  # the first line fixes the column count
-                if not any(_is_number(c) for c in cells):
+                if not any(_is_number(c.strip()) for c in cells):
                     continue  # a header: no cell is a number
             if len(cells) != width:
                 raise ValueError(f"{path}: row {lineno} has {len(cells)} columns, expected {width}")
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{path}: non-numeric cell at row {lineno}, column {col}: {cell!r}") from None
-            rows.append(parsed)
+            try:  # float() strips spaces, tabs and newlines itself; str.strip() also strips \x1c-\x1f
+                rows.append(list(map(float, cells)))
+            except ValueError:
+                cells = [c.strip() for c in cells]
+                for col, cell in enumerate(cells, start=1):
+                    if not _is_number(cell):
+                        raise ValueError(f"{path}: non-numeric cell at row {lineno}, column {col}: {cell!r}") from None
+                rows.append(list(map(float, cells)))
     if not rows:
         raise ValueError(f"{path}: no numeric rows found")
     arr = np.asarray(rows, dtype=np.float64)

@@ -40,7 +40,11 @@ __all__ = ["RngRoot", "RngStream", "keyed_normals"]
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 _INDEX = struct.Struct("<Q")
-_KEYING = threading.Lock()  # held by the thread running keyed_normals' re-keying loop
+_KEYING = threading.Lock()  # held by the thread running keyed_normals' re-keying loop, the only user of:
+_BITGEN = Philox(0)  # a fixed seed skips the OS entropy; every stream sets its own key
+_FILL = Generator(_BITGEN).random
+_STATE = _BITGEN.state  # counter 0 and an empty buffer (buffer_pos 4), as a new Philox has
+_STATE["state"]["counter"] = _STATE["buffer"] = [0, 0, 0, 0]  # lists load faster than arrays
 
 
 def _key_prefix(seed: int, label: str):
@@ -93,7 +97,8 @@ class RngStream:
     """
 
     def __init__(self, root: RngRoot, label: str, index: int):
-        _stream_key(root.seed, label, index)  # checks the index as RngRoot.child does
+        _check_count("stream index", index, 0)  # the checks of _stream_key, with no hash
+        _index_bytes(index)
         self.root = root
         self.label = label
         self.index = index
@@ -130,8 +135,8 @@ def keyed_normals(
 
     Row k holds, side by side for each (label, count) in ``streams``, the first ``count``
     variates of stream (root, label, indices[k]); ``RngStream.normals`` reads them from here.
-    One Philox is re-keyed for each stream (counter 0, empty buffer) instead of built, and its
-    generator writes the uniforms straight into the row.
+    The process's one Philox is re-keyed for each stream (counter 0, empty buffer) instead of
+    built, and its generator writes the uniforms straight into the row.
     """
     for label, count in streams:
         _check_count(f"count of stream {label!r}", count, 0)
@@ -139,10 +144,6 @@ def keyed_normals(
     if out is None:
         out = np.empty((len(indices), width))
     prefixes = [(_key_prefix(root.seed, label), count) for label, count in streams]
-    bitgen = Philox(0)  # a fixed seed skips the OS entropy; every stream below sets its own key
-    fill = Generator(bitgen).random
-    state = bitgen.state  # counter 0 and an empty buffer (buffer_pos 4), as a new Philox has
-    state["state"]["counter"] = state["buffer"] = [0, 0, 0, 0]  # lists load faster than arrays
     with _KEYING:
         for k, index in enumerate(indices):
             packed = _index_bytes(index)
@@ -150,9 +151,9 @@ def keyed_normals(
             for prefix, count in prefixes:
                 h = prefix.copy()  # _stream_key's hash, with the prefix fed once per label
                 h.update(packed)
-                state["state"]["key"] = struct.unpack("<QQ", h.digest())
-                bitgen.state = state
-                fill(out=out[k, col : col + count])
+                _STATE["state"]["key"] = struct.unpack("<QQ", h.digest())
+                _BITGEN.state = _STATE
+                _FILL(out=out[k, col : col + count])
                 col += count
     u = _open_interval(out)
     return ndtri(u, out=u)

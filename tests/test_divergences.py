@@ -419,6 +419,26 @@ class TestMmdRoutes:
         assert coarse == pytest.approx(divergences._quadrature_pair(u, s, 2.0 * tau, K // 2)[1], rel=1e-14)
         assert abs(coarse - fine) > 1e-3 * fine
 
+    @pytest.mark.parametrize("K", [26, 90, 300, 1000, 2700])
+    def test_node_sums_match_direct_sums(self, K):
+        # sum_i s_i exp(-i k theta_i), theta_i = fl(tau u_i), in 40 digits; half the phases sit just inside a
+        # half-step of the rule's grid of L points, where |k d_i| reaches pi K / L, the Taylor tail's worst case
+        import mpmath
+
+        L = 1 << (4 * K + 3).bit_length()
+        rng = np.random.default_rng(K)
+        theta = np.concatenate([rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 8),
+                                (rng.integers(-L // 4, L // 4, 8) + 0.5) * (2.0 * math.pi / L) * (1.0 - 2.0**-40)])
+        tau, s = 0.3, rng.normal(size=16)
+        u = theta / tau
+        got = divergences._node_sums(u, s, tau, K)
+        with mpmath.workdps(40):
+            phasors = [mpmath.expj(-mpmath.mpf(t)) for t in tau * u]
+            terms = [mpmath.mpf(c) for c in s]
+            for k in range(K + 1):
+                assert abs(complex(mpmath.mpc(got[k]) - mpmath.fsum(terms))) <= 4 * 2.0**-52 * float(np.abs(s).sum())
+                terms = [a * b for a, b in zip(terms, phasors)]
+
     def test_bandwidth_a_tenth_stays_on_the_rule_in_a_few_mib(self):
         # range / h is about 91 here: a 289-node rule, far fewer terms than the exact sum's pairs
         x, y = sweep_slice(1.0)
@@ -435,9 +455,9 @@ class TestMmdRoutes:
     @pytest.mark.parametrize("bandwidth", ["mean-pairwise", 0.1])
     @pytest.mark.parametrize("rows", [1, 3, 64])
     def test_rule_bits_do_not_depend_on_the_block(self, monkeypatch, bandwidth, rows):
-        # blocks of one, three or 64 rows of 2 (n + m) floats against the default nine: the offsets and
-        # anchors (5 + 5 rows at the mean-pairwise bandwidth, 13 + 12 at h = 0.1) come a few at a time or
-        # all in one block; one GEMM per block instead of a dgemv per row fails at 64 rows
+        # blocks of one, three or 64 rows of 2 (n + m) floats against the default nine: at h = 0.1 the rule's
+        # 19 Taylor terms go through bincount and rfft 3, 10 or all 19 grid rows of 2048 points at a time (all
+        # at once on the mean-pairwise bandwidth's 256 points); no block size may move a bit of the value
         x, y = sweep_slice(1.0)
         h = bandwidth_mean_pairwise(x, y) if bandwidth == "mean-pairwise" else bandwidth
         with counting("_kernel_sum") as calls:
@@ -448,7 +468,7 @@ class TestMmdRoutes:
 
     def test_largest_rule_at_the_sweep_size_stays_in_a_few_mib(self):
         # range / h is about 933 here: a 2701-node rule, next to the route's limit of 2711 nodes at
-        # n = 2000, m = 1600; the offsets' 74 cos and sin rows take 2 MiB, the two block buffers 1 MiB
+        # n = 2000, m = 1600; its grid of 16384 points takes 4 Taylor terms a block, and the call peaks at 3 MiB
         x, y = sweep_slice(15.0)
         with counting("_kernel_sum") as calls, counting("_quadrature_pair") as rules:
             tracemalloc.start()
@@ -478,7 +498,7 @@ class TestMmdRoutes:
         assert got == (mmd_exact_route(x, y, bw) if exact else 0.01 * (1.0 + rel_gap))
 
     def test_quadrature_route_allocates_a_few_mib(self):
-        # the rule's two work buffers hold 2^16 floats each, 1 MiB together
+        # the rule holds 19 Taylor rows of its n + m points and of its grid's 256 points, 1.3 MiB at the peak
         x, y = sweep_slice(1.0)
         bw = bandwidth_mean_pairwise(x, y)
         tracemalloc.start()
