@@ -1,6 +1,7 @@
-"""The three argument rules every module applies: ``_check_count`` for integer counts (and, as "number of
-<name>", for sizes), ``_check_real`` for real-valued settings and ``_check_choice`` for named options.  Each
-raises ValueError that reads "<name> must be ..., got <value>"."""
+"""The four argument rules every module applies: ``_check_count`` for integer counts (and, as "number of
+<name>", for sizes), ``_check_real`` for real-valued settings, ``_check_choice`` for named options and
+``_check_type`` for settings of one of the package's types.  Each raises ValueError that reads
+"<name> must be ..., got <value>"."""
 
 import math
 import numbers
@@ -31,3 +32,9 @@ def _check_choice(name: str, value, choices) -> None:
     """Raise ValueError unless ``value`` is one of ``choices``."""
     if value not in tuple(choices):
         raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise ValueError unless ``value`` is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")

@@ -1,5 +1,5 @@
 """Base 1D divergences between empirical measures on the line, and ``_slice_values``,
-their order-p value on each row of two matrices of slices that the caller owns: the one
+their order-p value on each row of a matrix of slice pairs that the caller owns: the one
 dispatch on the kind.
 
 Three families are provided:
@@ -152,30 +152,35 @@ def wasserstein_pp(x, y, p: float) -> float:
     """
     xs, ys = _as_samples(x, "x"), _as_samples(y, "y")
     _check_real("order p", p, 1)
-    # copies: _as_samples returns a contiguous float64 argument itself, and the rows are sorted in place
-    return float(_wasserstein_rows(xs[None].copy(), ys[None].copy(), p)[0])
+    return float(_wasserstein_rows(np.concatenate((xs, ys))[None], xs.size, p)[0])
 
 
-def _wasserstein_rows(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
-    """``wasserstein_pp`` of row k of xs against row k of ys, for every row at once, on finite rows it may
-    overwrite: each row is sorted in place, and for equal sizes the differences are formed in xs; unequal
-    sizes take a block of rows at a time.  Each row is reduced on its own contiguous run, so row k is
-    bit-identical to ``wasserstein_pp(xs[k], ys[k], p)`` however many rows there are."""
+def _wasserstein_rows(V: np.ndarray, n: int, p: float) -> np.ndarray:
+    """``wasserstein_pp`` of the first n values of each row of V against the rest, for every row at once, on
+    finite rows: both slices of each row are sorted in place, and the terms are formed a block of rows at a
+    time in work buffers.  Each row is reduced on its own contiguous run, so row k is bit-identical to
+    ``wasserstein_pp(V[k, :n], V[k, n:], p)`` however many rows there are."""
+    xs, ys = V[:, :n], V[:, n:]
     xs.sort(axis=1)
     ys.sort(axis=1)
-    n, m = xs.shape[1], ys.shape[1]
+    m = ys.shape[1]
+    out = np.empty(len(V))
     if n == m:
-        np.subtract(xs, ys, out=xs)
-        np.abs(xs, out=xs)
-        xs **= p  # the same fast path as xs ** p
-        return xs.mean(axis=1)
+        # not in place: numpy would copy ys first, as its rows interleave with those of xs in memory
+        for rows, (a,) in _row_blocks(len(V), n, 1):
+            np.subtract(xs[rows], ys[rows], out=a)
+            np.abs(a, out=a)
+            a **= p  # the same fast path as a ** p
+            out[rows] = a.mean(axis=1)
+        return out
     widths, ix, iy = _staircase(n, m)
-    out = np.empty(xs.shape[0])
+    iy = iy + n  # the cells of y in the pooled row
     # take() keeps rows contiguous, so each row sums in the order of a 1-D array whatever the block's height;
-    # every index is in range, and mode "clip" lets take() write into the buffer without one of its own
-    for rows, (a, b) in _row_blocks(xs.shape[0], widths.size, 2):
-        np.take(xs[rows], ix, axis=1, out=a, mode="clip")
-        np.take(ys[rows], iy, axis=1, out=b, mode="clip")
+    # it reads whole pooled rows, as a view of x's or y's half would be copied first; every index is in range,
+    # and mode "clip" lets take() write into the buffer without one of its own
+    for rows, (a, b) in _row_blocks(len(V), widths.size, 2):
+        np.take(V[rows], ix, axis=1, out=a, mode="clip")
+        np.take(V[rows], iy, axis=1, out=b, mode="clip")
         np.subtract(a, b, out=a)
         np.abs(a, out=a)
         a **= p
@@ -546,12 +551,6 @@ def _symmetric_ot(x: np.ndarray, p: float, eps: float, tol: float, max_iter: int
         g *= 0.5
 
 
-def _cost_max(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
-    """(max - min)^p of the pooled values, the largest cost of the three Sinkhorn solves; inf past the double range."""
-    with np.errstate(over="ignore"):
-        return np.ptp(np.concatenate((xs, ys))) ** p
-
-
 def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     """Debiased entropic divergence for cost |s-t|^p.
 
@@ -561,11 +560,12 @@ def sinkhorn_div(x, y, spec: DivergenceSpec) -> SinkhornResult:
     """
     xs = _as_samples(x, "x")
     ys = _as_samples(y, "y")
-    if _cost_max(xs, ys, spec.p) == np.inf:  # an inf cost would make every trial nan
-        raise ValueError(
-            f"sinkhorn cost (max - min)^p of the pooled n={xs.size} and m={ys.size} values exceeds the double range"
-            f" (p={spec.p!r}, epsilon={spec.epsilon!r})"
-        )
+    with np.errstate(over="ignore"):  # an inf cost, the pooled (max - min)^p, would make every trial nan
+        if np.ptp(np.concatenate((xs, ys))) ** spec.p == np.inf:
+            raise ValueError(
+                f"sinkhorn cost (max - min)^p of the pooled n={xs.size} and m={ys.size} values exceeds the double"
+                f" range (p={spec.p!r}, epsilon={spec.epsilon!r})"
+            )
     args = (spec.p, spec.epsilon, spec.sinkhorn_tol, spec.sinkhorn_max_iter)
     vxy, cxy, ixy, exy = _entropic_ot(xs, ys, *args)
     vxx, cxx, ixx, exx = _symmetric_ot(xs, *args)
@@ -631,11 +631,13 @@ def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray) -> np.nd
 
     All components share sigma, so [v_min + sigma*z, v_max + sigma*z] with
     z = ndtri(level) brackets each quantile exactly; single-atom mixtures
-    collapse immediately.  Each step reads the CDF residual and the density
-    at every level still stepping from its Taylor expansion about its centre,
-    narrows its bracket, and takes the Newton point when it lies in the
-    bracket, bounds included, or else the midpoint (the centres, the
-    safeguards and the step cap are set out at _QUANTILE_STEPS).
+    collapse immediately, and so do mixtures whose brackets all round to one
+    point (equal atoms and noise below their rounding).  Each step reads the
+    CDF residual and the density at every level still stepping from its
+    Taylor expansion about its centre, narrows its bracket, and takes the
+    Newton point when it lies in the bracket, bounds included, or else the
+    midpoint (the centres, the safeguards and the step cap are set out at
+    _QUANTILE_STEPS).
     """
     z = ndtri(levels)
     lo = v.min() + sigma * z
@@ -645,6 +647,8 @@ def _mixture_quantiles(v: np.ndarray, sigma: float, levels: np.ndarray) -> np.nd
     span = float(hi[-1]) - float(lo[0])  # a Python float: past the double range it is inf, with no warning
     if not math.isfinite(span / sigma):
         raise ValueError(f"n={v.size} atoms at sigma={sigma!r} span {span!r}: past the double range in sigmas")
+    if span == 0.0:  # lo[0] <= lo <= hi <= hi[-1], so every bracket is that point; one knot would divide 0 by 0
+        return lo
     tol = _QUANTILE_RTOL * max(span, sigma)
     count = int(min(_QUANTILE_KNOTS, np.ceil(span / (2.0 * _TAYLOR_RADIUS * sigma)) + 1))
     knots = np.linspace(lo[0], hi[-1], count)
@@ -712,26 +716,28 @@ def smoothed_wasserstein_oracle(vx, vy, sigma: float, p: float, grid: int = ORAC
     return float(np.mean(np.abs(qx - qy) ** p))
 
 
-def _slice_values(TX: np.ndarray, TY: np.ndarray, spec: DivergenceSpec) -> tuple[np.ndarray, int]:
-    """The per-slice quantity D^p of row k of TX against row k of TY, and how many rows did not converge.
+def _slice_values(V: np.ndarray, n: int, spec: DivergenceSpec) -> tuple[np.ndarray, int]:
+    """The per-slice quantity D^p of each row of V, its first n values one slice and the rest the other,
+    and how many rows did not converge.
 
     Wasserstein and Sinkhorn values already live on the |s-t|^p cost scale and
     are used directly; squared MMD is the square of the RKHS metric, so the
     order-p quantity is mmd_sq^{p/2}, at the fixed bandwidth or else at the
     mean-pairwise bandwidth of its own row.  Only Sinkhorn rows can fail to converge.
-    The rows belong to the caller, who gives them up: Wasserstein sorts each row of TX and
-    TY in place and overwrites TX.  A row with an entry past the double range, or one whose
-    mean-pairwise bandwidth or Sinkhorn cost (max - min)^p is, gets a nan value and reaches
-    neither MMD nor Sinkhorn.
+    The rows belong to the caller, who gives them up: Wasserstein sorts both slices of each row in place.
+    A row that MMD, its bandwidth or Sinkhorn refuses with ValueError, as each refuses a slice past the
+    double range, gets a nan value.
     """
     if spec.kind == "wasserstein":
-        return _wasserstein_rows(TX, TY, spec.p), 0
-    values, unconverged = np.full(len(TX), np.nan), 0
-    for k in np.flatnonzero(np.isfinite(TX).all(axis=1) & np.isfinite(TY).all(axis=1)):
-        if spec.kind == "sinkhorn":
-            if _cost_max(TX[k], TY[k], spec.p) < np.inf:
-                r = sinkhorn_div(TX[k], TY[k], spec)
+        return _wasserstein_rows(V, n, spec.p), 0
+    values, unconverged = np.full(len(V), np.nan), 0
+    for k, (x, y) in enumerate(zip(V[:, :n], V[:, n:])):
+        try:
+            if spec.kind == "sinkhorn":
+                r = sinkhorn_div(x, y, spec)
                 values[k], unconverged = r.value, unconverged + (not r.converged)
-        elif math.isfinite(h := spec.bandwidth or bandwidth_mean_pairwise(TX[k], TY[k])):
-            values[k] = max(mmd_sq(TX[k], TY[k], h), 0.0) ** (spec.p / 2.0)
+            else:
+                values[k] = max(mmd_sq(x, y, spec.bandwidth or bandwidth_mean_pairwise(x, y)), 0.0) ** (spec.p / 2.0)
+        except ValueError:  # a slice the base divergence refuses keeps its nan value
+            pass
     return values, unconverged

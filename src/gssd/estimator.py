@@ -8,19 +8,16 @@ mean of the L per-projection values, with its Monte Carlo error (``GssdEstimate.
 
 One slice pipeline serves every base divergence and mode: ``sweep_sigma`` splits
 the L projections into one block per worker, and ``_tiles`` cuts a block into
-tiles of ``_TILE`` rows and draws each tile's directions, both projections and
-the *standard* noise, each row bit-identical to ``sample_direction``,
-``project`` and ``smooth_double`` on the same streams.  No row depends on the
-others of its tile, so tile edges move no bit.  ``sweep_sigma``'s loop then
-takes the tile through every sigma: the oracle reads the projections, every
-other mode forms the smoothed slices and hands them to the base divergence,
-which consumes whole rows.  A worker allocates its tile buffers once per block
-and reuses them for each tile, and the Wasserstein rows are sorted and reduced
-in place in the smoothed buffers.  A per-projection value that is not finite
-stops the estimate with a ValueError naming its projection, sigma and kind.
-Each block runs under its own numpy error state, which ignores overflow and
-invalid operations, so no RuntimeWarning comes first; a slice that is not
-finite gets a nan value instead of reaching MMD, Sinkhorn or the oracle.
+tiles of ``_TILE`` rows and draws each tile's directions, pooled projections P
+(X's n values, then Y's m) and *standard* noise Z in P's layout, each row
+bit-identical to ``sample_direction``, ``project`` and ``smooth_double`` on the
+same streams, so tile edges move no bit.  For every sigma the oracle reads P,
+and every other mode forms P + s * Z in one buffer, reused for each tile, where
+the base divergence consumes whole rows.  The base divergence alone decides
+which slices it takes: one it refuses with ValueError gets a nan value, and a
+value that is not finite stops the estimate with a ValueError naming its
+projection, sigma and kind.  Each block runs under its own numpy error state,
+which ignores overflow and invalid operations, so no RuntimeWarning comes first.
 
 Because every projection is keyed by its index, the result is a pure function
 of (seed, data, config): independent of evaluation order, worker count and of
@@ -31,13 +28,14 @@ the number of projections that follow it.  Streams do not depend on sigma, so
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._checks import _check_choice, _check_count, _check_real
+from ._checks import _check_choice, _check_count, _check_real, _check_type
 from .bounds import _SIGMA_MIN, mc_error_bound
 from .divergences import _ORACLE_MIN_GRID, ORACLE_GRID, DivergenceSpec, _slice_values, smoothed_wasserstein_oracle
 from .rng import RngRoot, keyed_normals
@@ -60,6 +58,8 @@ class GssdConfig:
     oracle_grid: int = ORACLE_GRID
 
     def __post_init__(self) -> None:
+        _check_type("divergence", self.divergence, DivergenceSpec)
+        _check_type("seed", self.seed, RngRoot)
         _check_choice("mode", self.mode, MODES)
         oracle = self.mode == "mixture_oracle"
         _check_real("sigma in mixture_oracle mode" if oracle else "sigma", self.sigma, _SIGMA_MIN if oracle else 0.0)
@@ -85,10 +85,17 @@ class GssdEstimate:
     @classmethod
     def from_values(cls, values: np.ndarray, config: GssdConfig, unconverged: int = 0) -> GssdEstimate:
         """The estimate from its per-projection values: their mean, its order-p root, their sample std
-        and the Monte Carlo error ``mc_error_bound`` (both 0.0 for a single projection)."""
-        mean_pow = float(np.mean(values))
+        and the Monte Carlo error ``mc_error_bound`` (both 0.0 for a single projection).  Raises ValueError
+        where the mean or the sample std of the values is past the double range."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum or square past the range is refused below
+            mean_pow = float(np.mean(values))
+            std, err = (float(np.std(values, ddof=1)), mc_error_bound(values)) if values.size > 1 else (0.0, 0.0)
+        if not (math.isfinite(mean_pow) and math.isfinite(std)):
+            raise ValueError(
+                f"the {config.divergence.kind} values at sigma {config.sigma} have a mean or sample std past the"
+                " double range"
+            )
         root = float(max(mean_pow, 0.0) ** (1.0 / config.divergence.p))
-        std, err = (float(np.std(values, ddof=1)), mc_error_bound(values)) if values.size > 1 else (0.0, 0.0)
         return cls(mean_pow, root, values, std, err, config, unconverged)
 
     def summary(self) -> dict:
@@ -114,35 +121,34 @@ _TILE = 64  # projections whose streams are drawn together
 
 
 def _tiles(X: SampleSet, Y: SampleSet, root: RngRoot, ls: range, noise: bool):
-    """Yield each tile of up to ``_TILE`` projections of the block ``ls`` as (a, b, U, px, py, zx, zy): the
-    directions, projections of X and Y, and their standard noise (None unless ``noise``) for projections
-    a..b-1, one row per projection, each bit-identical to ``sample_direction``, ``project`` and the noise
-    of ``smooth_double`` on that projection's keyed streams.
+    """Yield each tile of up to ``_TILE`` projections of the block ``ls`` as (a, b, U, P, Z): for projections
+    a..b-1, one row per projection, the directions, the pooled projections (X's n values, then Y's m) and
+    their standard noise in the same layout (no columns unless ``noise``), each row bit-identical to
+    ``sample_direction``, ``project`` and the noise of ``smooth_double`` on that projection's keyed streams.
 
     The rows are views of buffers allocated once per block and overwritten by the next tile: tile-sized
     arrays, each above glibc's mmap threshold, would map and fault in fresh pages on every tile.
     """
     d, n, m = X.d, X.n, Y.n
     streams = [("proj", d)] + ([("noisex", n), ("noisey", m)] if noise else [])
-    work = [np.empty((min(_TILE, len(ls)), k)) for k in (sum(c for _, c in streams), d, n, m)]
+    work = [np.empty((min(_TILE, len(ls)), k)) for k in (sum(c for _, c in streams), d, n + m)]
     for a in range(ls.start, ls.stop, _TILE):
         b = min(a + _TILE, ls.stop)
-        G, U, px, py = (buf[: b - a] for buf in work)
+        G, U, P = (buf[: b - a] for buf in work)
         keyed_normals(root, streams, range(a, b), G)
         # stacked matmuls make one BLAS call per row with the arguments of sample_direction's
         # z.dot(z) and project's X.data @ u (a ddot, then two dgemv), so every row keeps their
         # bits; one GEMM per tile would not, as its rows' bits depend on the tile's height
-        Z = G[:, :d]
-        norms = np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0, 0])
+        D = G[:, :d]
+        norms = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
         zero = np.flatnonzero(~(norms > _ZERO_NORM))
         norms[zero] = 1.0  # so that the divide below does not warn on a zero row
-        np.divide(Z, norms[:, None], out=U)
+        np.divide(D, norms[:, None], out=U)
         for k in zero.tolist():  # a zero draw: sample_direction redraws from the stream
             U[k] = sample_direction(d, root.stream("proj", a + k))
-        np.matmul(X.data, U[:, :, None], out=px[:, :, None])
-        np.matmul(Y.data, U[:, :, None], out=py[:, :, None])
-        zx, zy = (G[:, d : d + n], G[:, d + n :]) if noise else (None, None)
-        yield a, b, U, px, py, zx, zy
+        np.matmul(X.data, U[:, :, None], out=P[:, :n, None])
+        np.matmul(Y.data, U[:, :, None], out=P[:, n:, None])
+        yield a, b, U, P, G[:, d:]
 
 
 def estimate(X: SampleSet, Y: SampleSet, cfg: GssdConfig, workers: int = 1) -> GssdEstimate:
@@ -166,8 +172,11 @@ def sweep_sigma(
     its sigma.  Per-projection values land in an array indexed by projection,
     and each reduction over it is a single fixed pairwise sum, so 1 worker and
     N workers produce bit-identical results.  Raises ValueError for a
-    per-projection value that is not finite.
+    per-projection value that is not finite, and for finite values whose
+    mean or sample std is not.
     """
+    _check_type("X", X, SampleSet)
+    _check_type("Y", Y, SampleSet)
     _check_count("number of sigmas", len(sigmas))
     cfgs = [replace(cfg, sigma=s) for s in sigmas]  # checks each sigma against the mode
     if X.d != Y.d:
@@ -177,27 +186,28 @@ def sweep_sigma(
     vals = np.empty((len(cfgs), L))
     noise = not oracle and any(s > 0 for s in sigmas)
 
+    def oracle_value(x: np.ndarray, y: np.ndarray, s: float) -> float:
+        try:
+            return smoothed_wasserstein_oracle(x, y, s, spec.p, cfg.oracle_grid)
+        except ValueError:  # a slice the oracle refuses: its nan value is named below
+            return np.nan
+
     def run_block(ls: range) -> np.ndarray:
         # the smoothed slices, allocated once per block for the reason _tiles' buffers are
-        smoothed = [np.empty((min(_TILE, len(ls)), k)) for k in (X.n, Y.n)]
+        smoothed = np.empty((min(_TILE, len(ls)), X.n + Y.n))
         bad = np.zeros(len(cfgs), dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):  # per block: numpy keeps it per thread
-            for a, b, _, px, py, zx, zy in _tiles(X, Y, cfg.seed, ls, noise):
-                tx, ty = (t[: b - a] for t in smoothed)
+            for a, b, _, P, Z in _tiles(X, Y, cfg.seed, ls, noise):
+                V = smoothed[: b - a]
                 for k, s in enumerate(sigmas):
-                    if oracle:  # a projection past the double range gets a nan value
-                        finite = np.isfinite(px).all(axis=1) & np.isfinite(py).all(axis=1)
-                        vals[k, a:b] = [
-                            smoothed_wasserstein_oracle(x, y, s, spec.p, cfg.oracle_grid) if ok else np.nan
-                            for x, y, ok in zip(px, py, finite)
-                        ]
+                    if oracle:
+                        vals[k, a:b] = [oracle_value(x, y, s) for x, y in zip(P[:, : X.n], P[:, X.n :])]
                     else:
-                        for t, v, z in ((tx, px, zx), (ty, py, zy)):
-                            if s == 0:  # a copy: the base divergence may overwrite it, and the next sigma reads P
-                                np.copyto(t, v)
-                            else:  # the two roundings of v + sigma * z
-                                np.add(v, np.multiply(z, s, out=t), out=t)
-                        vals[k, a:b], n_bad = _slice_values(tx, ty, spec)
+                        if s == 0:  # a copy: the base divergence may overwrite it, and the next sigma reads P
+                            np.copyto(V, P)
+                        else:  # the two roundings of P + sigma * Z
+                            np.add(P, np.multiply(Z, s, out=V), out=V)
+                        vals[k, a:b], n_bad = _slice_values(V, X.n, spec)
                         bad[k] += n_bad
                     off = np.flatnonzero(~np.isfinite(vals[k, a:b]))
                     if off.size:

@@ -136,9 +136,10 @@ def test_swd_proj_job_is_worker_invariant_and_passes_its_output_checks(workloads
     assert checks and [(label, detail) for label, ok, detail in checks if not ok] == []
 
 
-def test_sweep_mmd_job_passes_its_output_checks(workloads, tmp_path):
+def test_sweep_mmd_job_is_worker_invariant_and_passes_its_output_checks(workloads, tmp_path):
     inputs = workloads.sweep_inputs(1, str(tmp_path))
-    _, result = workloads.WORKLOADS["sweep-mmd"].job(inputs, 1)
+    (print1, result), (print2, _) = (workloads.WORKLOADS["sweep-mmd"].job(inputs, w) for w in (1, 2))
+    assert print1 == print2
     checks = workloads.sweep_checks(inputs, result)
     assert checks and [(label, detail) for label, ok, detail in checks if not ok] == []
 

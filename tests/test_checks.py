@@ -1,9 +1,10 @@
-"""Every setting of the public entry points and configs fails loudly: each real, count, choice and size.
+"""Every setting of the public entry points and configs fails loudly: each real, count, choice, size and type.
 
 One table names each setting as its ValueError does and gives a call that passes a value to it.  Each
 setting gets NaN, +-inf, a bool, a numeric string and values outside its domain; a choice gets near misses
-and None; a size gets each too-short prefix of a good value.  Each must raise ValueError that reads
-"<name> must <rule> ..., got <value>".  A structural test keeps the rules in one module.
+and None; a size gets each too-short prefix of a good value; a setting of one of the package's types gets
+values of others.  Each must raise ValueError that reads "<name> must <rule> ..., got <value>".  A
+structural test keeps the rules in one module.
 """
 
 import ast
@@ -92,6 +93,11 @@ def sizes(good):
 def one_axis(good, *bad):
     """A sample of one axis: each of ``bad``, of more axes, is bad, and the message shows its shape."""
     return Rule(list(bad), good, "must be a 1-D array", lambda v: f"shape {np.shape(v)}")
+
+
+def types(good, *bad):
+    """An instance of ``good``'s type: each of ``bad``, of another type, is bad."""
+    return Rule(list(bad), good, f"must be a {type(good).__name__}")
 
 
 X = SampleSet(np.arange(6.0).reshape(3, 2))
@@ -210,6 +216,12 @@ SETTINGS = {
     "TheoryBound.evaluate.c_p": ("c_p", lambda v: TheoryBound.evaluate(2, 3.0, PointMass(1.0), c_p=v), reals()),
     "TheoryBound.at.n": ("n", lambda v: TheoryBound.evaluate(2, 3.0, PointMass(1.0)).at(v), counts()),
     # estimator
+    # a setting of the wrong type is refused where it is given, not by an AttributeError inside estimate
+    "GssdConfig.seed": ("seed", lambda v: gssd_config(seed=v), types(RngRoot(0), 42, np.uint64(42), "0", None)),
+    "GssdConfig.divergence": (
+        "divergence", lambda v: gssd_config(divergence=v),
+        types(WASSERSTEIN, "wasserstein", ("wasserstein", 2.0), None),
+    ),
     "GssdConfig.sigma": ("sigma", lambda v: gssd_config(sigma=v), reals()),
     "GssdConfig.num_projections": ("num_projections", lambda v: gssd_config(num_projections=v), counts(1, ["4"])),
     "GssdConfig.mode": ("mode", lambda v: gssd_config(mode=v), choices("double_empirical", "mixture_oracle")),
@@ -217,6 +229,9 @@ SETTINGS = {
         "sigma in mixture_oracle mode", lambda v: oracle_config(sigma=v), reals(_SIGMA_MIN, extra=[0, 1e-310]),
     ),
     "GssdConfig.oracle_grid": ("oracle quantile grid", lambda v: oracle_config(oracle_grid=v), counts(1000)),
+    "estimate.X": ("X", lambda v: estimate(v, X, gssd_config()), types(X, np.zeros((1, 2)), [[0.0, 1.0]])),
+    "sweep_sigma.X": ("X", lambda v: sweep_sigma(v, X, [1.0], gssd_config()), types(X, np.zeros((1, 2)), None)),
+    "sweep_sigma.Y": ("Y", lambda v: sweep_sigma(X, v, [1.0], gssd_config()), types(X, np.zeros((1, 2)), None)),
     "estimate.workers": ("workers", lambda v: estimate(X, X, gssd_config(), workers=v), counts(1, ["4"])),
     "sweep_sigma.sigmas": ("sigma", lambda v: sweep_sigma(X, X, [1.0, v], gssd_config()), reals(extra=[-0.5])),
     "sweep_sigma.sigmas[mixture_oracle]": (

@@ -224,7 +224,7 @@ class TestWassersteinPP:
             return scale * np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
 
         X, Y = sets(n), sets(m)
-        got = divergences._wasserstein_rows(X.copy(), Y.copy(), p)
+        got = divergences._wasserstein_rows(np.hstack([X, Y]), n, p)
         for k in range(rows):
             assert got[k] == pytest.approx(wasserstein_quantile_exact(X[k], Y[k], p), rel=1e-12, abs=0.0)
 
@@ -907,6 +907,12 @@ class TestSmoothedWassersteinOracle:
         with pytest.raises(ValueError, match=r"^n=2 atoms at sigma=1e-150 span 1e\+160: past the double range"):
             smoothed_wasserstein_oracle([0.0, 1.0], [0.0, 1e160], 1e-150, 2.0, 1000)
 
+    @pytest.mark.parametrize("atom", [38163.0, -5e150])
+    def test_equal_atoms_with_noise_below_their_rounding_collapse(self, atom):
+        # atom + 1e-12 z rounds to the atom at every level: every bracket is one point, and the quantiles are it
+        got = smoothed_wasserstein_oracle([atom, atom], [0.0], 1e-12, 2.0, 1000)
+        assert got == pytest.approx(atom * atom, rel=1e-15)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), shape=_MIXTURE_SHAPES, scale=_MIXTURE_SCALES)
     def test_quantiles_match_bisection(self, data, shape, scale):
@@ -1026,13 +1032,14 @@ def _slice_rows(n, m, rows=5, seed=0):
 
 
 class TestSliceValues:
-    # the rows go in as copies: _slice_values may overwrite the rows it is given
+    # each row pools a pair of slices, TX's n values then TY's m; it goes in as a copy: _slice_values may
+    # overwrite the rows it is given
     # (9000, 8000): 17 000 breakpoints, so the unequal-size rows are reduced in blocks of 3 and 2 rows
     @pytest.mark.parametrize("n, m", [(7, 7), (7, 5), (9000, 8000)])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
     def test_wasserstein_rows_are_wpp(self, n, m, p):
         TX, TY = _slice_rows(n, m)
-        vals, bad = divergences._slice_values(TX.copy(), TY.copy(), DivergenceSpec("wasserstein", p=p))
+        vals, bad = divergences._slice_values(np.hstack([TX, TY]), n, DivergenceSpec("wasserstein", p=p))
         assert bad == 0
         assert [float(v) for v in vals] == [wasserstein_pp(x, y, p) for x, y in zip(TX, TY)]
 
@@ -1040,7 +1047,7 @@ class TestSliceValues:
     @pytest.mark.parametrize("p", [2.0, 1.0])
     def test_mmd_rows_are_squared_mmd_to_the_power_p_over_2(self, p, bandwidth):
         TX, TY = _slice_rows(6, 4)
-        vals, bad = divergences._slice_values(TX.copy(), TY.copy(), DivergenceSpec("mmd", p=p, bandwidth=bandwidth))
+        vals, bad = divergences._slice_values(np.hstack([TX, TY]), 6, DivergenceSpec("mmd", p=p, bandwidth=bandwidth))
         # None: the mean-pairwise bandwidth of each row on its own; the rows' bandwidths all differ
         bws = [bandwidth or bandwidth_mean_pairwise(x, y) for x, y in zip(TX, TY)]
         assert bandwidth is not None or len(set(bws)) == len(bws)
@@ -1049,9 +1056,9 @@ class TestSliceValues:
 
     def test_sinkhorn_counts_every_unconverged_row(self):
         TX, TY = _slice_rows(5, 4, rows=3)
-        vals, bad = divergences._slice_values(TX.copy(), TY.copy(), _spec(max_iter=1))
+        vals, bad = divergences._slice_values(np.hstack([TX, TY]), 5, _spec(max_iter=1))
         assert bad == 3 and vals.shape == (3,)
-        vals, bad = divergences._slice_values(TX.copy(), TY.copy(), _spec(eps=1.0))
+        vals, bad = divergences._slice_values(np.hstack([TX, TY]), 5, _spec(eps=1.0))
         assert bad == 0
         assert list(vals) == [sinkhorn_div(x, y, _spec(eps=1.0)).value for x, y in zip(TX, TY)]
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.random import Philox
 from scipy.special import gammaln, ndtri
 
@@ -17,7 +18,7 @@ from gssd import estimator
 from gssd.divergences import (
     DivergenceSpec, bandwidth_mean_pairwise, mmd_sq, sinkhorn_div, smoothed_wasserstein_oracle, wasserstein_pp,
 )
-from gssd.estimator import GssdConfig, estimate, sweep_sigma, two_sigma_check
+from gssd.estimator import GssdConfig, GssdEstimate, estimate, sweep_sigma, two_sigma_check
 from gssd.rng import RngRoot, keyed_normals
 from gssd.slicing import SampleSet, project, sample_direction, smooth_double
 
@@ -27,6 +28,7 @@ def gauss_set(seed, label, n, d, mean=0.0, scale=1.0):
     return SampleSet(mean + scale * z)
 
 
+HOSTILE = st.floats(-1.7e308, 1.7e308)  # finite entries, up to the edge of the double range
 BIG = [[1.5e308, 1.5e308], [1.4e308, 1.5e308]]  # projects past the double range on most directions
 WIDE = [[1e307, 1e307], [-1e307, 2e307]]  # projects within it, with squared gaps and bandwidths past it
 
@@ -99,12 +101,54 @@ class TestEstimateBasics:
     @pytest.mark.parametrize("x", [BIG, WIDE])
     @pytest.mark.parametrize("kind", ["mmd", "oracle", "sinkhorn"])
     def test_overflowing_slice_is_refused_for_every_kind(self, kind, x, workers):
-        # a slice past the double range, or one whose mean-pairwise bandwidth or Sinkhorn cost range is, never
-        # reaches MMD, Sinkhorn or the oracle: its projection is named, with no warning first
+        # MMD, Sinkhorn and the oracle each refuse a slice past the double range, or one whose mean-pairwise
+        # bandwidth or Sinkhorn cost range is: its projection is named, with no warning first
         X, Y = SampleSet(np.array(x)), gauss_set(4, "y", 3, 2)
         cfg = wcfg(10, L=8, mode="mixture_oracle") if kind == "oracle" else kind_cfg(kind, 10, L=8)
         with pytest.raises(ValueError, match=first_refusal(X, Y, cfg)):
             estimate(X, Y, cfg, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_oracle_span_past_the_double_range_in_sigmas_is_refused_by_name(self, workers):
+        # finite projections 2e300 apart are 2e310 sigmas apart: the oracle refuses the slice, and the
+        # estimate names its projection rather than passing on the oracle's own message
+        X, Y = SampleSet(np.array([[1e300], [-1e300]])), SampleSet(np.array([[0.0], [1.0], [2.0]]))
+        cfg = wcfg(10, sigma=1e-10, L=4, mode="mixture_oracle")
+        with pytest.raises(ValueError, match="^projection 0 at sigma 1e-10 has a non-finite wasserstein value$"):
+            estimate(X, Y, cfg, workers=workers)
+
+    @pytest.mark.parametrize("values", [[1.6e308, 1.6e308], [1e300, 0.0], [1e200, -1.7e308, 1.7e308]])
+    def test_finite_values_whose_mean_or_std_overflows_are_refused(self, values):
+        # the sum of the first values, and the squared deviations of the second and third, are past the double range
+        message = "^the wasserstein values at sigma 1.0 have a mean or sample std past the double range$"
+        with pytest.raises(ValueError, match=message):
+            GssdEstimate.from_values(np.array(values), wcfg(10, L=len(values)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["wasserstein", "mmd", "mmd-fixed", "sinkhorn", "oracle"]),
+        x=st.integers(1, 6).flatmap(lambda n: arrays(np.float64, (n, 2), elements=HOSTILE)),
+        y=st.integers(1, 6).flatmap(lambda m: arrays(np.float64, (m, 2), elements=HOSTILE)),
+        sigma=st.one_of(st.just(0.0), st.floats(1e-12, 1e300)),
+        L=st.integers(1, 8),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_hostile_inputs_are_refused_by_name_or_rebuilt(self, kind, x, y, sigma, L, workers):
+        # the base divergence alone decides which slices it takes: the estimate either refuses the first
+        # projection whose rebuilt value is not finite, or equals the rebuilt values, with no warning either way
+        X, Y = SampleSet(x), SampleSet(y)
+        if kind == "oracle":
+            cfg = wcfg(12, sigma=max(sigma, 1e-12), L=L, mode="mixture_oracle", oracle_grid=1000)
+        else:
+            cfg = kind_cfg(kind, 12, sigma=sigma, L=L)
+        refusal = first_refusal(X, Y, cfg)
+        if refusal:
+            with pytest.raises(ValueError, match=refusal):
+                estimate(X, Y, cfg, workers=workers)
+        else:
+            est = estimate(X, Y, cfg, workers=workers)
+            with np.errstate(over="ignore", invalid="ignore"):  # the public functions keep numpy's warnings
+                assert list(est.per_projection) == [rebuilt_value(X, Y, cfg, l) for l in range(L)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -182,7 +226,8 @@ class TestDeterminism:
 
 
 def kind_cfg(kind, seed, sigma=1.0, L=32):
-    spec = DivergenceSpec(kind, p=2, sinkhorn_max_iter=100)
+    bandwidth = 0.5 if kind == "mmd-fixed" else None
+    spec = DivergenceSpec(kind.removesuffix("-fixed"), p=2, bandwidth=bandwidth, sinkhorn_max_iter=100)
     return GssdConfig(sigma=sigma, num_projections=L, divergence=spec, seed=RngRoot(seed))
 
 
@@ -198,22 +243,31 @@ def rebuilt_value(X, Y, cfg, l):
         return wasserstein_pp(tx, ty, cfg.divergence.p)
     if cfg.divergence.kind == "sinkhorn":
         return sinkhorn_div(tx, ty, cfg.divergence).value
-    return max(mmd_sq(tx, ty, bandwidth_mean_pairwise(tx, ty)), 0.0) ** (cfg.divergence.p / 2)
+    h = cfg.divergence.bandwidth or bandwidth_mean_pairwise(tx, ty)
+    return max(mmd_sq(tx, ty, h), 0.0) ** (cfg.divergence.p / 2)
 
 
 def first_refusal(X, Y, cfg):
     """The message ``estimate`` must refuse X and Y with: the first projection whose rebuilt value is not
-    finite, with its sigma and kind."""
+    finite, with its sigma and kind, or else finite values whose mean or sample std is not; None when the
+    estimate is finite."""
 
-    def finite(l):
+    def value(l):
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # the public functions keep numpy's warnings
-                return math.isfinite(rebuilt_value(X, Y, cfg, l))
+                return rebuilt_value(X, Y, cfg, l)
         except ValueError:  # the slice itself, its bandwidth or its Sinkhorn cost is past the double range
-            return False
+            return math.nan
 
-    first = next(l for l in range(cfg.num_projections) if not finite(l))
-    return f"^projection {first} at sigma {re.escape(str(cfg.sigma))} has a non-finite {cfg.divergence.kind} value$"
+    values = np.array([value(l) for l in range(cfg.num_projections)])
+    kind, at = cfg.divergence.kind, f"at sigma {re.escape(str(cfg.sigma))}"
+    off = np.flatnonzero(~np.isfinite(values))
+    if off.size:
+        return f"^projection {off[0]} {at} has a non-finite {kind} value$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(np.mean(values)) and (values.size == 1 or math.isfinite(np.std(values, ddof=1))):
+            return None
+    return f"^the {kind} values {at} have a mean or sample std past the double range$"
 
 
 class TestSlicePipeline:
@@ -285,16 +339,17 @@ class TestSlicePipeline:
         Y = gauss_set(27, "tr-y", m, d)
         root = RngRoot(37)
         ls = range(60, 60 + rows)
-        [(a, b, U, px, py, zx, zy)] = estimator._tiles(X, Y, root, ls, True)
+        [(a, b, U, P, Z)] = estimator._tiles(X, Y, root, ls, True)
         assert (a, b) == (ls.start, ls.stop)
+        assert P.shape == Z.shape == (rows, n + m)
         for k, l in enumerate(ls):
             u = sample_direction(d, root.stream("proj", l))
             assert np.array_equal(U[k], u)
-            assert np.array_equal(px[k], project(X, u))
-            assert np.array_equal(py[k], project(Y, u))
-            assert np.array_equal(zx[k], root.stream("noisex", l).normals(n))
-            assert np.array_equal(zy[k], root.stream("noisey", l).normals(m))
-        assert next(estimator._tiles(X, Y, root, ls, False))[5:] == (None, None)
+            assert np.array_equal(P[k, :n], project(X, u))
+            assert np.array_equal(P[k, n:], project(Y, u))
+            assert np.array_equal(Z[k, :n], root.stream("noisex", l).normals(n))
+            assert np.array_equal(Z[k, n:], root.stream("noisey", l).normals(m))
+        assert next(estimator._tiles(X, Y, root, ls, False))[4].shape == (rows, 0)
 
     def test_zero_direction_draw_falls_back_to_sample_direction(self, monkeypatch):
         # a word whose top 53 bits are 2^52 maps to u = 0.5, i.e. z = 0; force such direction
